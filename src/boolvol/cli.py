@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 malformed input (unknown function family, bad flag
 values, unreadable plan or profile files); 3 a configured resource cap
-(enumeration arity, pair-enumeration arity, edge budget).
+(enumeration arity, pair-enumeration arity, edge budget, replica event
+budget).
 
 Every command is deterministic given its flags: the seed defaults to the
 fixed constant 1, never the clock, and --threads only controls the replica
@@ -17,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import re
 import sys
 from dataclasses import dataclass
 
@@ -38,12 +38,11 @@ from .dynamics import (
 )
 from .errors import BoolvolError, InvalidSpec, ResourceLimit
 from .experiments import SequencePlan, classify
-from .functions import make_instance, parse_spec, read_profile_file
+from .functions import make_instance, parse_profile, parse_spec
 from .oracle import exact_influence_report
 from .perctree import LevelProfile, build_profile, regime_experiment, weight_sequence
 
 _SCHEMA_PREFIX = "boolvol"
-_INLINE_PROFILE = re.compile(r"^\d+(,\d+)*$")
 
 
 def _schema(name):
@@ -85,13 +84,6 @@ def _emit(cfg, payload, header, rows):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_profile(text):
-    """Inline comma-separated child counts or a one-integer-per-line file."""
-    if _INLINE_PROFILE.match(text):
-        return LevelProfile(tuple(int(c) for c in text.split(",")))
-    return LevelProfile(read_profile_file(text))
 
 
 def _parse_levels(text):
@@ -225,14 +217,14 @@ def cmd_perc(cfg, args):
         if (args.profile is None) == (args.target is None):
             raise InvalidSpec("give exactly one of --profile or --target")
         if args.profile is not None:
-            profile = _load_profile(args.profile)
+            profile = LevelProfile(parse_profile(args.profile))
         else:
             profile = build_profile(args.target, args.levels)
         ws = weight_sequence(profile)
         payload = {"schema": _schema("perc-weights"), **ws.to_json_dict()}
         return payload, ("k", "children", "log_w", "w"), ws.to_csv_rows()
     # run
-    profile = _load_profile(args.profile)
+    profile = LevelProfile(parse_profile(args.profile))
     report = regime_experiment(
         profile, _parse_levels(args.levels), p=args.p, T=args.T,
         replicas=cfg.resolve_replicas(1000), seed=cfg.seed,

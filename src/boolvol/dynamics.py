@@ -11,6 +11,11 @@ last.  Because the value/bit marks are i.i.d. and independent of the
 times, pairing mark j with the j-th order statistic is lawful, and
 count-only paths can skip drawing times entirely while producing the
 same switch counts as the full trajectory.
+
+One kernel, `_replicas`, replays every trajectory; each clock-driven entry
+point reads its statistic off the kernel's per-replica result.  A replica
+expecting more than EVENT_BUDGET events (arity*T) is refused before any
+draw.
 """
 
 from __future__ import annotations
@@ -18,10 +23,17 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from .errors import InstanceTooLarge
+
 _PAIR_CHUNK = 4096
+
+# expected events per replica (arity * T) above which a run is refused;
+# the same order as perctree's default edge budget
+EVENT_BUDGET = 10_000_000
 
 
 def replica_stream(seed, replica_index):
@@ -57,6 +69,9 @@ class Trajectory:
 
 def _replica_draws(instance, p, T, rng, with_times):
     m = instance.arity
+    if m * T > EVENT_BUDGET:
+        raise InstanceTooLarge("arity %d x horizon %g expects more than %d "
+                               "events per replica" % (m, T, EVENT_BUDGET))
     config = (rng.random(m) < p).astype(np.uint8).tolist()
     n_events = int(rng.poisson(m * T))
     bits = rng.integers(0, m, size=n_events).tolist()
@@ -65,47 +80,38 @@ def _replica_draws(instance, p, T, rng, with_times):
     return config, bits, vals, times
 
 
+def _replicas(instance, p, T, seed, lo, hi, with_times):
+    """Replays replicas lo..hi-1 in order, one draw stream each.
+
+    Yields (initial output, switch times, 1->0 count, final output) per
+    replica.  Without times each switch is recorded as None, so the
+    list's len() is still the switch count C.
+    """
+    for r in range(lo, hi):
+        config, bits, vals, times = _replica_draws(
+            instance, p, T, replica_stream(seed, r), with_times)
+        st = instance.build_state(config)
+        cfg = st.config
+        init = st.output
+        switches = []
+        n_down = 0
+        for b, v, t in zip(bits, vals, repeat(None) if times is None else times):
+            if cfg[b] == v:
+                continue
+            out, changed = st._update(b, v)
+            if changed:
+                switches.append(t)
+                if out == 0:
+                    n_down += 1
+        yield init, switches, n_down, st.output
+
+
 def simulate_trajectory(instance, dyn_params, replica_index):
     """One full replica: initial config, Poisson event skeleton, switch times."""
-    rng = replica_stream(dyn_params.seed, replica_index)
-    config, bits, vals, times = _replica_draws(
-        instance, dyn_params.p, dyn_params.T, rng, with_times=True
-    )
-    st = instance.build_state(config)
-    cfg = st.config
-    init = st.output
-    switch_times = []
-    n_down = 0
-    for b, v, t in zip(bits, vals, times):
-        if cfg[b] == v:
-            continue
-        out, changed = st._update(b, v)
-        if changed:
-            switch_times.append(t)
-            if out == 0:
-                n_down += 1
-    return Trajectory(
-        initial_output=init, switch_times=switch_times,
-        C=len(switch_times), S=n_down,
-    )
-
-
-def _count_replica(instance, p, T, seed, replica_index):
-    rng = replica_stream(seed, replica_index)
-    config, bits, vals, _ = _replica_draws(instance, p, T, rng, with_times=False)
-    st = instance.build_state(config)
-    cfg = st.config
-    init = st.output
-    n_switch = n_down = 0
-    for b, v in zip(bits, vals):
-        if cfg[b] == v:
-            continue
-        out, changed = st._update(b, v)
-        if changed:
-            n_switch += 1
-            if out == 0:
-                n_down += 1
-    return init, n_switch, n_down
+    init, times, n_down, _ = next(_replicas(
+        instance, dyn_params.p, dyn_params.T, dyn_params.seed,
+        replica_index, replica_index + 1, with_times=True))
+    return Trajectory(initial_output=init, switch_times=times, C=len(times), S=n_down)
 
 
 @dataclass
@@ -158,10 +164,6 @@ class EmpiricalC:
         counts = np.bincount(self.C)
         return [[int(c), int(k)] for c, k in enumerate(counts) if k]
 
-    def per_replica_rows(self):
-        for c, s, i in zip(self.C.tolist(), self.S.tolist(), self.initial.tolist()):
-            yield c, s, i
-
     def to_json_dict(self, tail_grid=(1, 2, 5, 10, 20)):
         return {
             "spec": self.spec,
@@ -189,11 +191,10 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
     initial = np.zeros(R, dtype=np.uint8)
 
     def run_block(lo, hi):
-        for r in range(lo, hi):
-            init, c, s = _count_replica(instance, dyn_params.p, dyn_params.T, dyn_params.seed, r)
-            initial[r] = init
-            C[r] = c
-            S[r] = s
+        runs = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
+                         lo, hi, with_times=False)
+        for r, (init, switches, n_down, _) in enumerate(runs, lo):
+            initial[r], C[r], S[r] = init, len(switches), n_down
 
     if threads <= 1 or R < 2 * threads:
         run_block(0, R)
@@ -232,19 +233,9 @@ def _pair_summary(f0, f1, replicas):
 def estimate_joint(instance, p, t, replicas, seed):
     """Simulates each replica to horizon t and compares the two endpoints."""
     DynamicsParams(p=p, T=t, seed=seed, replicas=replicas)
-    f0 = np.empty(replicas, dtype=np.uint8)
-    f1 = np.empty(replicas, dtype=np.uint8)
-    for r in range(replicas):
-        rng = replica_stream(seed, r)
-        config, bits, vals, _ = _replica_draws(instance, p, t, rng, with_times=False)
-        st = instance.build_state(config)
-        cfg = st.config
-        f0[r] = st.output
-        for b, v in zip(bits, vals):
-            if cfg[b] != v:
-                st._update(b, v)
-        f1[r] = st.output
-    return _pair_summary(f0, f1, replicas)
+    runs = _replicas(instance, p, t, seed, 0, replicas, with_times=False)
+    ends = np.array([(init, final) for init, _, _, final in runs], dtype=np.uint8)
+    return _pair_summary(ends[:, 0], ends[:, 1], replicas)
 
 
 def sample_noise_pair(instance, p, epsilon, replicas, seed):
@@ -283,21 +274,9 @@ def survival_curve(instance, p, xs, replicas, seed):
         raise ValueError("survival horizons must be >= 0")
     horizon = max(xs, default=0.0)
     DynamicsParams(p=p, T=horizon, seed=seed, replicas=replicas)
-    first_switch = np.full(replicas, np.inf)
-    initial = np.empty(replicas, dtype=np.uint8)
-    for r in range(replicas):
-        rng = replica_stream(seed, r)
-        config, bits, vals, times = _replica_draws(instance, p, horizon, rng, with_times=True)
-        st = instance.build_state(config)
-        cfg = st.config
-        initial[r] = st.output
-        for b, v, t in zip(bits, vals, times):
-            if cfg[b] == v:
-                continue
-            _, changed = st._update(b, v)
-            if changed:
-                first_switch[r] = t
-                break
+    runs = _replicas(instance, p, horizon, seed, 0, replicas, with_times=True)
+    initial, first_switch = np.array(
+        [(init, times[0] if times else np.inf) for init, times, _, _ in runs]).T
     ones = initial == 1
     return [float(np.mean(ones & (first_switch > x))) for x in xs]
 

@@ -122,12 +122,7 @@ def parse_spec(text):
         if len(parts) != 3:
             raise InvalidSpec("perc spec must be perc:<profile>:<level>: %r" % text)
         raw, level = parts[1], parts[2]
-        if _INLINE_PROFILE.match(raw):
-            profile = tuple(int(c) for c in raw.split(","))
-        elif os.path.isfile(raw):
-            profile = read_profile_file(raw)
-        else:
-            raise InvalidSpec("profile is neither an inline list nor a file: %r" % raw)
+        profile = parse_profile(raw)
         try:
             return FunctionSpec.perc(profile, int(level))
         except ValueError:
@@ -159,6 +154,15 @@ def parse_spec(text):
     except ValueError:
         raise InvalidSpec("bad parameter in spec: %r" % text) from None
     return ctors[family](param)
+
+
+def parse_profile(text):
+    """Child counts from an inline comma-separated list or a profile file."""
+    if _INLINE_PROFILE.match(text):
+        return tuple(int(c) for c in text.split(","))
+    if os.path.isfile(text):
+        return read_profile_file(text)
+    raise InvalidSpec("profile is neither an inline list nor a file: %r" % text)
 
 
 def read_profile_file(path):

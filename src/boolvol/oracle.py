@@ -169,12 +169,12 @@ def exact_noise_covariance(instance, p, epsilon):
     for a in (0, 1):
         for b in (0, 1):
             kern[a, b] = mu[a] * ((1 - epsilon) * (a == b) + epsilon * mu[b])
-    g = _truth_values(instance).astype(np.float64).reshape((2,) * m)
+    f = _truth_values(instance).astype(np.float64).reshape((2,) * m)
+    g = f
     for _ in range(m):
         # contracts the leading x-axis with the kernel and appends the
         # matching y-axis last, so m passes restore the axis order
         g = np.tensordot(g, kern, axes=([0], [0]))
-    f = _truth_values(instance).astype(np.float64).reshape((2,) * m)
     joint = float((g * f).sum())
     q = exact_prob_one(instance, p)
     return NoiseCovariance(p=p, epsilon=epsilon, joint=joint, covariance=joint - q * q)

@@ -96,6 +96,14 @@ class TestSimulate:
         code, _ = run_cli(capsys, "simulate", "maj:9", "--p", "1.5")
         assert code == 2
 
+    def test_event_budget_exit_3(self, capsys):
+        code = cli.main(["simulate", "maj:9", "--T", "1e12", "--replicas", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit:")
+        assert "Traceback" not in captured.err
+
 
 class TestInfluence:
     def test_bigtame_totals_exact(self, capsys):
@@ -283,6 +291,16 @@ class TestPerc:
                             "--edge-cap", "1000", "--replicas", "10")
         assert code == 3
         assert out == ""
+
+    def test_missing_or_malformed_profile_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2\nx\n")
+        for profile in (str(tmp_path / "missing.txt"), "2,,3", str(bad)):
+            for op in ("weights", "run"):
+                code, out = run_cli(capsys, "perc", op, "--profile", profile,
+                                    "--levels", "1")
+                assert code == 2
+                assert out == ""
 
     def test_bad_target_exit_2(self, capsys):
         code, _ = run_cli(capsys, "perc", "build", "--target", "bogus",

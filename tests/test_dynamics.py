@@ -8,6 +8,7 @@ import pytest
 from boolvol import dynamics as dyn
 from boolvol import functions as bf
 from boolvol import oracle
+from boolvol.errors import InstanceTooLarge
 
 
 def inst(text):
@@ -67,6 +68,47 @@ def test_trajectory_alternation(text):
         assert all(a < b for a, b in zip(traj.switch_times, traj.switch_times[1:]))
         # switches alternate, so the 1->0 count is pinned by C and the start
         assert traj.S == (traj.C + traj.initial_output) // 2
+
+
+# -- entry points against each other -------------------------------------------
+
+@pytest.mark.parametrize("text,p", [("maj:7", 0.3), ("andor:2", 0.5)])
+def test_entry_points_agree_replica_by_replica(text, p):
+    # every entry point replays the same per-replica streams, so their
+    # statistics coincide exactly with the full trajectories'
+    f = inst(text)
+    pr = params(p=p, T=1.5, seed=31, replicas=300)
+    R = pr.replicas
+    trajs = [dyn.simulate_trajectory(f, pr, r) for r in range(R)]
+    for threads in (1, 2):
+        emp = dyn.estimate_C_distribution(f, pr, threads=threads)
+        assert emp.C.tolist() == [t.C for t in trajs]
+        assert emp.S.tolist() == [t.S for t in trajs]
+        assert emp.initial.tolist() == [t.initial_output for t in trajs]
+
+    f0 = np.array([t.initial_output for t in trajs], dtype=np.uint8)
+    f1 = np.array([t.initial_output ^ (t.C & 1) for t in trajs], dtype=np.uint8)
+    joint = dyn.estimate_joint(f, p, pr.T, R, pr.seed)
+    assert joint.mean_product == float(np.mean(f0 & f1))
+    assert joint.disagree == float(np.mean(f0 != f1))
+
+    xs = [0.0, 0.2, 0.7, pr.T]  # the largest x is the horizon, as above
+    first = np.array([t.switch_times[0] if t.C else math.inf for t in trajs])
+    want = [float(np.mean((f0 == 1) & (first > x))) for x in xs]
+    assert dyn.survival_curve(f, p, xs, R, pr.seed) == want
+
+
+def test_event_budget_applies_to_every_entry_point():
+    f = inst("maj:9")
+    T = 2 * dyn.EVENT_BUDGET / f.arity
+    with pytest.raises(InstanceTooLarge):
+        dyn.simulate_trajectory(f, params(T=T), 0)
+    with pytest.raises(InstanceTooLarge):
+        dyn.estimate_C_distribution(f, params(T=T, replicas=4), threads=2)
+    with pytest.raises(InstanceTooLarge):
+        dyn.estimate_joint(f, 0.5, T, 4, 1)
+    with pytest.raises(InstanceTooLarge):
+        dyn.survival_curve(f, 0.5, [T], 4, 1)
 
 
 # -- C distribution vs exact oracle -------------------------------------------

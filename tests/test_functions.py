@@ -61,6 +61,15 @@ def test_parse_spec_profile_file(tmp_path):
     assert spec.level == 3
 
 
+def test_parse_profile_inline_or_file(tmp_path):
+    path = tmp_path / "profile.txt"
+    path.write_text("2\n16\n7\n")
+    assert bf.parse_profile("2,16,7") == bf.parse_profile(str(path)) == (2, 16, 7)
+    for bad in ["2,,7", "2;16", str(tmp_path / "missing.txt")]:
+        with pytest.raises(InvalidSpec):
+            bf.parse_profile(bad)
+
+
 def test_parse_spec_errors():
     for bad in ["maj", "maj:x", "nosuch:3", "perc:2,2", "maj:9:9"]:
         with pytest.raises(InvalidSpec):
