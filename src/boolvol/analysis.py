@@ -59,7 +59,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import PrecisionExhausted, ResourceLimit
-from .dynamics import simulate_trajectory
+from .dynamics import simulate_batch
 
 __all__ = [
     "MAJ3_CRITICAL_ALPHA",
@@ -691,13 +691,15 @@ def maj3_grid_count(instance, dyn_params, delta, target_prob=None):
     n_points = math.floor(dyn_params.T / spacing)
     if n_points > 2**62:
         raise ResourceLimit("grid resolution exceeds countable range")
+    batch = simulate_batch(instance, dyn_params)
+    times = batch.times.tolist()
+    bounds = batch.offsets.tolist()
     Z = np.zeros(dyn_params.replicas, dtype=np.int64)
     for r in range(dyn_params.replicas):
-        traj = simulate_trajectory(instance, dyn_params, r)
-        out = traj.initial_output
+        out = int(batch.initial[r])
         prev = 0.0
         z = 0
-        for tt in traj.switch_times:
+        for tt in times[bounds[r]:bounds[r + 1]]:
             if out == 1:
                 z += math.floor(tt / spacing) - math.floor(prev / spacing)
             out = 1 - out

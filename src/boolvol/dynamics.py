@@ -1,21 +1,37 @@
 """Event-driven simulation of i.i.d. bit rerandomization over a time window.
 
 Every bit carries an exponential rate-1 update clock; an update redraws
-the bit to 1 with probability p.  Events are generated by superposition
-(one global Exponential(arity) clock plus a uniform bit choice), so each
-event costs O(1) plus an incremental re-evaluation.
+the bit to 1 with probability p.
 
-Per replica the draw order is fixed: initial configuration, event count
-(Poisson(arity*T)), event bits, event values, and sorted event times
-last.  Because the value/bit marks are i.i.d. and independent of the
-times, pairing mark j with the j-th order statistic is lawful, and
-count-only paths can skip drawing times entirely while producing the
-same switch counts as the full trajectory.
+Randomness is counter based: every draw is splitmix64(key + counter *
+step) (Steele et al., OOPSLA 2014; Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC'11), a pure function of (seed, replica, bit,
+counter).  Replica r is therefore the same whichever block or thread
+replays it, and `perctree` draws its edge skeletons with the same helpers.
+Bit b of replica r has the key K of `_edge_keys`; the horizon is cut into
+ceil(T / 16) equal slots and slot j of the bit is keyed K + j * _KEY_SLOT.
+On a slot key, counter 0 draws the slot's Poisson update count by inverse
+CDF (slot means stay <= 16, far from the underflow of exp(-mean)), counter
+1 (slot 0 only) the bit's initial value, counters 2+2k and 3+2k the k-th
+exponential spacing and redrawn value; normalised partial sums of the
+k+1 spacings give the slot's sorted update times.  Within a slot a time is
+kept as a 40-bit tick, so one argsort of a packed uint64 key orders a
+whole block of events by (replica, time).
 
-One kernel, `_replicas`, replays every trajectory; each clock-driven entry
-point reads its statistic off the kernel's per-replica result.  A replica
-expecting more than EVENT_BUDGET events (arity*T) is refused before any
-draw.
+One kernel, `_replicas`, replays blocks of replicas, each bounded by its
+expected number of draws (a replica too long for one block is replayed in
+slot chunks).  The replay splits by family class:
+
+* counter families (dictator, parity, dap, type2, maj, bigtame, table):
+  the output is a function of a few weighted bit sums
+  (`counter_weights`), so a ragged cumsum of per-event deltas gives the
+  output after every event, with no Python loop over events;
+* tree families (itermaj3, andor, perc): a per-replica loop of
+  incremental `_update` calls over the block's effective events.
+
+Every clock-driven entry point reads its statistic off the kernel's
+per-replica result.  A replica expecting more than EVENT_BUDGET events
+(arity*T) is refused before any draw.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +57,80 @@ def replica_stream(seed, replica_index):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, replica_index))))
 
 
+# ---------------------------------------------------------------------------
+# counter-based randomness
+#
+# Every random draw is splitmix64(key + counter * step): a pure function of
+# (seed, replica, bit or edge id, counter), so exploration order, replica
+# blocking and thread partitioning cannot change any trajectory.
+
+_U64 = np.uint64
+_MASK64 = (1 << 64) - 1
+_SM_GAMMA = 0x9E3779B97F4A7C15
+_SM_MUL1 = 0xBF58476D1CE4E5B9
+_SM_MUL2 = 0x94D049BB133111EB
+_KEY_REPLICA = 0xA24BAED4963EE407
+_KEY_EDGE = 0x9FB21C651E98DF25
+_KEY_DRAW = 0xD1342543DE82EF95
+_KEY_SLOT = 0x670A55F755DC72D5
+
+
+_MIX = tuple(_U64(c) for c in (_SM_GAMMA, 30, _SM_MUL1, 27, _SM_MUL2, 31))
+
+
+def _mix64(x):
+    """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
+    gamma, s1, m1, s2, m2, s3 = _MIX
+    x = x + gamma
+    x ^= x >> s1
+    x *= m1
+    x ^= x >> s2
+    x *= m2
+    x ^= x >> s3
+    return x
+
+
+def _mix64_int(x):
+    x = (x + _SM_GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * _SM_MUL1) & _MASK64
+    x = ((x ^ (x >> 27)) * _SM_MUL2) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _draw(keys, ctr):
+    return _mix64(keys + ctr * _U64(_KEY_DRAW))
+
+
+def _unit(u):
+    """Uniform in [0, 1) from the top 53 bits."""
+    return (u >> _U64(11)) * 2.0 ** -53
+
+
+def _edge_keys(seed0, replicas_u64, edge_ids_u64):
+    rep_keys = _mix64(_U64(seed0) + replicas_u64 * _U64(_KEY_REPLICA))
+    return _mix64(rep_keys + (edge_ids_u64 + _U64(1)) * _U64(_KEY_EDGE))
+
+
+def _poisson_cdf(mean):
+    if mean <= 0.0:
+        return np.array([1.0])
+    kmax = max(30, int(mean + 12.0 * math.sqrt(mean) + 20.0))
+    pmf = np.empty(kmax + 1)
+    pmf[0] = math.exp(-mean)
+    for k in range(1, kmax + 1):
+        pmf[k] = pmf[k - 1] * mean / k
+    return np.cumsum(pmf)
+
+
+# ---------------------------------------------------------------------------
+# replica skeletons and the replay kernel
+
+_SLOT = 16.0            # longest horizon slot
+_TICK_BITS = 40         # time resolution: 2^-40 of a slot
+_TICK_MASK = _U64((1 << _TICK_BITS) - 1)
+_BLOCK_DRAWS = 1 << 14  # expected draws per block
+
+
 @dataclass(frozen=True)
 class DynamicsParams:
     p: float
@@ -51,7 +141,7 @@ class DynamicsParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1], got %r" % (self.p,))
-        if self.T < 0:
+        if not self.T >= 0:
             raise ValueError("horizon must be >= 0, got %r" % (self.T,))
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1, got %r" % (self.replicas,))
@@ -67,51 +157,219 @@ class Trajectory:
     S: int  # switches landing on 0 (the 1->0 direction)
 
 
-def _replica_draws(instance, p, T, rng, with_times):
+def _slot_ticks(keys, counts, p):
+    """Sorted update ticks and redrawn values of slots holding counts >= 1.
+
+    Slot i's events are owner == i.  Tick k of a slot is the partial sum
+    of spacings 0..k over the sum of all counts+1 spacings (the uniform
+    order statistics up to equality in law), scaled to 2^40.  Spacings are
+    summed as 2^-40 fixed-point integers, so every tick is exact and
+    independent of which other slots share the block.
+    """
+    cm = np.cumsum(counts)
+    head = cm - counts
+    owner = np.zeros(int(counts.sum()), dtype=np.int64)
+    owner[head[1:]] = 1
+    owner = np.cumsum(owner)
+    occ = (np.arange(owner.size, dtype=np.int64) - head[owner]).astype(np.uint64)
+    kk = keys[owner]
+
+    def spacings(k, ctr):
+        return (-np.log1p(-_unit(_draw(k, ctr))) * 2.0 ** _TICK_BITS).astype(np.int64)
+
+    spac = spacings(kk, _U64(2) + _U64(2) * occ)
+    run = np.cumsum(spac)  # int64; a wrap cancels in the differences below
+    partial = run - (run[head] - spac[head])[owner]
+    totals = partial[cm - 1] + spacings(keys, _U64(2) + _U64(2) * counts.astype(np.uint64))
+    ticks = partial / totals[owner] * 2.0 ** _TICK_BITS
+    values = _unit(_draw(kk, _U64(3) + _U64(2) * occ)) < p
+    return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), values
+
+
+def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
+    """Skeleton of replicas lo..hi-1 over horizon slots j0..j1-1.
+
+    `cdf` is the Poisson CDF of one slot's update count.  Returns
+    (config, cell, value, key).  `config` holds the (hi-lo, arity) bits at
+    the start of slot j0: drawn when not given (slot 0).  The other three
+    hold one entry per drawn event, in generation order (replica, bit,
+    slot, time): cell = (replica - lo) * arity + bit, and key packs
+    (replica - lo) * (j1 - j0) + (slot - j0) above a 40-bit tick, so
+    sorting it orders events by (replica, time).  `_blocks` keeps that
+    packed index below 2^24.
+    """
+    m = instance.arity
+    keys = _edge_keys(_mix64_int(seed), np.arange(lo, hi, dtype=np.uint64)[:, None],
+                      np.arange(m, dtype=np.uint64)).ravel()
+    if config is None:
+        config = (_unit(_draw(keys, _U64(1))) < p).astype(np.uint8).reshape(hi - lo, m)
+    nsl = j1 - j0
+    if nsl == 0:
+        none = np.empty(0, dtype=np.int64)
+        return config, none, none.astype(np.uint8), none.astype(np.uint64)
+    slots = np.arange(j0, j1, dtype=np.uint64) * _U64(_KEY_SLOT)
+    gkeys = (keys[:, None] + slots).ravel()
+    counts = np.searchsorted(cdf, _unit(_draw(gkeys, _U64(0))), side="right")
+    nz = np.flatnonzero(counts)
+    owner, ticks, value = _slot_ticks(gkeys[nz], counts[nz], p)
+    cell, slot = np.divmod(nz, nsl)
+    place = (cell // m * nsl + slot).astype(np.uint64) << _U64(_TICK_BITS)
+    return config, cell[owner], value.astype(np.uint8), place[owner] | ticks
+
+
+def _effective_events(config, cell, value, key):
+    """Events that change their bit, ordered by (replica, time).
+
+    Returns (rep, bit, value, key) of each effective event, its replica
+    counted from the block's first.
+    """
+    first = np.ones(cell.size, dtype=bool)
+    first[1:] = cell[1:] != cell[:-1]
+    prev = np.empty_like(value)
+    prev[1:] = value[:-1]
+    old = np.where(first, config.reshape(-1)[cell], prev)
+    idx = np.flatnonzero(value != old)
+    idx = idx[np.argsort(key[idx], kind="stable")]
+    rep, bit = np.divmod(cell[idx], config.shape[1])
+    return rep, bit, value[idx], key[idx]
+
+
+def _advance(config, cell, value):
+    """The configuration after every event of the skeleton."""
+    last = np.ones(cell.size, dtype=bool)
+    last[:-1] = cell[1:] != cell[:-1]
+    end = config.copy()
+    end.reshape(-1)[cell[last]] = value[last]
+    return end
+
+
+def _event_times(key, j0, nsl, slot_len):
+    """Times of events from their keys: the middle of their tick."""
+    slot = (key >> _U64(_TICK_BITS)) % _U64(nsl) + _U64(j0)
+    ticks = (key & _TICK_MASK) + 0.5
+    return (slot + ticks * 2.0 ** -_TICK_BITS) * slot_len
+
+
+def _counter_replay(instance, weights, start, rep, bit, value):
+    """Outputs at the start and the switch mask of effective events.
+
+    The output is a function of the weighted bit sums `start @ weights`;
+    every effective event moves its bit by +-1, so a cumsum restarted at
+    each replica's first event gives the sums after every event.
+    """
+    sums = start.astype(np.int64) @ weights
+    out0 = instance.counter_output(sums)
+    step = weights[bit] * (2 * value.astype(np.int64) - 1)[:, None]
+    run = np.cumsum(step, axis=0)
+    head = np.ones(rep.size, dtype=bool)
+    head[1:] = rep[1:] != rep[:-1]
+    after = sums[rep] + run - (run[head] - step[head])[np.cumsum(head) - 1]
+    out = instance.counter_output(after)
+    before = np.empty_like(out)
+    before[1:] = out[:-1]
+    before[head] = out0[rep[head]]
+    return out0, out != before
+
+
+def _tree_replay(states, rep, bit, value):
+    """Positions of the switching events; each replica's state advances."""
+    starts = np.searchsorted(rep, np.arange(len(states) + 1)).tolist()
+    bits, values = bit.tolist(), value.tolist()
+    switches = []
+    for st, s, e in zip(states, starts, starts[1:]):
+        update = st._update
+        for j in range(s, e):
+            if update(bits[j], values[j])[1]:
+                switches.append(j)
+    return np.array(switches, dtype=np.int64)
+
+
+def _blocks(m, n_slots, slot_len, lo, hi):
+    """(first, stop, slot spans) per block of about _BLOCK_DRAWS expected
+    draws; a replica needing more gets a block of its own, cut into spans."""
+    per_slot = m * (1.0 + slot_len)
+    per_rep = m + n_slots * per_slot
+    if per_rep <= _BLOCK_DRAWS:
+        step = int(_BLOCK_DRAWS // per_rep)
+        return [(a, min(a + step, hi), [(0, n_slots)]) for a in range(lo, hi, step)]
+    width = max(1, int(_BLOCK_DRAWS // per_slot))
+    spans = [(j, min(j + width, n_slots)) for j in range(0, n_slots, width)]
+    return [(r, r + 1, spans or [(0, 0)]) for r in range(lo, hi)]
+
+
+class ReplicaBatch(NamedTuple):
+    """Per-replica results of a run of replicas.
+
+    Replica i's switch times, increasing in (0, T], are
+    times[offsets[i]:offsets[i + 1]].
+    """
+
+    initial: np.ndarray  # output at time 0 (uint8)
+    C: np.ndarray        # output switches in (0, T] (int64)
+    times: np.ndarray    # switch times, replica by replica (float64)
+
+    @property
+    def offsets(self):
+        return np.concatenate(([0], np.cumsum(self.C)))
+
+    @property
+    def S(self):
+        """Switches landing on 0: switches alternate, so C and the start fix it."""
+        return (self.C + self.initial) // 2
+
+    @property
+    def final(self):
+        return (self.initial ^ (self.C & 1)).astype(np.uint8)
+
+
+def _replicas(instance, p, T, seed, lo, hi):
+    """Replays replicas lo..hi-1, block by block; returns their ReplicaBatch."""
     m = instance.arity
     if m * T > EVENT_BUDGET:
         raise InstanceTooLarge("arity %d x horizon %g expects more than %d "
                                "events per replica" % (m, T, EVENT_BUDGET))
-    config = (rng.random(m) < p).astype(np.uint8).tolist()
-    n_events = int(rng.poisson(m * T))
-    bits = rng.integers(0, m, size=n_events).tolist()
-    vals = (rng.random(n_events) < p).astype(np.uint8).tolist()
-    times = np.sort(rng.random(n_events) * T).tolist() if with_times else None
-    return config, bits, vals, times
+    n_slots = math.ceil(T / _SLOT)
+    slot_len = T / n_slots if n_slots else 0.0
+    cdf = _poisson_cdf(slot_len)
+    weights = instance.counter_weights()
+    initial, C, times = [], [], []
+    for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
+        config = states = None
+        count = np.zeros(b - a, dtype=np.int64)
+        for j0, j1 in spans:
+            start, cell, value, key = _replica_draws(instance, p, cdf, seed, a, b,
+                                                     j0, j1, config)
+            if len(spans) > 1:
+                config = _advance(start, cell, value)
+            rep, bit, value, key = _effective_events(start, cell, value, key)
+            if weights is not None:
+                out0, switch = _counter_replay(instance, weights, start, rep, bit, value)
+            else:
+                if states is None:
+                    states = instance.build_states(start)
+                    out0 = np.array([st.output for st in states], dtype=np.uint8)
+                switch = _tree_replay(states, rep, bit, value)
+            if j0 == 0:
+                initial.append(out0)
+            count += np.bincount(rep[switch], minlength=b - a)
+            times.append(_event_times(key[switch], j0, max(1, j1 - j0), slot_len))
+        C.append(count)
+    return ReplicaBatch(initial=np.concatenate(initial).astype(np.uint8),
+                        C=np.concatenate(C), times=np.concatenate(times))
 
 
-def _replicas(instance, p, T, seed, lo, hi, with_times):
-    """Replays replicas lo..hi-1 in order, one draw stream each.
-
-    Yields (initial output, switch times, 1->0 count, final output) per
-    replica.  Without times each switch is recorded as None, so the
-    list's len() is still the switch count C.
-    """
-    for r in range(lo, hi):
-        config, bits, vals, times = _replica_draws(
-            instance, p, T, replica_stream(seed, r), with_times)
-        st = instance.build_state(config)
-        cfg = st.config
-        init = st.output
-        switches = []
-        n_down = 0
-        for b, v, t in zip(bits, vals, repeat(None) if times is None else times):
-            if cfg[b] == v:
-                continue
-            out, changed = st._update(b, v)
-            if changed:
-                switches.append(t)
-                if out == 0:
-                    n_down += 1
-        yield init, switches, n_down, st.output
+def simulate_batch(instance, dyn_params):
+    """Every replica of `dyn_params`, replayed by the block kernel."""
+    return _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
+                     0, dyn_params.replicas)
 
 
 def simulate_trajectory(instance, dyn_params, replica_index):
-    """One full replica: initial config, Poisson event skeleton, switch times."""
-    init, times, n_down, _ = next(_replicas(
-        instance, dyn_params.p, dyn_params.T, dyn_params.seed,
-        replica_index, replica_index + 1, with_times=True))
-    return Trajectory(initial_output=init, switch_times=times, C=len(times), S=n_down)
+    """One full replica: initial output, switch times and counts."""
+    b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
+                  replica_index, replica_index + 1)
+    return Trajectory(initial_output=int(b.initial[0]), switch_times=b.times.tolist(),
+                      C=int(b.C[0]), S=int(b.S[0]))
 
 
 @dataclass
@@ -191,10 +449,8 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
     initial = np.zeros(R, dtype=np.uint8)
 
     def run_block(lo, hi):
-        runs = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
-                         lo, hi, with_times=False)
-        for r, (init, switches, n_down, _) in enumerate(runs, lo):
-            initial[r], C[r], S[r] = init, len(switches), n_down
+        b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed, lo, hi)
+        initial[lo:hi], C[lo:hi], S[lo:hi] = b.initial, b.C, b.S
 
     if threads <= 1 or R < 2 * threads:
         run_block(0, R)
@@ -233,9 +489,8 @@ def _pair_summary(f0, f1, replicas):
 def estimate_joint(instance, p, t, replicas, seed):
     """Simulates each replica to horizon t and compares the two endpoints."""
     DynamicsParams(p=p, T=t, seed=seed, replicas=replicas)
-    runs = _replicas(instance, p, t, seed, 0, replicas, with_times=False)
-    ends = np.array([(init, final) for init, _, _, final in runs], dtype=np.uint8)
-    return _pair_summary(ends[:, 0], ends[:, 1], replicas)
+    b = _replicas(instance, p, t, seed, 0, replicas)
+    return _pair_summary(b.initial, b.final, replicas)
 
 
 def sample_noise_pair(instance, p, epsilon, replicas, seed):
@@ -270,14 +525,15 @@ def survival_curve(instance, p, xs, replicas, seed):
     the estimates are exactly monotone in x (nested events).
     """
     xs = [float(x) for x in xs]
-    if any(x < 0 for x in xs):
-        raise ValueError("survival horizons must be >= 0")
+    if not all(x >= 0 for x in xs):
+        raise ValueError("survival horizons must be >= 0, got %r" % (xs,))
     horizon = max(xs, default=0.0)
     DynamicsParams(p=p, T=horizon, seed=seed, replicas=replicas)
-    runs = _replicas(instance, p, horizon, seed, 0, replicas, with_times=True)
-    initial, first_switch = np.array(
-        [(init, times[0] if times else np.inf) for init, times, _, _ in runs]).T
-    ones = initial == 1
+    b = _replicas(instance, p, horizon, seed, 0, replicas)
+    first_switch = np.full(replicas, np.inf)
+    moved = b.C > 0
+    first_switch[moved] = b.times[b.offsets[:-1][moved]]
+    ones = b.initial == 1
     return [float(np.mean(ones & (first_switch > x))) for x in xs]
 
 

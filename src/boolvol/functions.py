@@ -19,6 +19,11 @@ perc:...:n   spherically symmetric tree with a fixed child count per
              level; each bit is an edge (open/closed) and the output is 1
              iff an open path joins the root to level n
 
+Counter families (dictator, parity, dap, type2, maj, bigtame, table) also
+state their output as a function of a few weighted bit sums
+(`counter_weights`, `counter_output`); tree families build many states at
+once from a block of configurations (`build_states`).
+
 Bit-to-vertex conventions (fixed so results are reproducible):
 itermaj3 leaves are numbered left to right; andor gate bits map to
 vertices in depth-first preorder (bit 0 is the root, then the whole left
@@ -404,6 +409,11 @@ class FunctionInstance:
         self.arity = arity
         self.depth = depth
 
+    def counter_weights(self):
+        """(arity, k) int64 weights when the output is a function of the k
+        weighted bit sums config @ weights (see counter_output), else None."""
+        return None
+
     def _new_state(self, cls, config):
         st = cls.__new__(cls)
         st.instance = self
@@ -412,9 +422,23 @@ class FunctionInstance:
         return st
 
 
+def _sum_weights(m, *spans):
+    """(m, len(spans)) 0/1 weights: column j sums the bits in spans[j]."""
+    w = np.zeros((m, len(spans)), dtype=np.int64)
+    for j, span in enumerate(spans):
+        w[span, j] = 1
+    return w
+
+
 class DictatorInstance(FunctionInstance):
     def evaluate_rows(self, bits):
         return bits[:, 0].copy()
+
+    def counter_weights(self):
+        return _sum_weights(self.arity, slice(0, 1))
+
+    def counter_output(self, sums):
+        return sums[:, 0].astype(np.uint8)
 
     def build_state(self, config):
         st = self._new_state(_DictatorState, config)
@@ -425,6 +449,12 @@ class DictatorInstance(FunctionInstance):
 class ParityInstance(FunctionInstance):
     def evaluate_rows(self, bits):
         return (bits.sum(axis=1) & 1).astype(np.uint8)
+
+    def counter_weights(self):
+        return _sum_weights(self.arity, slice(None))
+
+    def counter_output(self, sums):
+        return (sums[:, 0] & 1).astype(np.uint8)
 
     def build_state(self, config):
         st = self._new_state(_ParityState, config)
@@ -437,6 +467,12 @@ class DapInstance(FunctionInstance):
         rest_even = (bits[:, 1:].sum(axis=1) & 1) == 0
         return ((bits[:, 0] == 1) & rest_even).astype(np.uint8)
 
+    def counter_weights(self):
+        return _sum_weights(self.arity, slice(0, 1), slice(1, None))
+
+    def counter_output(self, sums):
+        return ((sums[:, 0] == 1) & (sums[:, 1] & 1 == 0)).astype(np.uint8)
+
     def build_state(self, config):
         st = self._new_state(_DapState, config)
         st.rest_parity = sum(config[1:]) & 1
@@ -448,6 +484,12 @@ class Type2Instance(FunctionInstance):
     def evaluate_rows(self, bits):
         tail = (bits[:, 2:].sum(axis=1) & 1).astype(np.uint8)
         return np.where(bits[:, 1] == 1, bits[:, 0], tail).astype(np.uint8)
+
+    def counter_weights(self):
+        return _sum_weights(self.arity, slice(0, 1), slice(1, 2), slice(2, None))
+
+    def counter_output(self, sums):
+        return np.where(sums[:, 1] == 1, sums[:, 0], sums[:, 2] & 1).astype(np.uint8)
 
     def build_state(self, config):
         st = self._new_state(_Type2State, config)
@@ -464,6 +506,12 @@ class MajorityInstance(FunctionInstance):
 
     def evaluate_rows(self, bits):
         return (bits.sum(axis=1) >= self.threshold).astype(np.uint8)
+
+    def counter_weights(self):
+        return _sum_weights(self.arity, slice(None))
+
+    def counter_output(self, sums):
+        return (sums[:, 0] >= self.threshold).astype(np.uint8)
 
     def build_state(self, config):
         st = self._new_state(_MajorityState, config)
@@ -482,6 +530,14 @@ class BigTameInstance(FunctionInstance):
         all_sel = bits[:, 1:n + 1].sum(axis=1) == n
         tail = (bits[:, n + 1:].sum(axis=1) & 1).astype(np.uint8)
         return np.where(all_sel, tail, bits[:, 0]).astype(np.uint8)
+
+    def counter_weights(self):
+        n = self.spec.param
+        return _sum_weights(self.arity, slice(0, 1), slice(1, n + 1), slice(n + 1, None))
+
+    def counter_output(self, sums):
+        n = self.spec.param
+        return np.where(sums[:, 1] == n, sums[:, 2] & 1, sums[:, 0]).astype(np.uint8)
 
     def build_state(self, config):
         n = self.spec.param
@@ -506,14 +562,22 @@ class IterMaj3Instance(FunctionInstance):
         return vals[:, 0].copy()
 
     def build_state(self, config):
-        vals = [0] * self.leaf_base + list(config)
-        for h in range(self.leaf_base - 1, -1, -1):
-            c = 3 * h
-            vals[h] = 1 if vals[c + 1] + vals[c + 2] + vals[c + 3] >= 2 else 0
-        st = self._new_state(_IterMaj3State, config)
-        st.vals = vals
-        st.output = vals[0]
-        return st
+        return self.build_states(np.array([config], dtype=np.uint8))[0]
+
+    def build_states(self, rows):
+        """One state per row of a (rows, arity) uint8 array."""
+        levels = [rows]
+        for _ in range(self.depth):
+            levels.append((levels[-1].reshape(rows.shape[0], -1, 3).sum(axis=2) >= 2)
+                          .astype(np.uint8))
+        vals = np.concatenate(levels[::-1], axis=1)  # heap order, root first
+        states = []
+        for config, v in zip(rows.tolist(), vals.tolist()):
+            st = self._new_state(_IterMaj3State, config)
+            st.vals = v
+            st.output = v[0]
+            states.append(st)
+        return states
 
 
 def _preorder_maps(n_nodes):
@@ -553,18 +617,24 @@ class AndOrInstance(FunctionInstance):
         return vals[:, 0].copy()
 
     def build_state(self, config):
-        gates = [0] * self.arity
-        for b, v in enumerate(config):
-            gates[self.node_of_bit[b]] = v
-        vals = gates[:]
-        for h in range(self.leaf_base - 1, -1, -1):
-            l, r = vals[2 * h + 1], vals[2 * h + 2]
-            vals[h] = (l | r) if gates[h] else (l & r)
-        st = self._new_state(_AndOrState, config)
-        st.gates = gates
-        st.vals = vals
-        st.output = vals[0]
-        return st
+        return self.build_states(np.array([config], dtype=np.uint8))[0]
+
+    def build_states(self, rows):
+        """One state per row of a (rows, arity) uint8 array."""
+        gates = rows[:, self._heap_perm]
+        vals = gates.copy()
+        for k in range(self.depth - 1, -1, -1):
+            lo, hi = 2**k - 1, 2 ** (k + 1) - 1
+            l, r = vals[:, 2 * lo + 1:2 * hi + 1:2], vals[:, 2 * lo + 2:2 * hi + 2:2]
+            vals[:, lo:hi] = np.where(gates[:, lo:hi] == 1, l | r, l & r)
+        states = []
+        for config, g, v in zip(rows.tolist(), gates.tolist(), vals.tolist()):
+            st = self._new_state(_AndOrState, config)
+            st.gates = g
+            st.vals = v
+            st.output = v[0]
+            states.append(st)
+        return states
 
 
 class TreePercInstance(FunctionInstance):
@@ -600,19 +670,26 @@ class TreePercInstance(FunctionInstance):
         return conn[:, 0].astype(np.uint8)
 
     def build_state(self, config):
+        return self.build_states(np.array([config], dtype=np.uint8))[0]
+
+    def build_states(self, rows):
+        """One state per row of a (rows, arity) uint8 array."""
         n = self.level
-        arr = np.asarray(config, dtype=np.uint8)
-        conn = np.ones(self.vcounts[n], dtype=np.uint8)
+        R = rows.shape[0]
+        conn = np.ones((R, self.vcounts[n]), dtype=np.uint8)
         live = [None] * n
         for k in range(n, 0, -1):
-            e = arr[self.offsets[k]:self.offsets[k] + self.vcounts[k]]
-            counts = (e & conn).reshape(self.vcounts[k - 1], self.children[k - 1]).sum(axis=1)
+            e = rows[:, self.offsets[k]:self.offsets[k] + self.vcounts[k]]
+            counts = (e & conn).reshape(R, self.vcounts[k - 1], self.children[k - 1]).sum(axis=2)
             live[k - 1] = counts.tolist()
             conn = (counts > 0).astype(np.uint8)
-        st = self._new_state(_PercState, config)
-        st.live = live
-        st.output = 1 if live[0][0] > 0 else 0
-        return st
+        states = []
+        for i, config in enumerate(rows.tolist()):
+            st = self._new_state(_PercState, config)
+            st.live = [level[i] for level in live]
+            st.output = 1 if st.live[0][0] > 0 else 0
+            states.append(st)
+        return states
 
 
 class TableInstance(FunctionInstance):
@@ -628,6 +705,12 @@ class TableInstance(FunctionInstance):
     def evaluate_rows(self, bits):
         idx = bits.astype(np.int64) @ self._weight_arr
         return self._table_arr[idx]
+
+    def counter_weights(self):
+        return self._weight_arr[:, None]
+
+    def counter_output(self, sums):
+        return self._table_arr[sums[:, 0]]
 
     def build_state(self, config):
         st = self._new_state(_TableState, config)

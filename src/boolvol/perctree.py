@@ -10,7 +10,8 @@ the root stays connected while every edge flips at rate 1.
 
 The experiment never materializes the tree.  Each edge's update skeleton
 (initial state, Poisson update times, resampled states) is a pure function
-of (seed, replica, edge id) through a counter-based hash stream, so the
+of (seed, replica, edge id) through the counter-based hash helpers of
+`dynamics` (the same convention keys its bit skeletons), so the
 exploration can descend lazily: a vertex is visited only while some time
 interval keeps its whole root path open.  Interval endpoints are derived
 arithmetically from event times by max/min alone — never by float
@@ -30,7 +31,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EmpiricalC
+from .dynamics import (
+    _KEY_EDGE,
+    _KEY_REPLICA,
+    _U64,
+    EmpiricalC,
+    _draw,
+    _edge_keys,
+    _mix64,
+    _mix64_int,
+    _poisson_cdf,
+    _unit,
+)
 from .errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
 from .functions import FunctionSpec, read_profile_file
 
@@ -232,63 +244,6 @@ def build_profile(target, n_levels, max_ratio=4.0):
             "enforced": enforced,
         })
     return LevelProfile(tuple(children), report=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# counter-based edge randomness
-#
-# Every random draw is splitmix64(key + counter * step): a pure function of
-# (seed, replica, edge id, counter), so lazy exploration order, replica
-# blocking, and the requested level list cannot change any trajectory.
-
-_U64 = np.uint64
-_MASK64 = (1 << 64) - 1
-_SM_GAMMA = 0x9E3779B97F4A7C15
-_SM_MUL1 = 0xBF58476D1CE4E5B9
-_SM_MUL2 = 0x94D049BB133111EB
-_KEY_REPLICA = 0xA24BAED4963EE407
-_KEY_EDGE = 0x9FB21C651E98DF25
-_KEY_DRAW = 0xD1342543DE82EF95
-
-
-def _mix64(x):
-    """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    x = x + _U64(_SM_GAMMA)
-    x = (x ^ (x >> _U64(30))) * _U64(_SM_MUL1)
-    x = (x ^ (x >> _U64(27))) * _U64(_SM_MUL2)
-    return x ^ (x >> _U64(31))
-
-
-def _mix64_int(x):
-    x = (x + _SM_GAMMA) & _MASK64
-    x = ((x ^ (x >> 30)) * _SM_MUL1) & _MASK64
-    x = ((x ^ (x >> 27)) * _SM_MUL2) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _draw(keys, ctr):
-    return _mix64(keys + ctr * _U64(_KEY_DRAW))
-
-
-def _unit(u):
-    """Uniform in [0, 1) from the top 53 bits."""
-    return (u >> _U64(11)) * 2.0 ** -53
-
-
-def _edge_keys(seed0, replicas_u64, edge_ids_u64):
-    rep_keys = _mix64(_U64(seed0) + replicas_u64 * _U64(_KEY_REPLICA))
-    return _mix64(rep_keys + (edge_ids_u64 + _U64(1)) * _U64(_KEY_EDGE))
-
-
-def _poisson_cdf(mean):
-    if mean <= 0.0:
-        return np.array([1.0])
-    kmax = max(30, int(mean + 12.0 * math.sqrt(mean) + 20.0))
-    pmf = np.empty(kmax + 1)
-    pmf[0] = math.exp(-mean)
-    for k in range(1, kmax + 1):
-        pmf[k] = pmf[k - 1] * mean / k
-    return np.cumsum(pmf)
 
 
 @dataclass(frozen=True)
@@ -753,7 +708,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
         raise InvalidSpec("levels %r outside 1..%d" % (levels, profile.n_levels))
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1], got %r" % (p,))
-    if T < 0:
+    if not T >= 0:
         raise ValueError("horizon must be >= 0, got %r" % (T,))
     if replicas < 1:
         raise ValueError("replicas must be >= 1, got %r" % (replicas,))

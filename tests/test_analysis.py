@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from boolvol import analysis as ana
-from boolvol.dynamics import DynamicsParams, estimate_C_distribution, estimate_joint
+from boolvol.dynamics import (DynamicsParams, estimate_C_distribution, estimate_joint,
+                              simulate_trajectory)
 from boolvol.errors import PrecisionExhausted
 from boolvol.functions import FunctionSpec, make_instance, parse_spec
 from boolvol.oracle import exact_andor_switch_prob, exact_prob_one
@@ -564,6 +565,27 @@ class TestGridCount:
         z1 = ana.maj3_grid_count(inst, dp, 0.25).Z
         z2 = ana.maj3_grid_count(inst, dp, 0.25).Z
         assert (z1 == z2).all()
+
+    @pytest.mark.parametrize("spec,T", [("itermaj3:2", 1.0), ("itermaj3:3", 20.0)])
+    def test_equals_per_replica_replay(self, spec, T):
+        # the batch kernel's switch times give Z exactly as a walk over
+        # each replica's own trajectory
+        inst = make_instance(parse_spec(spec))
+        dp = DynamicsParams(p=0.45, T=T, replicas=300, seed=19)
+        gc = ana.maj3_grid_count(inst, dp, 0.1)
+        want = []
+        for r in range(dp.replicas):
+            traj = simulate_trajectory(inst, dp, r)
+            out, prev, z = traj.initial_output, 0.0, 0
+            for tt in traj.switch_times:
+                if out == 1:
+                    z += math.floor(tt / gc.spacing) - math.floor(prev / gc.spacing)
+                out, prev = 1 - out, tt
+            if out == 1:
+                z += gc.n_points - math.floor(prev / gc.spacing)
+            want.append(z)
+        assert gc.Z.tolist() == want
+        assert 0 < gc.Z.sum() < gc.n_points * dp.replicas
 
     def test_validation(self):
         inst = make_instance(parse_spec("itermaj3:2"))

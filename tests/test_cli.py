@@ -104,6 +104,13 @@ class TestSimulate:
         assert captured.err.startswith("resource limit:")
         assert "Traceback" not in captured.err
 
+    def test_nan_horizon_exit_2(self, capsys):
+        code = cli.main(["simulate", "maj:9", "--T", "nan", "--replicas", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: horizon must be >= 0")
+
 
 class TestInfluence:
     def test_bigtame_totals_exact(self, capsys):

@@ -33,6 +33,7 @@ def binom_se(q, n):
         dict(T=-1.0),
         dict(replicas=0),
         dict(seed=-1),
+        dict(T=math.nan),
     ],
 )
 def test_params_validation(kwargs):
@@ -109,6 +110,98 @@ def test_event_budget_applies_to_every_entry_point():
         dyn.estimate_joint(f, 0.5, T, 4, 1)
     with pytest.raises(InstanceTooLarge):
         dyn.survival_curve(f, 0.5, [T], 4, 1)
+
+
+def oracle_replay(f, p, T, seed, R):
+    """Replays every drawn event of replicas 0..R-1 through apply_update.
+
+    The events come from one skeleton of the whole run, ordered per
+    replica by time (ties keep draw order), so neither the kernel's
+    blocks nor its effective-event filter is involved.
+    """
+    n_slots = math.ceil(T / dyn._SLOT)
+    nsl = max(1, n_slots)
+    config, cell, value, key = dyn._replica_draws(
+        f, p, dyn._poisson_cdf(T / nsl), seed, 0, R, 0, n_slots)
+    rep, bit = np.divmod(cell, f.arity)
+    times = dyn._event_times(key, 0, nsl, T / nsl).tolist()
+    for r in range(R):
+        idx = sorted(np.flatnonzero(rep == r).tolist(), key=times.__getitem__)
+        st = bf.build_state(f, config[r])
+        init, switch_times, n_down = st.output, [], 0
+        for i in idx:
+            out, changed = bf.apply_update(st, int(bit[i]), int(value[i]))
+            if changed:
+                switch_times.append(times[i])
+                n_down += out == 0
+        yield init, switch_times, n_down, st.output
+
+
+COUNTER_SPECS = ["dictator:3", "parity:6", "dap:5", "type2:6", "maj:7", "bigtame:2",
+                 "table"]
+
+
+@pytest.mark.parametrize("text", COUNTER_SPECS)
+@pytest.mark.parametrize("p", [0.3, 0.5])
+@pytest.mark.parametrize("T", [0.0, 1.5, 40.0])
+def test_counter_kernel_matches_oracle_replay(monkeypatch, text, p, T):
+    if text == "table":
+        f = oracle.import_truth_table([0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0])
+    else:
+        f = inst(text)
+    assert f.counter_weights() is not None
+    # small blocks: many blocks per run, and T = 40 (three slots) cuts each
+    # replica into slot spans replayed one after another
+    monkeypatch.setattr(dyn, "_BLOCK_DRAWS", 120)
+    R = 40
+    pr = params(p=p, T=T, seed=77, replicas=R)
+    batch = dyn.simulate_batch(f, pr)
+    off = batch.offsets
+    for r, (init, times, n_down, final) in enumerate(oracle_replay(f, p, T, 77, R)):
+        assert batch.initial[r] == init
+        assert batch.times[off[r]:off[r + 1]].tolist() == times
+        assert batch.C[r] == len(times) and batch.S[r] == n_down
+        assert batch.final[r] == final
+    one = dyn.estimate_C_distribution(f, pr, threads=1)
+    two = dyn.estimate_C_distribution(f, pr, threads=2)
+    for a, b in ((one.C, two.C), (one.S, two.S), (one.initial, two.initial)):
+        assert a.tobytes() == b.tobytes()
+    assert one.C.tolist() == batch.C.tolist()
+
+
+@pytest.mark.parametrize("text", ["andor:2", "itermaj3:2", "perc:2,3:2"])
+@pytest.mark.parametrize("T", [1.5, 20.0])
+def test_tree_kernel_matches_oracle_replay(monkeypatch, text, T):
+    monkeypatch.setattr(dyn, "_BLOCK_DRAWS", 120)
+    f = inst(text)
+    assert f.counter_weights() is None
+    batch = dyn.simulate_batch(f, params(p=0.3, T=T, seed=5, replicas=12))
+    off = batch.offsets
+    for r, (init, times, n_down, final) in enumerate(oracle_replay(f, 0.3, T, 5, 12)):
+        assert batch.initial[r] == init
+        assert batch.times[off[r]:off[r + 1]].tolist() == times
+        assert batch.S[r] == n_down and batch.final[r] == final
+
+
+@pytest.mark.parametrize("text,T", [("maj:9", 1.0), ("itermaj3:2", 1.0), ("maj:3", 50.0)])
+def test_trajectory_is_row_of_batch(text, T):
+    # replica access stays random: replica r alone equals row r of a run
+    # spanning several blocks (and, at T = 50, several slots)
+    f = inst(text)
+    pr = params(T=T, seed=23, replicas=5000 if T == 1.0 else 400)
+    emp = dyn.estimate_C_distribution(f, pr)
+    for r in (0, 1, 2500 % pr.replicas, pr.replicas - 1):
+        traj = dyn.simulate_trajectory(f, pr, r)
+        assert (traj.C, traj.S, traj.initial_output) == (emp.C[r], emp.S[r], emp.initial[r])
+
+
+def test_long_horizon_law():
+    # the per-slot count tables stay exact past exp(-T) underflow (T > ~745)
+    f = inst("maj:3")
+    T = 1000.0
+    emp = dyn.estimate_C_distribution(f, params(T=T, seed=29, replicas=200))
+    want = T * oracle.exact_total_influence(f, 0.5)
+    assert abs(emp.mean_C - want) <= 4 * math.sqrt(emp.var_C / emp.replicas)
 
 
 # -- C distribution vs exact oracle -------------------------------------------
@@ -249,6 +342,11 @@ def test_survival_single_gate(x):
     got = dyn.survival_estimate(inst("andor:0"), 0.5, x, 20000, 20)
     target = 0.5 * math.exp(-x / 2)
     assert abs(got - target) <= 4 * binom_se(target, 20000)
+
+
+def test_survival_rejects_nan_horizon():
+    with pytest.raises(ValueError, match="survival horizons"):
+        dyn.survival_curve(inst("maj:3"), 0.5, [0.5, math.nan], 10, 1)
 
 
 def test_survival_curve_monotone():

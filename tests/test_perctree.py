@@ -415,6 +415,8 @@ class TestRegimeExperiment:
             regime_experiment(prof, [1], p=1.5, replicas=10, seed=1)
         with pytest.raises(ValueError):
             regime_experiment(prof, [1], T=-1.0, replicas=10, seed=1)
+        with pytest.raises(ValueError, match="horizon"):
+            regime_experiment(prof, [1], T=float("nan"), replicas=10, seed=1)
 
     def test_edge_cap(self):
         prof = LevelProfile(NALPHA3_CHILDREN)
