@@ -18,9 +18,12 @@ k+1 spacings give the slot's sorted update times.  Within a slot a time is
 kept as a 40-bit tick, so one argsort of a packed uint64 key orders a
 whole block of events by (replica, time).
 
-One kernel, `_replicas`, replays blocks of replicas, each bounded by its
-expected number of draws (a replica too long for one block is replayed in
-slot chunks).  The replay splits by family class:
+One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
+its expected number of draws (a replica too long for one block is
+replayed in slot chunks), and hands each chunk's switches on as it goes;
+`_replicas` folds them into counts and keeps switch times only when asked,
+so a count-only run holds one block at a time.  The replay splits by
+family class:
 
 * counter families (dictator, parity, dap, type2, maj, bigtame, table):
   the output is a function of a few weighted bit sums
@@ -29,9 +32,9 @@ slot chunks).  The replay splits by family class:
 * tree families (itermaj3, andor, perc): a per-replica loop of
   incremental `_update` calls over the block's effective events.
 
-Every clock-driven entry point reads its statistic off the kernel's
-per-replica result.  A replica expecting more than EVENT_BUDGET events
-(arity*T) is refused before any draw.
+Every clock-driven entry point reads its statistic off `_replicas`.  A
+replica expecting more than EVENT_BUDGET events (arity*T) is refused
+before any draw.
 """
 
 from __future__ import annotations
@@ -301,12 +304,12 @@ class ReplicaBatch(NamedTuple):
     """Per-replica results of a run of replicas.
 
     Replica i's switch times, increasing in (0, T], are
-    times[offsets[i]:offsets[i + 1]].
+    times[offsets[i]:offsets[i + 1]] when all of them are kept.
     """
 
     initial: np.ndarray  # output at time 0 (uint8)
     C: np.ndarray        # output switches in (0, T] (int64)
-    times: np.ndarray    # switch times, replica by replica (float64)
+    times: np.ndarray    # switch times kept (float64), or None
 
     @property
     def offsets(self):
@@ -322,8 +325,17 @@ class ReplicaBatch(NamedTuple):
         return (self.initial ^ (self.C & 1)).astype(np.uint8)
 
 
-def _replicas(instance, p, T, seed, lo, hi):
-    """Replays replicas lo..hi-1, block by block; returns their ReplicaBatch."""
+def _replica_spans(instance, p, T, seed, lo, hi, with_times):
+    """Replays replicas lo..hi-1 block by block, one slot span at a time.
+
+    Yields (first, stop, initial, rep, times) per span of the block
+    first..stop-1: `initial` holds the block's outputs at time 0 on its
+    first span and is None after it, `rep` the replica (counted from
+    `first`) of each switch of the span, in (replica, time) order, and
+    `times` their times (None without `with_times`).  Nothing is kept from
+    one span to the next but a long replica's configuration and states, so
+    the kernel's memory is set by one block, whatever the replica count.
+    """
     m = instance.arity
     if m * T > EVENT_BUDGET:
         raise InstanceTooLarge("arity %d x horizon %g expects more than %d "
@@ -332,10 +344,8 @@ def _replicas(instance, p, T, seed, lo, hi):
     slot_len = T / n_slots if n_slots else 0.0
     cdf = _poisson_cdf(slot_len)
     weights = instance.counter_weights()
-    initial, C, times = [], [], []
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
         config = states = None
-        count = np.zeros(b - a, dtype=np.int64)
         for j0, j1 in spans:
             start, cell, value, key = _replica_draws(instance, p, cdf, seed, a, b,
                                                      j0, j1, config)
@@ -349,25 +359,53 @@ def _replicas(instance, p, T, seed, lo, hi):
                     states = instance.build_states(start)
                     out0 = np.array([st.output for st in states], dtype=np.uint8)
                 switch = _tree_replay(states, rep, bit, value)
-            if j0 == 0:
-                initial.append(out0)
-            count += np.bincount(rep[switch], minlength=b - a)
-            times.append(_event_times(key[switch], j0, max(1, j1 - j0), slot_len))
-        C.append(count)
-    return ReplicaBatch(initial=np.concatenate(initial).astype(np.uint8),
-                        C=np.concatenate(C), times=np.concatenate(times))
+            times = None
+            if with_times:
+                times = _event_times(key[switch], j0, max(1, j1 - j0), slot_len)
+            yield a, b, (out0 if j0 == 0 else None), rep[switch], times
+
+
+def _replicas(instance, p, T, seed, lo, hi, keep=None):
+    """ReplicaBatch of replicas lo..hi-1, folded span by span.
+
+    `keep` picks the switch times kept in `times`: None, none (times is
+    None); "first", each replica's first switch time (inf if it never
+    switches); "all", every switch time, replica by replica.  Only "all"
+    holds memory in proportion to the switches of the run.
+    """
+    initial = np.zeros(hi - lo, dtype=np.uint8)
+    C = np.zeros(hi - lo, dtype=np.int64)
+    kept = np.full(hi - lo, np.inf) if keep == "first" else []
+    for a, b, out0, rep, times in _replica_spans(instance, p, T, seed, lo, hi,
+                                                 keep is not None):
+        if out0 is not None:
+            initial[a - lo:b - lo] = out0
+        C[a - lo:b - lo] += np.bincount(rep, minlength=b - a)
+        if keep == "all":
+            kept.append(times)
+        elif keep == "first" and rep.size:
+            # spans run in time order, so a replica's first switch is the
+            # first one of the earliest span holding any
+            head = np.flatnonzero(np.diff(rep, prepend=-1))
+            dst = a - lo + rep[head]
+            kept[dst] = np.minimum(kept[dst], times[head])
+    if keep is None:
+        kept = None
+    elif keep == "all":
+        kept = np.concatenate(kept)
+    return ReplicaBatch(initial=initial, C=C, times=kept)
 
 
 def simulate_batch(instance, dyn_params):
-    """Every replica of `dyn_params`, replayed by the block kernel."""
+    """Every replica of `dyn_params` with all its switch times."""
     return _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
-                     0, dyn_params.replicas)
+                     0, dyn_params.replicas, keep="all")
 
 
 def simulate_trajectory(instance, dyn_params, replica_index):
     """One full replica: initial output, switch times and counts."""
     b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
-                  replica_index, replica_index + 1)
+                  replica_index, replica_index + 1, keep="all")
     return Trajectory(initial_output=int(b.initial[0]), switch_times=b.times.tolist(),
                       C=int(b.C[0]), S=int(b.S[0]))
 
@@ -445,12 +483,11 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
     """
     R = dyn_params.replicas
     C = np.zeros(R, dtype=np.int64)
-    S = np.zeros(R, dtype=np.int64)
     initial = np.zeros(R, dtype=np.uint8)
 
     def run_block(lo, hi):
         b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed, lo, hi)
-        initial[lo:hi], C[lo:hi], S[lo:hi] = b.initial, b.C, b.S
+        initial[lo:hi], C[lo:hi] = b.initial, b.C
 
     if threads <= 1 or R < 2 * threads:
         run_block(0, R)
@@ -461,7 +498,8 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
             list(pool.map(lambda b: run_block(*b), bounds))
     return EmpiricalC(
         spec=instance.spec.spec_string(), p=dyn_params.p, T=dyn_params.T,
-        seed=dyn_params.seed, replicas=R, C=C, S=S, initial=initial,
+        seed=dyn_params.seed, replicas=R, C=C, S=ReplicaBatch(initial, C, None).S,
+        initial=initial,
     )
 
 
@@ -529,12 +567,9 @@ def survival_curve(instance, p, xs, replicas, seed):
         raise ValueError("survival horizons must be >= 0, got %r" % (xs,))
     horizon = max(xs, default=0.0)
     DynamicsParams(p=p, T=horizon, seed=seed, replicas=replicas)
-    b = _replicas(instance, p, horizon, seed, 0, replicas)
-    first_switch = np.full(replicas, np.inf)
-    moved = b.C > 0
-    first_switch[moved] = b.times[b.offsets[:-1][moved]]
+    b = _replicas(instance, p, horizon, seed, 0, replicas, keep="first")
     ones = b.initial == 1
-    return [float(np.mean(ones & (first_switch > x))) for x in xs]
+    return [float(np.mean(ones & (b.times > x))) for x in xs]
 
 
 def survival_estimate(instance, p, x, replicas, seed):

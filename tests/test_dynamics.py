@@ -1,6 +1,7 @@
 """Event-driven simulation: closed forms, oracle cross-checks, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,29 @@ def test_long_horizon_law():
     emp = dyn.estimate_C_distribution(f, params(T=T, seed=29, replicas=200))
     want = T * oracle.exact_total_influence(f, 0.5)
     assert abs(emp.mean_C - want) <= 4 * math.sqrt(emp.var_C / emp.replicas)
+
+
+@pytest.mark.parametrize("entry", ["C", "joint", "survival"])
+def test_count_only_runs_hold_one_block(entry):
+    # count-only entry points keep no switch times: ten times the replicas,
+    # each with ~1300 switches, adds only the per-replica result arrays to
+    # the peak allocation, not the run's switch times (~3 MB here)
+    f = inst("parity:64")
+    runs = {
+        "C": lambda R: dyn.estimate_C_distribution(f, params(T=40.0, seed=3, replicas=R)),
+        "joint": lambda R: dyn.estimate_joint(f, 0.5, 40.0, R, 3),
+        "survival": lambda R: dyn.survival_curve(f, 0.5, [0.5, 40.0], R, 3),
+    }
+
+    def peak(R):
+        tracemalloc.start()
+        try:
+            runs[entry](R)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(330) - peak(30) < 2**20
 
 
 # -- C distribution vs exact oracle -------------------------------------------
