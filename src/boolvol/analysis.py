@@ -829,8 +829,9 @@ def andor_b_bound_seq(n, t):
             while the sibling holds the enabling value.
     Cases (i), (ii) and (iv) are dominated by the k^2/4^{k+1} tail; case (iii)
     contributes the (1/4) beta_k bhat_k term.  The final value is checked
-    against the closed cap 800 (n/N_n)^2 / sqrt(t) (``info``); the bound is
-    meaningful for t <= 576 where beta >= 0.
+    against the closed cap 800 (n/N_n)^2 / sqrt(t) (``info``; None, with
+    ``cap_satisfied`` true, at t = 0 or n < 3, where no cap applies); the
+    bound is meaningful for t <= 576 where beta >= 0.
     """
     if n < 0:
         raise ValueError("depth n must be >= 0")
@@ -840,12 +841,13 @@ def andor_b_bound_seq(n, t):
     for k in range(2, n):
         values.append(0.25 * andor_beta(k, t) * values[-1] + (k * k) / 4.0 ** (k + 1))
     big_n = 2 ** (n + 1) - 1
-    cap = 800.0 * (n / big_n) ** 2 / math.sqrt(t) if (t > 0 and n >= 3) else math.inf
+    # no cap applies at t = 0 or below depth 3 (None, JSON null)
+    cap = 800.0 * (n / big_n) ** 2 / math.sqrt(t) if (t > 0 and n >= 3) else None
     return RecursionSeries(
         values,
         ["linear"] * len(values),
         None,
-        {"t": t, "cap": cap, "cap_satisfied": values[-1] <= cap},
+        {"t": t, "cap": cap, "cap_satisfied": cap is None or values[-1] <= cap},
     )
 
 

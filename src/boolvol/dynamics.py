@@ -22,15 +22,17 @@ One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
 its expected number of draws (a replica too long for one block is
 replayed in slot chunks), and hands each chunk's switches on as it goes;
 `_replicas` folds them into counts and keeps switch times only when asked,
-so a count-only run holds one block at a time.  The replay splits by
-family class:
+so a count-only run holds one block at a time.  Both family classes replay
+through one grouped cumsum, `_grouped_replay`, with no Python loop over
+events:
 
 * counter families (dictator, parity, dap, type2, maj, bigtame, table):
   the output is a function of a few weighted bit sums
-  (`counter_weights`), so a ragged cumsum of per-event deltas gives the
-  output after every event, with no Python loop over events;
-* tree families (itermaj3, andor, perc): a per-replica loop of
-  incremental `_update` calls over the block's effective events.
+  (`counter_weights`); one group per replica;
+* tree families (itermaj3, andor, perc): read-once trees of threshold
+  nodes (`TreeStep`), replayed level by level (`_level_replay`): one
+  group per (replica, node) and one sort and grouped cumsum per tree
+  step, whose output switches are the next step's events.
 
 Every clock-driven entry point reads its statistic off `_replicas`.  A
 replica expecting more than EVENT_BUDGET events (arity*T) is refused
@@ -253,38 +255,77 @@ def _event_times(key, j0, nsl, slot_len):
     return (slot + ticks * 2.0 ** -_TICK_BITS) * slot_len
 
 
+def _grouped_replay(group, step, init, output):
+    """Output after every event and the mask of the events that switch it.
+
+    Events come sorted by group, then by time.  A group's input sums start
+    at init[group] and every event adds its step to them, so one cumsum
+    restarted at each group's first event gives the sums after every
+    event; `output` maps sums to the group's output.
+    """
+    head = np.ones(group.size, dtype=bool)
+    head[1:] = group[1:] != group[:-1]
+    run = np.cumsum(step, axis=0)
+    first = init[group[head]]
+    after = run + (first - run[head] + step[head])[np.cumsum(head) - 1]
+    out = output(after)
+    before = np.empty_like(out)
+    before[1:] = out[:-1]
+    before[head] = output(first)
+    return out, out != before
+
+
 def _counter_replay(instance, weights, start, rep, bit, value):
     """Outputs at the start and the switch mask of effective events.
 
-    The output is a function of the weighted bit sums `start @ weights`;
-    every effective event moves its bit by +-1, so a cumsum restarted at
-    each replica's first event gives the sums after every event.
+    The output is a function of the weighted bit sums `start @ weights`,
+    and every effective event moves its bit by +-1; each replica is one
+    group of `_grouped_replay`.
     """
     sums = start.astype(np.int64) @ weights
-    out0 = instance.counter_output(sums)
     step = weights[bit] * (2 * value.astype(np.int64) - 1)[:, None]
-    run = np.cumsum(step, axis=0)
-    head = np.ones(rep.size, dtype=bool)
-    head[1:] = rep[1:] != rep[:-1]
-    after = sums[rep] + run - (run[head] - step[head])[np.cumsum(head) - 1]
-    out = instance.counter_output(after)
-    before = np.empty_like(out)
-    before[1:] = out[:-1]
-    before[head] = out0[rep[head]]
-    return out0, out != before
+    _, switch = _grouped_replay(rep, step, sums, instance.counter_output)
+    return instance.counter_output(sums), switch
 
 
-def _tree_replay(states, rep, bit, value):
-    """Positions of the switching events; each replica's state advances."""
-    starts = np.searchsorted(rep, np.arange(len(states) + 1)).tolist()
-    bits, values = bit.tolist(), value.tolist()
-    switches = []
-    for st, s, e in zip(states, starts, starts[1:]):
-        update = st._update
-        for j in range(s, e):
-            if update(bits[j], values[j])[1]:
-                switches.append(j)
-    return np.array(switches, dtype=np.int64)
+def _level_replay(instance, start, rep, bit, value):
+    """Outputs at the start and the positions of the switching events.
+
+    The tree is replayed step by step, bottom up.  Every effective event
+    has a rank, its position in the block's (replica, time) order; the
+    events entering a step are its bits' own events and the output
+    switches of the step below, each at the rank of the bit event behind
+    it (a read-once tree sends a bit event up one path, so ranks stay
+    unique within a step).  A step sorts its events by (replica and node,
+    rank) as packed int64 keys, each carrying its new input value in the
+    lowest bit, and keeps the events that switch their node's output: one
+    `_grouped_replay` of input counts per step.  Ties in time resolve in
+    draw order, as in a replay event by event.
+    """
+    steps = instance.steps
+    if not steps:
+        return start[:, 0].copy(), np.arange(rep.size)
+    counts = instance.input_counts(start)
+    # a key packs (replica, node) above the rank above the value; a block
+    # holds under 2^31 nodes per step and far fewer events, so keys fit int64
+    b = max(1, int(rep.size).bit_length()) + 1  # rank and value bits
+    low = (1 << b) - 2                           # mask of the rank bits
+    step, node = instance.bit_inputs(bit)
+    nodes = np.array([st.nodes for st in steps])
+    keys = ((rep * nodes[step] + node) << b) | (np.arange(rep.size) << 1) | value
+    order = np.argsort(step)
+    entering = np.split(keys[order], np.searchsorted(step[order], np.arange(1, len(steps))))
+    carry = keys[:0]
+    for s, st in enumerate(steps):
+        keys = np.sort(np.concatenate((carry, entering[s])))
+        out, switch = _grouped_replay(keys >> b, 2 * (keys & 1) - 1, counts[s].ravel(),
+                                      lambda c, t=st.threshold: c >= t)
+        keys = keys[switch]
+        if s + 1 < len(steps):
+            fan = st.nodes // steps[s + 1].nodes
+            carry = (keys >> b) // fan << b | keys & low | out[switch]
+    out0 = counts[-1][:, 0] >= steps[-1].threshold
+    return out0.astype(np.uint8), (keys & low) >> 1
 
 
 def _blocks(m, n_slots, slot_len, lo, hi):
@@ -333,7 +374,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
     first span and is None after it, `rep` the replica (counted from
     `first`) of each switch of the span, in (replica, time) order, and
     `times` their times (None without `with_times`).  Nothing is kept from
-    one span to the next but a long replica's configuration and states, so
+    one span to the next but a long replica's configuration, so
     the kernel's memory is set by one block, whatever the replica count.
     """
     m = instance.arity
@@ -345,7 +386,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
     cdf = _poisson_cdf(slot_len)
     weights = instance.counter_weights()
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
-        config = states = None
+        config = None
         for j0, j1 in spans:
             start, cell, value, key = _replica_draws(instance, p, cdf, seed, a, b,
                                                      j0, j1, config)
@@ -355,10 +396,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
             if weights is not None:
                 out0, switch = _counter_replay(instance, weights, start, rep, bit, value)
             else:
-                if states is None:
-                    states = instance.build_states(start)
-                    out0 = np.array([st.output for st in states], dtype=np.uint8)
-                switch = _tree_replay(states, rep, bit, value)
+                out0, switch = _level_replay(instance, start, rep, bit, value)
             times = None
             if with_times:
                 times = _event_times(key[switch], j0, max(1, j1 - j0), slot_len)

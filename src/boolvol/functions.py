@@ -21,8 +21,12 @@ perc:...:n   spherically symmetric tree with a fixed child count per
 
 Counter families (dictator, parity, dap, type2, maj, bigtame, table) also
 state their output as a function of a few weighted bit sums
-(`counter_weights`, `counter_output`); tree families build many states at
-once from a block of configurations (`build_states`).
+(`counter_weights`, `counter_output`).  Tree families (itermaj3, andor,
+perc) declare themselves as read-once trees of threshold nodes, bottom up
+(`steps`, `TreeStep`); one vectorised pass over a block of configurations
+(`input_counts`) gives every node's input count, and `evaluate_rows`,
+`build_state` and the level-by-level Monte Carlo replay in `dynamics` all
+read it.  The incremental states (`apply_update`) stay the reference.
 
 Bit-to-vertex conventions (fixed so results are reproducible):
 itermaj3 leaves are numbered left to right; andor gate bits map to
@@ -34,9 +38,11 @@ k is (number of edges above level k) + j.
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -548,36 +554,93 @@ class BigTameInstance(FunctionInstance):
         return st
 
 
-class IterMaj3Instance(FunctionInstance):
+class TreeStep(NamedTuple):
+    """One bottom-up step of a read-once tree of threshold nodes.
+
+    The step has `nodes` nodes per configuration; a node is 1 iff at least
+    `threshold` of its inputs are 1.  A node's inputs are its share of the
+    step below's outputs (all of them, in equal consecutive runs; none for
+    the first step) and of each slice (lo, hi) of the tree's bit order.
+    """
+
+    nodes: int
+    threshold: int
+    slices: tuple = ()
+
+
+def _fan_sum(x, nodes):
+    """Sums over equal consecutive runs of columns: a (rows, nodes) array."""
+    return x.reshape(x.shape[0], nodes, x.shape[1] // nodes).sum(axis=2, dtype=np.int64)
+
+
+class _TreeInstance(FunctionInstance):
+    """A read-once tree declared as `steps`, bottom up, the root last.
+
+    Position h of the tree's bit order holds bit `bit_order[h]` and bit b
+    sits at position `bit_position[b]` (the identity when None); every bit
+    feeds exactly one node.  A tree without steps outputs its single bit.
+    """
+
+    bit_order = bit_position = None
+
+    def _declare(self, steps):
+        self.steps = tuple(steps)
+        # (lo, step, bits per node) of every slice, in bit order
+        self._slices = np.array(sorted(
+            (lo, s, (hi - lo) // st.nodes)
+            for s, st in enumerate(self.steps) for lo, hi in st.slices), dtype=np.int64)
+
+    def input_counts(self, rows):
+        """Every node's count of 1-inputs for a (rows, arity) uint8 array:
+        one (rows, nodes) int64 array per step, bottom up."""
+        bits = rows if self.bit_order is None else rows[:, self.bit_order]
+        counts, below = [], None
+        for st in self.steps:
+            parts = [] if below is None else [below]
+            parts += [bits[:, lo:hi] for lo, hi in st.slices]
+            c = _fan_sum(parts[0], st.nodes)
+            for x in parts[1:]:
+                c += _fan_sum(x, st.nodes)
+            counts.append(c)
+            below = c >= st.threshold
+        return counts
+
+    def _root(self, rows):
+        if not self.steps:
+            return rows[:, 0].copy()
+        return (self.input_counts(rows)[-1][:, 0] >= self.steps[-1].threshold).astype(np.uint8)
+
+    def _node_values(self, config):
+        """Outputs of every step for one configuration, bottom up."""
+        counts = self.input_counts(np.array([config], dtype=np.uint8))
+        return [(c[0] >= st.threshold).astype(np.uint8).tolist()
+                for c, st in zip(counts, self.steps)]
+
+    def bit_inputs(self, bits):
+        """(step, node) fed by each bit of an int64 array."""
+        pos = bits if self.bit_position is None else self.bit_position[bits]
+        lo, step, fan = self._slices[np.searchsorted(self._slices[:, 0], pos, side="right") - 1].T
+        return step, (pos - lo) // fan
+
+
+class IterMaj3Instance(_TreeInstance):
+    # step s holds the nodes at height s + 1; the leaves feed the first
     def __init__(self, spec):
         d = spec.param
         super().__init__(spec, 3**d, depth=d)
-        self.n_nodes = (3 ** (d + 1) - 1) // 2
         self.leaf_base = (3**d - 1) // 2
+        self._declare(TreeStep(3 ** (d - 1 - s), 2, ((0, 3**d),) if s == 0 else ())
+                      for s in range(d))
 
     def evaluate_rows(self, bits):
-        vals = bits
-        for _ in range(self.depth):
-            vals = (vals.reshape(vals.shape[0], -1, 3).sum(axis=2) >= 2).astype(np.uint8)
-        return vals[:, 0].copy()
+        return self._root(bits)
 
     def build_state(self, config):
-        return self.build_states(np.array([config], dtype=np.uint8))[0]
-
-    def build_states(self, rows):
-        """One state per row of a (rows, arity) uint8 array."""
-        levels = [rows]
-        for _ in range(self.depth):
-            levels.append((levels[-1].reshape(rows.shape[0], -1, 3).sum(axis=2) >= 2)
-                          .astype(np.uint8))
-        vals = np.concatenate(levels[::-1], axis=1)  # heap order, root first
-        states = []
-        for config, v in zip(rows.tolist(), vals.tolist()):
-            st = self._new_state(_IterMaj3State, config)
-            st.vals = v
-            st.output = v[0]
-            states.append(st)
-        return states
+        levels = [list(config)] + self._node_values(config)
+        st = self._new_state(_IterMaj3State, config)
+        st.vals = [v for level in reversed(levels) for v in level]  # heap order
+        st.output = st.vals[0]
+        return st
 
 
 def _preorder_maps(n_nodes):
@@ -596,48 +659,47 @@ def _preorder_maps(n_nodes):
     return node_of_bit, bit_of_node
 
 
-class AndOrInstance(FunctionInstance):
+class AndOrInstance(_TreeInstance):
+    # the tree's bit order is heap order.  A gate is the majority of its
+    # left input, its right input and its gate bit (OR when the gate bit
+    # is 1, AND when it is 0); step s holds the gates at height s + 1, and
+    # a leaf outputs its own gate bit, so the leaves feed the first step
     def __init__(self, spec):
         d = spec.param
         n_nodes = 2 ** (d + 1) - 1
         super().__init__(spec, n_nodes, depth=d)
         self.leaf_base = 2**d - 1
         self.node_of_bit, self.bit_of_node = _preorder_maps(n_nodes)
-        self._heap_perm = np.array(self.bit_of_node, dtype=np.int64)
+        self.bit_order = np.array(self.bit_of_node, dtype=np.int64)
+        self.bit_position = np.array(self.node_of_bit, dtype=np.int64)
+        steps = []
+        for s in range(d):
+            k = d - 1 - s
+            gates = (2**k - 1, 2 ** (k + 1) - 1)
+            steps.append(TreeStep(2**k, 2, ((self.leaf_base, n_nodes), gates) if s == 0
+                                  else (gates,)))
+        self._declare(steps)
 
     def evaluate_rows(self, bits):
-        gates = bits[:, self._heap_perm]
-        vals = gates[:, self.leaf_base:].copy()
-        for k in range(self.depth - 1, -1, -1):
-            lo, hi = 2**k - 1, 2 ** (k + 1) - 1
-            g = gates[:, lo:hi]
-            pairs = vals.reshape(vals.shape[0], -1, 2)
-            l, r = pairs[:, :, 0], pairs[:, :, 1]
-            vals = np.where(g == 1, l | r, l & r).astype(np.uint8)
-        return vals[:, 0].copy()
+        return self._root(bits)
 
     def build_state(self, config):
-        return self.build_states(np.array([config], dtype=np.uint8))[0]
-
-    def build_states(self, rows):
-        """One state per row of a (rows, arity) uint8 array."""
-        gates = rows[:, self._heap_perm]
-        vals = gates.copy()
-        for k in range(self.depth - 1, -1, -1):
-            lo, hi = 2**k - 1, 2 ** (k + 1) - 1
-            l, r = vals[:, 2 * lo + 1:2 * hi + 1:2], vals[:, 2 * lo + 2:2 * hi + 2:2]
-            vals[:, lo:hi] = np.where(gates[:, lo:hi] == 1, l | r, l & r)
-        states = []
-        for config, g, v in zip(rows.tolist(), gates.tolist(), vals.tolist()):
-            st = self._new_state(_AndOrState, config)
-            st.gates = g
-            st.vals = v
-            st.output = v[0]
-            states.append(st)
-        return states
+        st = self._new_state(_AndOrState, config)
+        st.gates = [config[b] for b in self.bit_of_node]
+        st.vals = list(st.gates)
+        for s, level in enumerate(self._node_values(config)):
+            lo = 2 ** (self.depth - 1 - s) - 1
+            st.vals[lo:lo + len(level)] = level
+        st.output = st.vals[0]
+        return st
 
 
-class TreePercInstance(FunctionInstance):
+class TreePercInstance(_TreeInstance):
+    # bottom up, level k = n..1 of vertices: the vertices of level k - 1
+    # are connected iff one of their children is alive (threshold 1), and a
+    # vertex of level k < n is alive iff its edge is open and it is itself
+    # connected (threshold 2); the bottom vertices are connected, so their
+    # edges feed the first step directly
     def __init__(self, spec):
         children = spec.profile[:spec.level]
         n = spec.level
@@ -651,45 +713,27 @@ class TreePercInstance(FunctionInstance):
         super().__init__(spec, arity, depth=n)
         self.children = children
         self.level = n
-        self.vcounts = v
         self.offsets = offsets
-        self._cum = np.cumsum([v[k] for k in range(1, n + 1)])
+        steps = [TreeStep(v[n - 1], 1, ((offsets[n], arity),))]
+        for k in range(n - 1, 0, -1):
+            steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k] + v[k]),)),
+                      TreeStep(v[k - 1], 1)]
+        self._declare(steps)
 
     def edge_level_index(self, i):
-        k = int(np.searchsorted(self._cum, i, side="right")) + 1
+        k = bisect.bisect_right(self.offsets, i) - 1
         return k, i - self.offsets[k]
 
     def evaluate_rows(self, bits):
-        n = self.level
-        B = bits.shape[0]
-        conn = np.ones((B, self.vcounts[n]), dtype=bool)
-        for k in range(n, 0, -1):
-            e = bits[:, self.offsets[k]:self.offsets[k] + self.vcounts[k]] == 1
-            alive = (e & conn).reshape(B, self.vcounts[k - 1], self.children[k - 1])
-            conn = alive.any(axis=2)
-        return conn[:, 0].astype(np.uint8)
+        return self._root(bits)
 
     def build_state(self, config):
-        return self.build_states(np.array([config], dtype=np.uint8))[0]
-
-    def build_states(self, rows):
-        """One state per row of a (rows, arity) uint8 array."""
-        n = self.level
-        R = rows.shape[0]
-        conn = np.ones((R, self.vcounts[n]), dtype=np.uint8)
-        live = [None] * n
-        for k in range(n, 0, -1):
-            e = rows[:, self.offsets[k]:self.offsets[k] + self.vcounts[k]]
-            counts = (e & conn).reshape(R, self.vcounts[k - 1], self.children[k - 1]).sum(axis=2)
-            live[k - 1] = counts.tolist()
-            conn = (counts > 0).astype(np.uint8)
-        states = []
-        for i, config in enumerate(rows.tolist()):
-            st = self._new_state(_PercState, config)
-            st.live = [level[i] for level in live]
-            st.output = 1 if st.live[0][0] > 0 else 0
-            states.append(st)
-        return states
+        # the connecting steps count the live children of each vertex
+        counts = self.input_counts(np.array([config], dtype=np.uint8))
+        st = self._new_state(_PercState, config)
+        st.live = [c[0].tolist() for c in counts[::-2]]
+        st.output = 1 if st.live[0][0] > 0 else 0
+        return st
 
 
 class TableInstance(FunctionInstance):

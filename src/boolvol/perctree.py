@@ -27,6 +27,7 @@ requested.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +256,18 @@ class EdgeSkeleton:
     states: tuple
 
 
+def _check_horizon(T):
+    """Refuses a horizon whose Poisson(T) count table would fail.
+
+    The table starts at exp(-T); below the smallest normal double it loses
+    precision, and past T ~ 745 it is all zeros, which would give every
+    edge the same update count.
+    """
+    if math.exp(-T) < sys.float_info.min:
+        raise ValueError("horizon must be at most %.2f (exp(-T) leaves the normal "
+                         "float range), got %r" % (-math.log(sys.float_info.min), T))
+
+
 def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     """The deterministic update skeleton of one edge in one replica.
 
@@ -265,6 +278,7 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     is the uniform order statistic up to equality in law.  Exposed for
     debugging and for independent reimplementations of the exploration.
     """
+    _check_horizon(T)
     keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
     cdf = _poisson_cdf(T)
@@ -710,6 +724,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
         raise ValueError("p must lie in [0, 1], got %r" % (p,))
     if not T >= 0:
         raise ValueError("horizon must be >= 0, got %r" % (T,))
+    _check_horizon(T)
     if replicas < 1:
         raise ValueError("replicas must be >= 1, got %r" % (replicas,))
     if not 0 <= seed < 2 ** 64:

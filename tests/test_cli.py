@@ -230,6 +230,20 @@ class TestRecursion:
         payload = validated(out)
         assert payload["info"]["cap_satisfied"] is True
 
+    @pytest.mark.parametrize("argv", [("--n", "10", "--t", "0"), ("--n", "2", "--t", "0.25")])
+    def test_andor_bbound_without_cap_is_strict_json(self, capsys, argv):
+        # no cap applies at t = 0 or n < 3: it is null, not Infinity
+        code, out = run_cli(capsys, "recursion", "andor-bbound", *argv)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError("non-JSON constant %s" % name)
+
+        payload = json.loads(out, parse_constant=reject)
+        validated(out)
+        assert payload["info"]["cap"] is None
+        assert payload["info"]["cap_satisfied"] is True
+
     def test_andor_gfloor(self, capsys):
         code, out = run_cli(capsys, "recursion", "andor-gfloor", "--grid",
                             "200", "--conv-points", "20000")
@@ -298,6 +312,14 @@ class TestPerc:
                             "--edge-cap", "1000", "--replicas", "10")
         assert code == 3
         assert out == ""
+
+    def test_run_horizon_past_poisson_table_exit_2(self, capsys):
+        code = cli.main(["perc", "run", "--profile", "2,2", "--levels", "2",
+                         "--T", "800", "--replicas", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: horizon must be at most")
 
     def test_missing_or_malformed_profile_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -170,18 +170,34 @@ def test_counter_kernel_matches_oracle_replay(monkeypatch, text, p, T):
     assert one.C.tolist() == batch.C.tolist()
 
 
-@pytest.mark.parametrize("text", ["andor:2", "itermaj3:2", "perc:2,3:2"])
-@pytest.mark.parametrize("T", [1.5, 20.0])
-def test_tree_kernel_matches_oracle_replay(monkeypatch, text, T):
+# depth-0 trees, deeper trees, a perc level with one child per vertex and a
+# perc level below the end of its profile; p = 0.3 keeps the bare spec as id
+TREE_SPECS = ["andor:2", "itermaj3:2", "perc:2,3:2", "itermaj3:0", "andor:0", "perc:1:1",
+              "itermaj3:3", "andor:4", "perc:3,1,2:3", "perc:2,3,2:2"]
+
+
+@pytest.mark.parametrize("text,p", [
+    pytest.param(text, p, id=text if p == 0.3 else "%s-p%g" % (text, p))
+    for text in TREE_SPECS for p in (0.3, 0.5, 0.7)])
+@pytest.mark.parametrize("T", [1.5, 20.0, 0.0, 40.0])
+def test_tree_kernel_matches_oracle_replay(monkeypatch, text, p, T):
+    # small blocks cut the wider replicas at T >= 20 into slot spans, so node
+    # values must carry from one span to the next
     monkeypatch.setattr(dyn, "_BLOCK_DRAWS", 120)
     f = inst(text)
     assert f.counter_weights() is None
-    batch = dyn.simulate_batch(f, params(p=0.3, T=T, seed=5, replicas=12))
+    pr = params(p=p, T=T, seed=5, replicas=12)
+    batch = dyn.simulate_batch(f, pr)
     off = batch.offsets
-    for r, (init, times, n_down, final) in enumerate(oracle_replay(f, 0.3, T, 5, 12)):
+    for r, (init, times, n_down, final) in enumerate(oracle_replay(f, p, T, 5, 12)):
         assert batch.initial[r] == init
         assert batch.times[off[r]:off[r + 1]].tolist() == times
         assert batch.S[r] == n_down and batch.final[r] == final
+    one = dyn.estimate_C_distribution(f, pr, threads=1)
+    two = dyn.estimate_C_distribution(f, pr, threads=2)
+    for a, b in ((one.C, two.C), (one.S, two.S), (one.initial, two.initial)):
+        assert a.tobytes() == b.tobytes()
+    assert one.C.tolist() == batch.C.tolist()
 
 
 @pytest.mark.parametrize("text,T", [("maj:9", 1.0), ("itermaj3:2", 1.0), ("maj:3", 50.0)])
@@ -205,12 +221,16 @@ def test_long_horizon_law():
     assert abs(emp.mean_C - want) <= 4 * math.sqrt(emp.var_C / emp.replicas)
 
 
-@pytest.mark.parametrize("entry", ["C", "joint", "survival"])
-def test_count_only_runs_hold_one_block(entry):
+@pytest.mark.parametrize("entry,text", [("C", "parity:64"), ("joint", "parity:64"),
+                                        ("survival", "parity:64"), ("C", "andor:6")],
+                         ids=["C", "joint", "survival", "C-andor:6"])
+def test_count_only_runs_hold_one_block(entry, text):
     # count-only entry points keep no switch times: ten times the replicas,
-    # each with ~1300 switches, adds only the per-replica result arrays to
-    # the peak allocation, not the run's switch times (~3 MB here)
-    f = inst("parity:64")
+    # each with ~1300 switches on parity:64, adds only the per-replica
+    # result arrays to the peak allocation, not the run's switch times
+    # (~3 MB there); on a tree family, the level replay's arrays too stay
+    # within one block
+    f = inst(text)
     runs = {
         "C": lambda R: dyn.estimate_C_distribution(f, params(T=40.0, seed=3, replicas=R)),
         "joint": lambda R: dyn.estimate_joint(f, 0.5, 40.0, R, 3),

@@ -225,6 +225,7 @@ def _all_specs_small():
         bf.FunctionSpec.andor(3),
         bf.FunctionSpec.bigtame(2),
         bf.FunctionSpec.perc((2, 3, 2), 3),
+        bf.FunctionSpec.perc((3, 1, 2, 5), 3),
     ]
 
 
@@ -269,6 +270,52 @@ def test_update_cost_bounded_by_depth(spec, depth):
         before = st.recompute_count
         bf.apply_update(st, int(rng.integers(0, m)), int(rng.random() < 0.5))
         assert st.recompute_count - before <= depth + 1
+
+
+def _tree_by_definition(spec, config):
+    """Recursive evaluation straight from the family definitions."""
+    if spec.family == "itermaj3":
+        def node(level, j):  # vertex j at height `level`
+            if level == 0:
+                return config[j]
+            return int(sum(node(level - 1, 3 * j + c) for c in range(3)) >= 2)
+        return node(spec.param, 0)
+    if spec.family == "andor":
+        bit = iter(config)
+
+        def node(height):  # gate bits in depth-first preorder
+            gate = next(bit)
+            if height == 0:
+                return gate
+            left, right = node(height - 1), node(height - 1)
+            return (left | right) if gate else (left & right)
+        return node(spec.param)
+    children, n = spec.profile, spec.level
+    offsets = [0]
+    width = 1
+    for c in children[:n]:
+        width *= c
+        offsets.append(offsets[-1] + width)
+
+    def connected(k, j):  # vertex j of level k reaches level n
+        if k == n:
+            return True
+        c = children[k]
+        return any(config[offsets[k] + j * c + i] and connected(k + 1, j * c + i)
+                   for i in range(c))
+    return int(connected(0, 0))
+
+
+@pytest.mark.parametrize("text", ["itermaj3:0", "itermaj3:3", "andor:0", "andor:1", "andor:4",
+                                  "perc:1:1", "perc:3,1,2:3", "perc:2,3,2:2", "perc:4:1"])
+def test_tree_evaluation_matches_definition(text):
+    spec = bf.parse_spec(text)
+    inst = bf.make_instance(spec)
+    rng = np.random.default_rng(11)
+    rows = (rng.random((200, inst.arity)) < 0.5).astype(np.uint8)
+    want = [_tree_by_definition(spec, row.tolist()) for row in rows]
+    assert bf.evaluate_batch(inst, rows).tolist() == want
+    assert [bf.build_state(inst, row).output for row in rows[:20]] == want[:20]
 
 
 def test_andor_complement_symmetry():

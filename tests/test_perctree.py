@@ -193,6 +193,14 @@ class TestEdgeSkeleton:
         states = [s for sk in sks for s in sk.states]
         assert abs(np.mean(states) - p) <= 4 * binom_se(p, len(states))
 
+    def test_horizon_past_poisson_table_refused(self):
+        # exp(-T) leaves the normal float range past T ~ 708.4; the Poisson
+        # count table would then give every edge the same count
+        assert len(edge_skeleton(1, 0, 0, T=708.0).times) > 0
+        for T in (709.0, 800.0, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
+                edge_skeleton(1, 0, 0, T=T)
+
     def test_degenerate_p(self):
         assert edge_skeleton(1, 0, 0, p=0.0).initial == 0
         assert edge_skeleton(1, 0, 0, p=1.0).initial == 1
@@ -417,6 +425,12 @@ class TestRegimeExperiment:
             regime_experiment(prof, [1], T=-1.0, replicas=10, seed=1)
         with pytest.raises(ValueError, match="horizon"):
             regime_experiment(prof, [1], T=float("nan"), replicas=10, seed=1)
+
+    def test_horizon_past_poisson_table_refused(self):
+        prof = LevelProfile((2, 2))
+        assert regime_experiment(prof, [1], T=708.0, replicas=2, seed=1).T == 708.0
+        with pytest.raises(ValueError, match="horizon must be at most"):
+            regime_experiment(prof, [1], T=800.0, replicas=10, seed=1)
 
     def test_edge_cap(self):
         prof = LevelProfile(NALPHA3_CHILDREN)
