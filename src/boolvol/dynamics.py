@@ -7,16 +7,22 @@ Randomness is counter based: every draw is splitmix64(key + counter *
 step) (Steele et al., OOPSLA 2014; Salmon et al., "Parallel random numbers:
 as easy as 1, 2, 3", SC'11), a pure function of (seed, replica, bit,
 counter).  Replica r is therefore the same whichever block or thread
-replays it, and `perctree` draws its edge skeletons with the same helpers.
-Bit b of replica r has the key K of `_edge_keys`; the horizon is cut into
-ceil(T / 16) equal slots and slot j of the bit is keyed K + j * _KEY_SLOT.
-On a slot key, counter 0 draws the slot's Poisson update count by inverse
-CDF (slot means stay <= 16, far from the underflow of exp(-mean)), counter
-1 (slot 0 only) the bit's initial value, counters 2+2k and 3+2k the k-th
-exponential spacing and redrawn value; normalised partial sums of the
-k+1 spacings give the slot's sorted update times.  Within a slot a time is
-kept as a 40-bit tick, so one argsort of a packed uint64 key orders a
-whole block of events by (replica, time).
+replays it.  Bit b of replica r has the key K of `_edge_keys`; the
+horizon is cut into ceil(T / 16) equal slots (`_slots`) and slot j of the
+bit is keyed K + j * _KEY_SLOT.  On a slot key, counter 0 draws the
+slot's Poisson update count by inverse CDF (slot means stay <= 16, far
+from the underflow of exp(-mean)), counter 1 (slot 0 only) the bit's
+initial value, counters 2+2k and 3+2k the k-th exponential spacing and
+redrawn value; normalised partial sums of the k+1 spacings give the
+slot's sorted update times.  Within a slot a time is kept as a 40-bit
+tick, so one argsort of a packed uint64 key orders a whole block of
+events by (replica, time).
+
+`_skeleton` is this recipe for any array of clock keys, and `_tick_time`
+turns a (slot, tick) into a time.  `perctree` keys the edges of its lazy
+engine as the bits of `perc:children:L` are keyed here and draws them
+through the same two functions, so both percolation engines replay the
+same edge histories and agree replica by replica.
 
 One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
 its expected number of draws (a replica too long for one block is
@@ -35,8 +41,8 @@ events:
   step, whose output switches are the next step's events.
 
 Every clock-driven entry point reads its statistic off `_replicas`.  A
-replica expecting more than EVENT_BUDGET events (arity*T) is refused
-before any draw.
+replica expecting more than EVENT_BUDGET events (arity*T here, c_1*T
+root-edge updates in `perctree`) is refused by `_slots`, before any draw.
 """
 
 from __future__ import annotations
@@ -117,8 +123,6 @@ def _edge_keys(seed0, replicas_u64, edge_ids_u64):
 
 
 def _poisson_cdf(mean):
-    if mean <= 0.0:
-        return np.array([1.0])
     kmax = max(30, int(mean + 12.0 * math.sqrt(mean) + 20.0))
     pmf = np.empty(kmax + 1)
     pmf[0] = math.exp(-mean)
@@ -173,22 +177,62 @@ def _slot_ticks(keys, counts, p):
     """
     cm = np.cumsum(counts)
     head = cm - counts
-    owner = np.zeros(int(counts.sum()), dtype=np.int64)
-    owner[head[1:]] = 1
-    owner = np.cumsum(owner)
-    occ = (np.arange(owner.size, dtype=np.int64) - head[owner]).astype(np.uint64)
+    owner = np.repeat(np.arange(counts.size), counts)
+    occ = np.arange(owner.size, dtype=np.uint64) - head.astype(np.uint64)[owner]
+    ctr = _U64(2) + _U64(2) * occ  # the spacing's counter; the value's is ctr + 1
     kk = keys[owner]
 
-    def spacings(k, ctr):
-        return (-np.log1p(-_unit(_draw(k, ctr))) * 2.0 ** _TICK_BITS).astype(np.int64)
+    def spacings(k, c):
+        return (-np.log1p(-_unit(_draw(k, c))) * 2.0 ** _TICK_BITS).astype(np.int64)
 
-    spac = spacings(kk, _U64(2) + _U64(2) * occ)
+    spac = spacings(kk, ctr)
     run = np.cumsum(spac)  # int64; a wrap cancels in the differences below
     partial = run - (run[head] - spac[head])[owner]
     totals = partial[cm - 1] + spacings(keys, _U64(2) + _U64(2) * counts.astype(np.uint64))
     ticks = partial / totals[owner] * 2.0 ** _TICK_BITS
-    values = _unit(_draw(kk, _U64(3) + _U64(2) * occ)) < p
+    values = _unit(_draw(kk, ctr + _U64(1))) < p
     return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), values
+
+
+def _slots(clocks, T):
+    """(n, length, cdf): horizon T cut into n = ceil(T / _SLOT) equal slots
+    and the Poisson CDF of one slot's update count.
+
+    A replica with `clocks` update clocks expecting more than EVENT_BUDGET
+    events (clocks * T) is refused here, before any draw.
+    """
+    if clocks * T > EVENT_BUDGET:
+        raise InstanceTooLarge("%d clocks x horizon %g expect more than %d "
+                               "events per replica" % (clocks, T, EVENT_BUDGET))
+    n = math.ceil(T / _SLOT)
+    length = T / n if n else 0.0
+    return n, length, _poisson_cdf(length)
+
+
+def _skeleton(keys, p, cdf, j0, j1):
+    """Update events over slots j0..j1-1 of the clocks keyed `keys`.
+
+    Slot j of a clock is keyed key + j * _KEY_SLOT; counter 0 draws its
+    update count from `cdf` and `_slot_ticks` its ticks and redrawn
+    values.  Returns (clock, slot, tick, value) per event in (clock, time)
+    order: clock indexes `keys`, slot counts from j0.
+    """
+    nsl = j1 - j0
+    if nsl == 0:
+        none = np.empty(0, dtype=np.int64)
+        return none, none, none.astype(np.uint64), none.astype(bool)
+    slots = np.arange(j0, j1, dtype=np.uint64) * _U64(_KEY_SLOT)
+    gkeys = (keys[:, None] + slots).ravel()
+    counts = np.searchsorted(cdf, _unit(_draw(gkeys, _U64(0))), side="right")
+    nz = np.flatnonzero(counts)
+    owner, tick, value = _slot_ticks(gkeys[nz], counts[nz], p)
+    clock, slot = np.divmod(nz, nsl) if nsl > 1 else (nz, np.zeros_like(nz))
+    return clock[owner], slot[owner], tick, value
+
+
+def _tick_time(slot, tick, slot_len):
+    """Time of an event from its slot and tick: the middle of the tick."""
+    return (slot + (tick + 0.5) * 2.0 ** -_TICK_BITS) * slot_len
 
 
 def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
@@ -208,18 +252,9 @@ def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
                       np.arange(m, dtype=np.uint64)).ravel()
     if config is None:
         config = (_unit(_draw(keys, _U64(1))) < p).astype(np.uint8).reshape(hi - lo, m)
-    nsl = j1 - j0
-    if nsl == 0:
-        none = np.empty(0, dtype=np.int64)
-        return config, none, none.astype(np.uint8), none.astype(np.uint64)
-    slots = np.arange(j0, j1, dtype=np.uint64) * _U64(_KEY_SLOT)
-    gkeys = (keys[:, None] + slots).ravel()
-    counts = np.searchsorted(cdf, _unit(_draw(gkeys, _U64(0))), side="right")
-    nz = np.flatnonzero(counts)
-    owner, ticks, value = _slot_ticks(gkeys[nz], counts[nz], p)
-    cell, slot = np.divmod(nz, nsl)
-    place = (cell // m * nsl + slot).astype(np.uint64) << _U64(_TICK_BITS)
-    return config, cell[owner], value.astype(np.uint8), place[owner] | ticks
+    cell, slot, tick, value = _skeleton(keys, p, cdf, j0, j1)
+    place = (cell // m * (j1 - j0) + slot).astype(np.uint64) << _U64(_TICK_BITS)
+    return config, cell, value.astype(np.uint8), place | tick
 
 
 def _effective_events(config, cell, value, key):
@@ -251,8 +286,7 @@ def _advance(config, cell, value):
 def _event_times(key, j0, nsl, slot_len):
     """Times of events from their keys: the middle of their tick."""
     slot = (key >> _U64(_TICK_BITS)) % _U64(nsl) + _U64(j0)
-    ticks = (key & _TICK_MASK) + 0.5
-    return (slot + ticks * 2.0 ** -_TICK_BITS) * slot_len
+    return _tick_time(slot, key & _TICK_MASK, slot_len)
 
 
 def _grouped_replay(group, step, init, output):
@@ -378,12 +412,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
     the kernel's memory is set by one block, whatever the replica count.
     """
     m = instance.arity
-    if m * T > EVENT_BUDGET:
-        raise InstanceTooLarge("arity %d x horizon %g expects more than %d "
-                               "events per replica" % (m, T, EVENT_BUDGET))
-    n_slots = math.ceil(T / _SLOT)
-    slot_len = T / n_slots if n_slots else 0.0
-    cdf = _poisson_cdf(slot_len)
+    n_slots, slot_len, cdf = _slots(m, T)
     weights = instance.counter_weights()
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
         config = None

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArityMismatch, IndexOutOfRange, InvalidSpec
+from .errors import ArityMismatch, IndexOutOfRange, InstanceTooLarge, InvalidSpec
 
 MAX_ARITY = 2**31 - 1
 
@@ -410,7 +410,7 @@ class FunctionInstance:
 
     def __init__(self, spec, arity, depth=0):
         if arity > MAX_ARITY:
-            raise InvalidSpec("arity %d exceeds the 2^31-1 cap" % arity)
+            raise InstanceTooLarge("arity %d exceeds the 2^31-1 cap" % arity)
         self.spec = spec
         self.arity = arity
         self.depth = depth
@@ -788,7 +788,7 @@ def _validate(spec):
         if p < 1:
             raise InvalidSpec("bigtame selector width must be >= 1")
         if 1 + p + 3**p > MAX_ARITY:
-            raise InvalidSpec("bigtame:%d arity exceeds the 2^31-1 cap" % p)
+            raise InstanceTooLarge("bigtame:%d arity exceeds the 2^31-1 cap" % p)
     elif f == "perc":
         if not spec.profile:
             raise InvalidSpec("perc profile must be nonempty")
@@ -822,7 +822,8 @@ def make_instance(spec):
     """Builds the structural index for `spec`.
 
     Raises InvalidSpec for out-of-range parameters (even majority size,
-    negative depth, empty profile, arity above 2^31-1).
+    negative depth, empty profile) and InstanceTooLarge for an arity above
+    the 2^31-1 cap.
     """
     _validate(spec)
     cls = _CLASSES[spec.family]

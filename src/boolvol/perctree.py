@@ -10,9 +10,15 @@ the root stays connected while every edge flips at rate 1.
 
 The experiment never materializes the tree.  Each edge's update skeleton
 (initial state, Poisson update times, resampled states) is a pure function
-of (seed, replica, edge id) through the counter-based hash helpers of
-`dynamics` (the same convention keys its bit skeletons), so the
-exploration can descend lazily: a vertex is visited only while some time
+of (seed, replica, edge id), drawn by `dynamics._skeleton`, the recipe
+that also draws the bits of the eager engine: the horizon is cut into
+ceil(T / 16) equal slots, and each slot's update times are exact 2^-40
+fixed-point ticks.  Edge e of `perc:children:L` therefore has the same
+history here and in `dynamics`, and the two engines agree replica by
+replica.  A replica whose c_1 root edges expect more than
+`dynamics.EVENT_BUDGET` updates (c_1 * T) is refused before any draw.
+
+The exploration descends lazily: a vertex is visited only while some time
 interval keeps its whole root path open.  Interval endpoints are derived
 arithmetically from event times by max/min alone — never by float
 arithmetic — so the per-replica events "connected to level k at time t"
@@ -22,12 +28,12 @@ monotone in the level, not just in expectation.
 Replicas are processed in blocks with ragged interval arrays (flat bounds
 plus per-vertex counts); intersections take a vectorized fast path when
 both sides are single intervals and an event-count sweep otherwise.
-Results are independent of the block size and of which levels are
+An edge's update times come from its own key alone, so results are
+independent, bit for bit, of the block size and of which levels are
 requested.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +47,9 @@ from .dynamics import (
     _edge_keys,
     _mix64,
     _mix64_int,
-    _poisson_cdf,
+    _skeleton,
+    _slots,
+    _tick_time,
     _unit,
 )
 from .errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
@@ -60,7 +68,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN4 = math.log(4.0)
 
 # ---------------------------------------------------------------------------
 # profiles and weights
@@ -256,42 +263,23 @@ class EdgeSkeleton:
     states: tuple
 
 
-def _check_horizon(T):
-    """Refuses a horizon whose Poisson(T) count table would fail.
-
-    The table starts at exp(-T); below the smallest normal double it loses
-    precision, and past T ~ 745 it is all zeros, which would give every
-    edge the same update count.
-    """
-    if math.exp(-T) < sys.float_info.min:
-        raise ValueError("horizon must be at most %.2f (exp(-T) leaves the normal "
-                         "float range), got %r" % (-math.log(sys.float_info.min), T))
-
-
 def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     """The deterministic update skeleton of one edge in one replica.
 
     The edge starts open with probability p, receives Poisson(T) updates
     at i.i.d. uniform times on [0, T), and each update resamples the state
-    to open with probability p.  Update times come out sorted because they
-    are built as normalized partial sums of m+1 exponential spacings, which
-    is the uniform order statistic up to equality in law.  Exposed for
-    debugging and for independent reimplementations of the exploration.
+    to open with probability p.  This is, bit for bit, the edge's history
+    in both percolation engines (`dynamics._skeleton` over ceil(T / 16)
+    slots).  T above `dynamics.EVENT_BUDGET` raises InstanceTooLarge.
+    Exposed for debugging and for independent reimplementations of the
+    exploration.
     """
-    _check_horizon(T)
+    n_slots, slot_len, cdf = _slots(1, T)
     keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
-    cdf = _poisson_cdf(T)
-    m = int(np.searchsorted(cdf, _unit(_draw(keys, _U64(0)))[0], side="right"))
     initial = int(_unit(_draw(keys, _U64(1)))[0] < p)
-    if m == 0:
-        return EdgeSkeleton(initial=initial, times=(), states=())
-    ctr = np.arange(m + 1, dtype=np.uint64)
-    spacings = -np.log1p(-_unit(_draw(keys[0], _U64(2) + _U64(2) * ctr)))
-    partial = np.cumsum(spacings)
-    times = T * partial[:m] / partial[m]
-    ctr_s = np.arange(m, dtype=np.uint64)
-    states = _unit(_draw(keys[0], _U64(3) + _U64(2) * ctr_s)) < p
+    _, slot, tick, states = _skeleton(keys, p, cdf, 0, n_slots)
+    times = _tick_time(slot, tick, slot_len)
     return EdgeSkeleton(initial=initial,
                         times=tuple(float(t) for t in times),
                         states=tuple(int(s) for s in states))
@@ -301,24 +289,10 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
 # vectorized lazy exploration
 
 
-def _ragged_positions(counts):
-    """Flat destination indices for ragged rows: offset_i + 0..counts_i-1."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), 0
-    offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    return np.repeat(offsets, counts) + within, total
-
-
 def _gather_ragged(src_offsets, counts):
     """Source indices picking `counts_i` consecutive items from offset i."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    return np.repeat(src_offsets, counts) + within
+    shift = src_offsets - (np.cumsum(counts) - counts)
+    return np.repeat(shift, counts) + np.arange(int(counts.sum()))
 
 
 class _Frontier:
@@ -335,7 +309,7 @@ class _Frontier:
         self.rc = rc        # intervals per vertex (int64, >= 1)
 
 
-def _level_step(front, c, offset, p, cdf, horizon):
+def _level_step(front, c, offset, p, slots, horizon):
     """Descend one level: sample child edges, intersect reach with open sets."""
     F = front.rep.size
     col = np.arange(c, dtype=np.uint64)
@@ -348,8 +322,10 @@ def _level_step(front, c, offset, p, cdf, horizon):
         col * _U64(_KEY_EDGE)).ravel())
     E = F * c
 
-    m = np.searchsorted(cdf, _unit(_draw(keys, _U64(0))), side="right")
+    n_slots, slot_len, cdf = slots
     s0 = _unit(_draw(keys, _U64(1))) < p
+    edge, slot, tick, st_ev = _skeleton(keys, p, cdf, 0, n_slots)
+    m = np.bincount(edge, minlength=E)
     parent = np.repeat(np.arange(F, dtype=np.int64), c)
 
     roffsets = np.cumsum(front.rc) - front.rc
@@ -364,30 +340,14 @@ def _level_step(front, c, offset, p, cdf, horizon):
     if lidx.size:
         mL = m[lidx]
         s0L = s0[lidx]
-        keysL = keys[lidx]
         L = lidx.size
-        tot = int(mL.sum())
         eseq = np.repeat(np.arange(L, dtype=np.int64), mL)
         cm = np.cumsum(mL)
         hpos = cm - mL
         last = cm - 1
-        occ = np.arange(tot, dtype=np.uint64) - np.repeat(
-            hpos.astype(np.uint64), mL)
-        kk = keysL[eseq]
-        # update times arrive sorted per edge: normalized partial sums of
-        # m+1 exponential spacings are the uniform order statistics
-        spac = -np.log1p(-_unit(_draw(kk, _U64(2) + _U64(2) * occ)))
-        cums = np.cumsum(spac)
-        base = np.empty(L)
-        base[0] = 0.0
-        base[1:] = cums[hpos[1:] - 1]
-        partial = cums - np.repeat(base, mL)
-        closing = -np.log1p(-_unit(_draw(keysL, _U64(2) + _U64(2) * mL.astype(np.uint64))))
-        totals = partial[last] + closing
-        t_ev = horizon * partial / np.repeat(totals, mL)
-        st_ev = _unit(_draw(kk, _U64(3) + _U64(2) * occ)) < p
+        t_ev = _tick_time(slot, tick, slot_len)
 
-        prev = np.empty(tot, dtype=bool)
+        prev = np.empty(st_ev.size, dtype=bool)
         prev[1:] = st_ev[:-1]
         prev[hpos] = s0L
         flip = st_ev != prev
@@ -406,14 +366,8 @@ def _level_step(front, c, offset, p, cdf, horizon):
         open_s = np.empty(total_o)
         open_e = np.empty(total_o)
         open_s[ooff_raw[s0L]] = 0.0
-        rise_e = eseq[rise]
-        within_r = np.arange(rise_e.size) - np.repeat(
-            np.cumsum(risecnt) - risecnt, risecnt)
-        open_s[ooff_raw[rise_e] + s0L[rise_e] + within_r] = t_ev[rise]
-        fall_e = eseq[fall]
-        within_f = np.arange(fall_e.size) - np.repeat(
-            np.cumsum(fallcnt) - fallcnt, fallcnt)
-        open_e[ooff_raw[fall_e] + within_f] = t_ev[fall]
+        open_s[_gather_ragged(ooff_raw + s0L, risecnt)] = t_ev[rise]
+        open_e[_gather_ragged(ooff_raw, fallcnt)] = t_ev[fall]
         open_e[ooff_raw[final] + fallcnt[final]] = horizon
         pos = open_s < open_e  # drop zero-length spans from colliding times
         if not np.all(pos):
@@ -577,7 +531,7 @@ def _union_stats(front, base_rep, nrep, horizon, init, C, S):
                      minlength=nrep).astype(np.int64)
 
 
-def _explore_block(children, offsets, level_set, p, cdf, horizon, rep_lo,
+def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
                    rep_hi, seed0):
     """All requested levels for replicas [rep_lo, rep_hi) in one descent."""
     nrep = rep_hi - rep_lo
@@ -594,7 +548,7 @@ def _explore_block(children, offsets, level_set, p, cdf, horizon, rep_lo,
     )
     for k in range(1, max(level_set) + 1):
         front = _level_step(front, children[k - 1], offsets[k], p,
-                            cdf, horizon)
+                            slots, horizon)
         if k in level_set:
             init, C, S = out[k]
             _union_stats(front, rep_lo, nrep, horizon, init, C, S)
@@ -712,7 +666,9 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     itself only ever touches edges on some momentarily-open root path.
 
     A zero horizon degenerates to static percolation of the initial edge
-    states: switch counts are zero and p_one equals p_always_one.
+    states: switch counts are zero and p_one equals p_always_one.  A
+    horizon at which the c_1 root edges expect more than
+    `dynamics.EVENT_BUDGET` updates raises InstanceTooLarge.
     """
     profile = _as_profile(profile)
     levels = sorted(set(int(L) for L in levels))
@@ -724,11 +680,11 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
         raise ValueError("p must lie in [0, 1], got %r" % (p,))
     if not T >= 0:
         raise ValueError("horizon must be >= 0, got %r" % (T,))
-    _check_horizon(T)
     if replicas < 1:
         raise ValueError("replicas must be >= 1, got %r" % (replicas,))
     if not 0 <= seed < 2 ** 64:
         raise ValueError("seed must be a 64-bit nonnegative integer")
+    slots = _slots(profile.children[0], T)
     need = profile.edge_count(levels[-1])
     if need > edge_cap:
         raise InstanceTooLarge(
@@ -741,14 +697,13 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     horizon = T if T > 0 else 1.0
     seed0 = _mix64_int(seed)
     level_set = set(levels)
-    cdf = _poisson_cdf(T)
 
     agg = {L: (np.zeros(replicas, dtype=np.uint8),
                np.zeros(replicas, dtype=np.int64),
                np.zeros(replicas, dtype=np.int64)) for L in levels}
     for lo in range(0, replicas, _block):
         hi = min(lo + _block, replicas)
-        block = _explore_block(children, offsets, level_set, p, cdf, horizon,
+        block = _explore_block(children, offsets, level_set, p, slots, horizon,
                                lo, hi, seed0)
         for L in levels:
             for dst, src in zip(agg[L], block[L]):

@@ -104,6 +104,13 @@ class TestSimulate:
         assert captured.err.startswith("resource limit:")
         assert "Traceback" not in captured.err
 
+    def test_arity_cap_exit_3(self, capsys):
+        code = cli.main(["simulate", "itermaj3:20", "--replicas", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit:")
+
     def test_nan_horizon_exit_2(self, capsys):
         code = cli.main(["simulate", "maj:9", "--T", "nan", "--replicas", "10"])
         captured = capsys.readouterr()
@@ -313,13 +320,19 @@ class TestPerc:
         assert code == 3
         assert out == ""
 
-    def test_run_horizon_past_poisson_table_exit_2(self, capsys):
-        code = cli.main(["perc", "run", "--profile", "2,2", "--levels", "2",
-                         "--T", "800", "--replicas", "10"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: horizon must be at most")
+    def test_run_horizon_past_event_budget_exit_3(self, capsys):
+        code, out = run_cli(capsys, "perc", "run", "--profile", "2,2",
+                            "--levels", "2", "--T", "800", "--replicas", "10")
+        assert code == 0
+        assert validated(out)["T"] == 800.0
+        for T in ("inf", "1e7"):
+            code = cli.main(["perc", "run", "--profile", "2,2", "--levels", "2",
+                             "--T", T, "--replicas", "10"])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert captured.err.startswith("resource limit:")
+            assert "Traceback" not in captured.err
 
     def test_missing_or_malformed_profile_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boolvol import functions as bf
-from boolvol.errors import ArityMismatch, IndexOutOfRange, InvalidSpec
+from boolvol.errors import ArityMismatch, IndexOutOfRange, InstanceTooLarge, InvalidSpec
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ def test_invalid_specs():
         bf.make_instance(bf.FunctionSpec.perc((2, 0), 2))  # child count < 1
     with pytest.raises(InvalidSpec):
         bf.make_instance(bf.FunctionSpec.parity(0))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(InstanceTooLarge):
         bf.make_instance(bf.FunctionSpec.bigtame(21))  # arity above 2^31 - 1
 
 

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from boolvol import oracle, perctree
-from boolvol.dynamics import DynamicsParams, estimate_C_distribution
+from boolvol.dynamics import (
+    EVENT_BUDGET,
+    DynamicsParams,
+    estimate_C_distribution,
+    simulate_trajectory,
+)
 from boolvol.errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
 from boolvol.functions import FunctionSpec, make_instance, parse_spec
 from boolvol.perctree import (
@@ -193,13 +198,32 @@ class TestEdgeSkeleton:
         states = [s for sk in sks for s in sk.states]
         assert abs(np.mean(states) - p) <= 4 * binom_se(p, len(states))
 
-    def test_horizon_past_poisson_table_refused(self):
-        # exp(-T) leaves the normal float range past T ~ 708.4; the Poisson
-        # count table would then give every edge the same count
-        assert len(edge_skeleton(1, 0, 0, T=708.0).times) > 0
-        for T in (709.0, 800.0, math.inf):
-            with pytest.raises(ValueError, match="horizon"):
+    def test_horizon_past_event_budget_refused(self):
+        # a long horizon is slotted, so its update counts stay Poisson(T)
+        # where one Poisson(T) table would underflow (T > ~745)
+        T, N = 800.0, 200
+        counts = np.array([len(edge_skeleton(1, r, 0, T=T).times) for r in range(N)])
+        assert abs(counts.mean() - T) <= 4 * math.sqrt(T / N)
+        assert counts.std() > 0
+        for T in (math.inf, 2.0 * EVENT_BUDGET):
+            with pytest.raises(InstanceTooLarge):
                 edge_skeleton(1, 0, 0, T=T)
+
+    @pytest.mark.parametrize("T", [1.0, 2.5, 40.0])
+    def test_single_edge_trajectory_is_edge_skeleton(self, T):
+        # perc:1:1 is one edge; its output switches where the edge flips
+        inst = make_instance(parse_spec("perc:1:1"))
+        params = DynamicsParams(p=0.4, T=T, seed=21, replicas=30)
+        for r in range(30):
+            sk = edge_skeleton(21, r, 0, p=0.4, T=T)
+            flips, cur = [], sk.initial
+            for t, s in zip(sk.times, sk.states):
+                if s != cur:
+                    flips.append(t)
+                cur = s
+            tr = simulate_trajectory(inst, params, r)
+            assert tr.initial_output == sk.initial
+            assert tr.switch_times == flips
 
     def test_degenerate_p(self):
         assert edge_skeleton(1, 0, 0, p=0.0).initial == 0
@@ -375,6 +399,21 @@ class TestRegimeExperiment:
         se_c = math.sqrt(lazy.empirical.var_C / 1200 + eager.var_C / 1200)
         assert abs(lazy.mean_C - eager.mean_C) <= 4.5 * se_c
 
+    @pytest.mark.parametrize("T", [1.0, 2.5, 40.0, 800.0])
+    def test_matches_eager_engine_exactly(self, T):
+        # both engines replay each edge from the same slotted skeleton
+        children, level = ((2, 3, 2), 3) if T < 100 else ((2, 2), 2)
+        replicas = 400 if T < 100 else 20
+        lazy = regime_experiment(LevelProfile(children), [level], p=0.4, T=T,
+                                 replicas=replicas, seed=17).levels[0].empirical
+        inst = make_instance(FunctionSpec.perc(children, level))
+        eager = estimate_C_distribution(
+            inst, DynamicsParams(p=0.4, T=T, seed=17, replicas=replicas))
+        assert np.array_equal(lazy.initial, eager.initial)
+        assert np.array_equal(lazy.C, eager.C)
+        assert np.array_equal(lazy.S, eager.S)
+        assert lazy.C.sum() > 0
+
     def test_always_zero_lower_bound(self):
         # a root edge that starts closed and never updates stays closed;
         # with c_1 root edges: P(always zero) >= ((1/2) e^{-1})^{c_1}
@@ -426,11 +465,13 @@ class TestRegimeExperiment:
         with pytest.raises(ValueError, match="horizon"):
             regime_experiment(prof, [1], T=float("nan"), replicas=10, seed=1)
 
-    def test_horizon_past_poisson_table_refused(self):
+    def test_horizon_past_event_budget_refused(self):
+        # the budget counts the root edges' expected updates, c_1 * T
         prof = LevelProfile((2, 2))
-        assert regime_experiment(prof, [1], T=708.0, replicas=2, seed=1).T == 708.0
-        with pytest.raises(ValueError, match="horizon must be at most"):
-            regime_experiment(prof, [1], T=800.0, replicas=10, seed=1)
+        assert regime_experiment(prof, [1], T=800.0, replicas=2, seed=1).T == 800.0
+        for T in (math.inf, EVENT_BUDGET / 2 * 1.001):
+            with pytest.raises(InstanceTooLarge, match="events per replica"):
+                regime_experiment(prof, [2], T=T, replicas=10, seed=1)
 
     def test_edge_cap(self):
         prof = LevelProfile(NALPHA3_CHILDREN)
