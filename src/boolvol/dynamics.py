@@ -226,7 +226,7 @@ def _skeleton(keys, p, cdf, j0, j1):
     counts = np.searchsorted(cdf, _unit(_draw(gkeys, _U64(0))), side="right")
     nz = np.flatnonzero(counts)
     owner, tick, value = _slot_ticks(gkeys[nz], counts[nz], p)
-    clock, slot = np.divmod(nz, nsl) if nsl > 1 else (nz, np.zeros_like(nz))
+    clock, slot = np.divmod(nz, nsl)
     return clock[owner], slot[owner], tick, value
 
 

@@ -17,6 +17,8 @@ fixed-point ticks.  Edge e of `perc:children:L` therefore has the same
 history here and in `dynamics`, and the two engines agree replica by
 replica.  A replica whose c_1 root edges expect more than
 `dynamics.EVENT_BUDGET` updates (c_1 * T) is refused before any draw.
+A replica expected to draw more than _BLOCK_DRAWS edges and updates in
+its descent is refused too; a block of replicas holds at most that many.
 
 The exploration descends lazily: a vertex is visited only while some time
 interval keeps its whole root path open.  Interval endpoints are derived
@@ -42,6 +44,7 @@ from .dynamics import (
     _KEY_EDGE,
     _KEY_REPLICA,
     _U64,
+    DynamicsParams,
     EmpiricalC,
     _draw,
     _edge_keys,
@@ -99,10 +102,7 @@ class LevelProfile:
         """Exact number of level-k vertices (arbitrary-precision integer)."""
         if not 0 <= k <= self.n_levels:
             raise InvalidSpec("level %d outside 0..%d" % (k, self.n_levels))
-        out = 1
-        for c in self.children[:k]:
-            out *= c
-        return out
+        return self.vertex_counts()[k]
 
     def vertex_counts(self):
         out = [1]
@@ -270,10 +270,11 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     at i.i.d. uniform times on [0, T), and each update resamples the state
     to open with probability p.  This is, bit for bit, the edge's history
     in both percolation engines (`dynamics._skeleton` over ceil(T / 16)
-    slots).  T above `dynamics.EVENT_BUDGET` raises InstanceTooLarge.
-    Exposed for debugging and for independent reimplementations of the
-    exploration.
+    slots).  p and T are checked as in `regime_experiment`; T above
+    `dynamics.EVENT_BUDGET` raises InstanceTooLarge.  Exposed for
+    debugging and for independent reimplementations of the exploration.
     """
+    DynamicsParams(p=p, T=T, seed=seed, replicas=1)
     n_slots, slot_len, cdf = _slots(1, T)
     keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
@@ -382,37 +383,27 @@ def _level_step(front, c, offset, p, slots, horizon):
         nR = front.rc[lpar]
         roffL = roffsets[lpar]
 
-        # single-interval reach: clip every open span against it
-        caseA = (nR == 1) & (nO > 0)
-        if np.any(caseA):
-            aidx = np.flatnonzero(caseA)
-            nOa = nO[aidx]
-            gO = _gather_ragged(ooffsets[aidx], nOa)
-            lo = np.repeat(front.rs[roffL[aidx]], nOa)
-            hi = np.repeat(front.re[roffL[aidx]], nOa)
-            sA = np.maximum(open_s[gO], lo)
-            eA = np.minimum(open_e[gO], hi)
-            keepA = sA < eA
-            cntA = np.bincount(np.repeat(np.arange(aidx.size), nOa)[keepA],
-                               minlength=aidx.size)
-            nc_all[lidx[aidx]] = cntA
-            clips.append((aidx, cntA, sA[keepA], eA[keepA]))
+        def clip(case, n, off, s, e, one, one_s, one_e):
+            # edges in `case`: n intervals from off clipped to interval one
+            idx = np.flatnonzero(case)
+            if idx.size == 0:
+                return
+            n, one = n[idx], one[idx]
+            g = _gather_ragged(off[idx], n)
+            cs = np.maximum(s[g], np.repeat(one_s[one], n))
+            ce = np.minimum(e[g], np.repeat(one_e[one], n))
+            keep = cs < ce
+            cnt = np.bincount(np.repeat(np.arange(idx.size), n)[keep],
+                              minlength=idx.size)
+            nc_all[lidx[idx]] = cnt
+            clips.append((idx, cnt, cs[keep], ce[keep]))
 
-        # single open span against a fragmented reach: clip the reach
-        caseB = (nR > 1) & (nO == 1)
-        if np.any(caseB):
-            bidx = np.flatnonzero(caseB)
-            nRb = nR[bidx]
-            gR = _gather_ragged(roffL[bidx], nRb)
-            lo = np.repeat(open_s[ooffsets[bidx]], nRb)
-            hi = np.repeat(open_e[ooffsets[bidx]], nRb)
-            sB = np.maximum(front.rs[gR], lo)
-            eB = np.minimum(front.re[gR], hi)
-            keepB = sB < eB
-            cntB = np.bincount(np.repeat(np.arange(bidx.size), nRb)[keepB],
-                               minlength=bidx.size)
-            nc_all[lidx[bidx]] = cntB
-            clips.append((bidx, cntB, sB[keepB], eB[keepB]))
+        # a single-interval reach clips every open span; a single open
+        # span clips a fragmented reach
+        clip((nR == 1) & (nO > 0), nO, ooffsets, open_s, open_e,
+             roffL, front.rs, front.re)
+        clip((nR > 1) & (nO == 1), nR, roffL, front.rs, front.re,
+             ooffsets, open_s, open_e)
 
         # fragmented on both sides (rare): event-count sweep
         sweep = (nR > 1) & (nO > 1)
@@ -567,6 +558,26 @@ def _edge_offsets(children):
     return offsets
 
 
+# expected edges and updates drawn per block (about 80 bytes each at peak)
+_BLOCK_DRAWS = 1 << 20
+
+
+def _draws_per_replica(children, p, T):
+    """Upper bound on one replica's expected draws: edges plus updates.
+
+    A level-k edge is drawn when its parent's k-1 path edges are open at a
+    common time in [0, T]: each is ever open with probability
+    q = 1 - (1-p) e^{-pT}, and the path is open at time 0 or opens at an
+    update, so the chance is at most min(q^(k-1), p^(k-1) (1 + (k-1)(1-p) T)).
+    """
+    q = 1.0 - (1.0 - p) * math.exp(-p * T)
+    draws, v = 0.0, 1.0
+    for k, c in enumerate(children):
+        v *= c
+        draws += v * min(q ** k, p ** k * (1.0 + k * (1.0 - p) * T)) * (1.0 + T)
+    return draws
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -668,7 +679,8 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     A zero horizon degenerates to static percolation of the initial edge
     states: switch counts are zero and p_one equals p_always_one.  A
     horizon at which the c_1 root edges expect more than
-    `dynamics.EVENT_BUDGET` updates raises InstanceTooLarge.
+    `dynamics.EVENT_BUDGET` updates, or one replica more than _BLOCK_DRAWS
+    draws (edges and updates), raises InstanceTooLarge.
     """
     profile = _as_profile(profile)
     levels = sorted(set(int(L) for L in levels))
@@ -676,22 +688,21 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
         raise InvalidSpec("at least one level is required")
     if levels[0] < 1 or levels[-1] > profile.n_levels:
         raise InvalidSpec("levels %r outside 1..%d" % (levels, profile.n_levels))
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1], got %r" % (p,))
-    if not T >= 0:
-        raise ValueError("horizon must be >= 0, got %r" % (T,))
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1, got %r" % (replicas,))
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError("seed must be a 64-bit nonnegative integer")
+    DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
     slots = _slots(profile.children[0], T)
     need = profile.edge_count(levels[-1])
     if need > edge_cap:
         raise InstanceTooLarge(
             "level-%d tree needs %d edges, budget is %d"
             % (levels[-1], need, edge_cap))
-
     children = profile.children
+    draws = _draws_per_replica(children[:levels[-1]], p, T)
+    if not draws <= _BLOCK_DRAWS:
+        raise InstanceTooLarge(
+            "a level-%d replica at horizon %g expects up to %.3g draws, "
+            "budget is %d" % (levels[-1], T, draws, _BLOCK_DRAWS))
+    _block = max(1, min(_block, int(_BLOCK_DRAWS // draws)))
+
     offsets = _edge_offsets(children[:levels[-1]])
     # a zero horizon still needs nonempty intervals to carry initial states
     horizon = T if T > 0 else 1.0

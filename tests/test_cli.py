@@ -325,7 +325,8 @@ class TestPerc:
                             "--levels", "2", "--T", "800", "--replicas", "10")
         assert code == 0
         assert validated(out)["T"] == 800.0
-        for T in ("inf", "1e7"):
+        # 1e6 passes the root edges' c_1 * T but not one replica's descent
+        for T in ("inf", "1e7", "1e6"):
             code = cli.main(["perc", "run", "--profile", "2,2", "--levels", "2",
                              "--T", T, "--replicas", "10"])
             captured = capsys.readouterr()

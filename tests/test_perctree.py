@@ -225,6 +225,13 @@ class TestEdgeSkeleton:
             assert tr.initial_output == sk.initial
             assert tr.switch_times == flips
 
+    def test_validation(self):
+        for T in (-20.0, float("nan")):
+            with pytest.raises(ValueError, match="horizon"):
+                edge_skeleton(1, 0, 0, T=T)
+        with pytest.raises(ValueError, match="p must"):
+            edge_skeleton(1, 0, 0, p=2.0)
+
     def test_degenerate_p(self):
         assert edge_skeleton(1, 0, 0, p=0.0).initial == 0
         assert edge_skeleton(1, 0, 0, p=1.0).initial == 1
@@ -472,6 +479,39 @@ class TestRegimeExperiment:
         for T in (math.inf, EVENT_BUDGET / 2 * 1.001):
             with pytest.raises(InstanceTooLarge, match="events per replica"):
                 regime_experiment(prof, [2], T=T, replicas=10, seed=1)
+        # the root edges expect 2e6 updates, under EVENT_BUDGET, but one
+        # replica's descent expects about 6e6 draws
+        with pytest.raises(InstanceTooLarge, match="draws"):
+            regime_experiment(prof, [2], T=1e6, replicas=1, seed=1)
+
+    def test_draw_bound_sets_the_block(self, monkeypatch):
+        # at this horizon every edge is drawn, so the bound is the exact
+        # mean; a block holds at most _BLOCK_DRAWS expected draws
+        children, T = (2, 2), 2000.0
+        bound = perctree._draws_per_replica(children, 0.5, T)
+        blocks, drawn = [], [0]
+        explore, skeleton = perctree._explore_block, perctree._skeleton
+
+        def explore_spy(*args):
+            blocks.append(args[-2] - args[-3])
+            return explore(*args)
+
+        def skeleton_spy(keys, *args):
+            out = skeleton(keys, *args)
+            drawn[0] += keys.size + out[0].size
+            return out
+
+        monkeypatch.setattr(perctree, "_explore_block", explore_spy)
+        monkeypatch.setattr(perctree, "_skeleton", skeleton_spy)
+        rep = regime_experiment(LevelProfile(children), [2], T=T, replicas=100, seed=3)
+        assert len(blocks) > 1
+        assert max(blocks) * bound <= perctree._BLOCK_DRAWS < (max(blocks) + 1) * bound
+        assert sum(blocks) == 100
+        # the bound is on the mean; the total draw count is near Poisson
+        assert drawn[0] <= 100 * bound + 4.5 * math.sqrt(100 * bound)
+        small = regime_experiment(LevelProfile(children), [2], T=T, replicas=100,
+                                  seed=3, _block=7).levels[0].empirical
+        assert np.array_equal(rep.levels[0].empirical.C, small.C)
 
     def test_edge_cap(self):
         prof = LevelProfile(NALPHA3_CHILDREN)
