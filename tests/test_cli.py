@@ -138,6 +138,14 @@ class TestInfluence:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("p", ["1.5", "nan"])
+    def test_p_outside_unit_interval_exit_2(self, capsys, p):
+        code = cli.main(["influence", "maj:5", "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: p must lie in [0, 1]")
+
 
 class TestJointNoise:
     def test_joint_payload(self, capsys):

@@ -1,5 +1,9 @@
 """Exact enumeration oracle: frozen values and dual-route differentials."""
 
+import functools
+import itertools
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +167,19 @@ def test_noise_matches_naive_pair_enumeration(text):
     assert abs(res.joint - joint) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [-0.1, 1.5, float("nan")])
+def test_probabilities_outside_unit_interval_rejected(bad):
+    f = inst("maj:3")
+    for call in (lambda: oracle.exact_prob_one(f, bad),
+                 lambda: oracle.exact_influence_report(f, bad),
+                 lambda: oracle.exact_total_influence(f, bad),
+                 lambda: oracle.exact_noise_covariance(f, bad, 0.2)):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            call()
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+        oracle.exact_noise_covariance(f, 0.5, bad)
+
+
 def test_noise_arity_cap():
     with pytest.raises(ArityTooLarge):
         oracle.exact_noise_covariance(inst("maj:21"), 0.5, 0.1)
@@ -239,6 +256,136 @@ def test_table_rejects_bad_length():
         oracle.import_truth_table([1])
 
 
+@pytest.mark.parametrize("bits", [[0, 1.5], [0, -1], [0, 2], ["0", "1"]],
+                         ids=["fraction", "negative", "two", "string"])
+def test_table_rejects_non_bit_entries(bits):
+    with pytest.raises(ValueError, match="table entries must be 0 or 1"):
+        oracle.import_truth_table(bits)
+
+
+def test_table_accepts_bool_and_integer_entries():
+    for bits in ([False, True], np.array([0, 1], dtype=np.int64), [np.uint8(0), 1]):
+        assert oracle.import_truth_table(bits).evaluate_rows(all_configs(1)).tolist() == [0, 1]
+
+
 def test_table_rejects_oversize():
     with pytest.raises(ArityTooLarge):
         oracle.import_truth_table(np.zeros(2**25, dtype=np.uint8))
+
+
+# -- differential: an independent itertools.product enumerator ---------------
+
+REFERENCE_FAMILIES = ["dictator:3", "parity:8", "dap:7", "type2:8", "maj:9", "bigtame:1",
+                      "itermaj3:2", "andor:2", "perc:2,2:2", "perc:3,2:2", "table"]
+
+
+def ref_instance(text):
+    if text == "table":
+        bits = np.random.default_rng(11).integers(0, 2, 64)
+        return bf.make_instance(bf.FunctionSpec.truth_table(bits.tolist()))
+    return inst(text)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_counts(text):
+    """Integer counts from which every oracle quantity follows exactly.
+
+    Configurations come from itertools.product (bit 0 first) and outputs
+    from each family's incremental-state constructor, one at a time, so
+    neither the chunked enumeration nor the vectorized evaluators is used.
+    """
+    f = ref_instance(text)
+    m = f.arity
+    out = {}
+    for x in itertools.product((0, 1), repeat=m):
+        out[x] = f.build_state(list(x)).output
+    ones = Counter(sum(x) for x, v in out.items() if v)
+    flips = Counter()  # (bit, ones of x, x_i) where flipping bit i changes f
+    for x, v in out.items():
+        for i in range(m):
+            y = x[:i] + (1 - x[i],) + x[i + 1:]
+            if out[y] != v:
+                flips[i, sum(x), x[i]] += 1
+    pairs = Counter()  # (n01, n10, n11) over pairs of configurations with f = 1
+    support = [x for x, v in out.items() if v]
+    for x in support:
+        for y in support:
+            n01 = sum(1 for a, b in zip(x, y) if (a, b) == (0, 1))
+            n10 = sum(1 for a, b in zip(x, y) if (a, b) == (1, 0))
+            n11 = sum(1 for a, b in zip(x, y) if (a, b) == (1, 1))
+            pairs[n01, n10, n11] += 1
+    return m, ones, flips, pairs
+
+
+def reference_values(text, p, eps):
+    m, ones, flips, pairs = reference_counts(text)
+    p, eps = Fraction(p), Fraction(eps)
+
+    def w(j):
+        return p**j * (1 - p) ** (m - j)
+
+    q = sum(c * w(j) for j, c in ones.items())
+    piv, infl = [Fraction(0)] * m, [Fraction(0)] * m
+    for (i, j, xi), c in flips.items():
+        piv[i] += c * w(j)
+        infl[i] += c * w(j) * (1 - p if xi else p)
+    mu = (1 - p, p)
+    k = [[mu[a] * ((1 - eps) * (a == b) + eps * mu[b]) for b in (0, 1)] for a in (0, 1)]
+    joint = sum(c * k[0][0] ** (m - n01 - n10 - n11) * k[0][1] ** n01 * k[1][0] ** n10
+                * k[1][1] ** n11 for (n01, n10, n11), c in pairs.items())
+    return q, infl, piv, joint
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("text", REFERENCE_FAMILIES)
+def test_oracles_match_independent_enumerator(text, p):
+    f = ref_instance(text)
+    assert f.arity <= 10
+    q, infl, piv, _ = reference_values(text, p, 0.0)
+    rep = oracle.exact_influence_report(f, p)
+    got = [oracle.exact_prob_one(f, p)]
+    got += [x for _, a, b in rep.per_bit for x in (a, b)]
+    want = [q] + [x for a, b in zip(infl, piv) for x in (a, b)]
+    assert [i for i, _, _ in rep.per_bit] == list(range(f.arity))
+    if p == 0.5:
+        # exact dyadic rationals
+        assert got == [float(x) for x in want]
+    for g, x in zip(got, want):
+        assert abs(g - float(x)) <= 1e-12
+    for eps in (0.0, 0.37, 1.0):
+        _, _, _, joint = reference_values(text, p, eps)
+        res = oracle.exact_noise_covariance(f, p, eps)
+        assert abs(res.joint - float(joint)) <= 1e-12
+        assert abs(res.covariance - float(joint - q * q)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [15, 16, 17])
+def test_chunks_bit_convention_across_blocks(m):
+    # m = 16 fills one block exactly; m = 17 spans two, reusing the buffer
+    start = 0
+    for idx, bits in oracle._chunks(m):
+        assert idx[0] == start and bits.shape == (idx.size, m)
+        np.testing.assert_array_equal(bits, all_configs(m)[idx])
+        start += idx.size
+    assert start == 1 << m
+    table = np.random.default_rng(m).integers(0, 2, 1 << m).astype(np.uint8)
+    np.testing.assert_array_equal(oracle._truth_values(oracle.import_truth_table(table)), table)
+
+
+@pytest.mark.parametrize("entry,text,bytes_per_config", [
+    ("influence", "parity:21", 8), ("prob_one", "dap:21", 8), ("noise", "maj:17", 40)])
+def test_peak_memory_per_configuration(entry, text, bytes_per_config):
+    # one uint8 truth table and popcount table per call, and bincount's intp
+    # copy bounded by slices: parity makes every pair differ, the case an
+    # unsliced bincount would blow up
+    f = inst(text)
+    runs = {"influence": lambda: oracle.exact_influence_report(f, 0.3),
+            "prob_one": lambda: oracle.exact_prob_one(f, 0.3),
+            "noise": lambda: oracle.exact_noise_covariance(f, 0.3, 0.4)}
+    tracemalloc.start()
+    try:
+        runs[entry]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_config * 2**f.arity
