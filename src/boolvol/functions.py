@@ -26,7 +26,11 @@ perc) declare themselves as read-once trees of threshold nodes, bottom up
 (`steps`, `TreeStep`); one vectorised pass over a block of configurations
 (`input_counts`) gives every node's input count, and `evaluate_rows`,
 `build_state` and the level-by-level Monte Carlo replay in `dynamics` all
-read it.  The incremental states (`apply_update`) stay the reference.
+read it.  Two generic incremental states (`build_state`, `apply_update`)
+replay the same declarations bit by bit: one keeps the counter sums, the
+other the tree's node counts.  Since every route shares the declarations,
+the tests check them against each family's definition written out directly
+(recursively for the trees).
 
 Bit-to-vertex conventions (fixed so results are reproducible):
 itermaj3 leaves are numbered left to right; andor gate bits map to
@@ -38,7 +42,6 @@ k is (number of edges above level k) + j.
 
 from __future__ import annotations
 
-import bisect
 import os
 import re
 from dataclasses import dataclass
@@ -198,11 +201,22 @@ class EvaluationState:
     """Mutable per-instance cache for single-bit updates.
 
     `config` always mirrors the current bits, `output` the cached output,
-    and `recompute_count` the cumulative number of vertex recomputations
-    (at most depth+1 per update on tree families).
+    and `recompute_count` the cumulative number of vertices recomputed.
+    Two generic states replay every family from its declaration: a counter
+    state keeps the `counter_weights` sums (one recompute per update), a
+    tree state keeps each `TreeStep` node's input count and walks up while
+    node outputs flip.  A walk counts its entry node and every step it
+    climbs into whose node gathers more than one node of the step below,
+    so an update costs at most depth+1.  Subclasses set `output` in
+    `__init__` and return the new output from `_propagate(i, delta)`.
     """
 
     __slots__ = ("instance", "config", "output", "recompute_count")
+
+    def __init__(self, instance, config):
+        self.instance = instance
+        self.config = config
+        self.recompute_count = 0
 
     def apply_update(self, bit_index, new_value):
         """Sets one bit and incrementally refreshes the cached output.
@@ -220,181 +234,66 @@ class EvaluationState:
         if v == old:
             return self.output, False
         self.config[i] = v
-        return self._propagate(i, v, old)
-
-
-class _DictatorState(EvaluationState):
-    __slots__ = ()
-
-    def _propagate(self, i, v, old):
-        self.recompute_count += 1
-        if i != 0:
-            return self.output, False
-        self.output = v
-        return v, True
-
-
-class _ParityState(EvaluationState):
-    __slots__ = ()
-
-    def _propagate(self, i, v, old):
-        self.recompute_count += 1
-        self.output ^= 1
-        return self.output, True
-
-
-class _DapState(EvaluationState):
-    __slots__ = ("rest_parity",)
-
-    def _propagate(self, i, v, old):
-        self.recompute_count += 1
-        if i != 0:
-            self.rest_parity ^= 1
-        out = 1 if (self.config[0] == 1 and self.rest_parity == 0) else 0
+        out = self._propagate(i, v - old)
         changed = out != self.output
         self.output = out
         return out, changed
 
 
-class _Type2State(EvaluationState):
-    __slots__ = ("tail_parity",)
+class _CounterState(EvaluationState):
+    # sums = config @ counter_weights; an update adds or subtracts row i
+    __slots__ = ("weights", "sums")
 
-    def _propagate(self, i, v, old):
+    def __init__(self, instance, config):
+        super().__init__(instance, config)
+        self.weights = instance.counter_weights()
+        self.sums = np.array(config, dtype=np.int64) @ self.weights
+        self.output = self._counter_output()
+
+    def _counter_output(self):
+        return int(self.instance.counter_output(self.sums[None, :])[0])
+
+    def _propagate(self, i, delta):
         self.recompute_count += 1
-        if i >= 2:
-            self.tail_parity ^= 1
-        out = self.config[0] if self.config[1] == 1 else self.tail_parity
-        changed = out != self.output
-        self.output = out
-        return out, changed
+        self.sums += delta * self.weights[i]
+        return self._counter_output()
 
 
-class _MajorityState(EvaluationState):
-    __slots__ = ("ones",)
+class _TreeState(EvaluationState):
+    # counts[s][j] = input count of node j of step s; bit i feeds node
+    # node[i] of step step[i].  A tree without steps outputs its one bit.
+    __slots__ = ("counts", "step", "node")
 
-    def _propagate(self, i, v, old):
+    def __init__(self, instance, config):
+        super().__init__(instance, config)
+        self.output = config[0]
+        if instance.steps:
+            rows = np.array([config], dtype=np.uint8)
+            self.counts = [c[0].tolist() for c in instance.input_counts(rows)]
+            step, node = instance.bit_inputs(np.arange(instance.arity))
+            self.step, self.node = step.tolist(), node.tolist()
+            self.output = self._root_output()
+
+    def _root_output(self):
+        return int(self.counts[-1][0] >= self.instance.steps[-1].threshold)
+
+    def _propagate(self, i, delta):
         self.recompute_count += 1
-        self.ones += v - old
-        out = 1 if self.ones >= self.instance.threshold else 0
-        changed = out != self.output
-        self.output = out
-        return out, changed
-
-
-class _BigTameState(EvaluationState):
-    __slots__ = ("sel_ones", "tail_parity")
-
-    def _propagate(self, i, v, old):
-        self.recompute_count += 1
-        n = self.instance.spec.param
-        if 1 <= i <= n:
-            self.sel_ones += v - old
-        elif i > n:
-            self.tail_parity ^= 1
-        out = self.tail_parity if self.sel_ones == n else self.config[0]
-        changed = out != self.output
-        self.output = out
-        return out, changed
-
-
-class _IterMaj3State(EvaluationState):
-    __slots__ = ("vals",)
-
-    def _propagate(self, i, v, old):
-        vals = self.vals
-        h = self.instance.leaf_base + i
-        nv = v
-        self.recompute_count += 1
-        while vals[h] != nv:
-            vals[h] = nv
-            if h == 0:
-                break
-            h = (h - 1) // 3
-            c = 3 * h
-            nv = 1 if vals[c + 1] + vals[c + 2] + vals[c + 3] >= 2 else 0
-            self.recompute_count += 1
-        out = vals[0]
-        changed = out != self.output
-        self.output = out
-        return out, changed
-
-
-class _AndOrState(EvaluationState):
-    __slots__ = ("vals", "gates")
-
-    def _propagate(self, i, v, old):
-        inst = self.instance
-        vals, gates = self.vals, self.gates
-        h = inst.node_of_bit[i]
-        gates[h] = v
-        if h >= inst.leaf_base:
-            nv = v
-        else:
-            l, r = vals[2 * h + 1], vals[2 * h + 2]
-            nv = (l | r) if v else (l & r)
-        self.recompute_count += 1
-        while vals[h] != nv:
-            vals[h] = nv
-            if h == 0:
-                break
-            h = (h - 1) >> 1
-            l, r = vals[2 * h + 1], vals[2 * h + 2]
-            nv = (l | r) if gates[h] else (l & r)
-            self.recompute_count += 1
-        out = vals[0]
-        changed = out != self.output
-        self.output = out
-        return out, changed
-
-
-class _PercState(EvaluationState):
-    # live[k][j] = number of children of vertex j (level k) whose edge is
-    # open and whose subtree reaches the bottom level; a vertex at level
-    # k < n is connected iff live[k][j] > 0, bottom vertices by definition.
-    __slots__ = ("live",)
-
-    def _propagate(self, i, v, old):
-        inst = self.instance
-        live = self.live
-        n = inst.level
-        k, j = inst.edge_level_index(i)
-        conn_child = 1 if k == n else (1 if live[k][j] > 0 else 0)
-        self.recompute_count += 1
-        delta = (v - old) * conn_child
-        if delta == 0:
-            return self.output, False
-        lvl = k - 1
-        vtx = j // inst.children[k - 1]
+        steps = self.instance.steps
+        if not steps:
+            return self.config[0]
+        s, j = self.step[i], self.node[i]
         while True:
-            cnt = live[lvl][vtx]
-            new = cnt + delta
-            live[lvl][vtx] = new
-            if (cnt > 0) == (new > 0) or lvl == 0:
-                break
-            # vertex connectivity flipped; matters above only through an
-            # open parent edge
-            if self.config[inst.offsets[lvl] + vtx] == 0:
-                break
-            delta = 1 if new > 0 else -1
-            vtx //= inst.children[lvl - 1]
-            lvl -= 1
-            self.recompute_count += 1
-        out = 1 if live[0][0] > 0 else 0
-        changed = out != self.output
-        self.output = out
-        return out, changed
-
-
-class _TableState(EvaluationState):
-    __slots__ = ("index",)
-
-    def _propagate(self, i, v, old):
-        self.recompute_count += 1
-        self.index += (v - old) * self.instance.bit_weight[i]
-        out = self.instance.table_int[self.index]
-        changed = out != self.output
-        self.output = out
-        return out, changed
+            counts, threshold = self.counts[s], steps[s].threshold
+            was = counts[j] >= threshold
+            counts[j] += delta
+            if (counts[j] >= threshold) == was or s + 1 == len(steps):
+                return self._root_output()
+            delta = -1 if was else 1
+            fan = steps[s].nodes // steps[s + 1].nodes
+            s, j = s + 1, j // fan
+            if fan > 1:
+                self.recompute_count += 1
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +304,9 @@ class FunctionInstance:
     """Immutable structural index for one family instance.
 
     Instances are safely shareable across threads/processes; all mutable
-    evaluation state lives in EvaluationState objects.
+    evaluation state lives in EvaluationState objects.  Each family class
+    defines `build_state` and `evaluate_rows` itself, because perfbench's
+    tracer wraps them class by class.
     """
 
     def __init__(self, spec, arity, depth=0):
@@ -420,12 +321,11 @@ class FunctionInstance:
         weighted bit sums config @ weights (see counter_output), else None."""
         return None
 
-    def _new_state(self, cls, config):
-        st = cls.__new__(cls)
-        st.instance = self
-        st.config = config
-        st.recompute_count = 0
-        return st
+
+def _ones(bits):
+    """Exact row sums of a 0/1 uint8 block: in uint8 below 256 columns,
+    where no sum can wrap, else in int64."""
+    return bits.sum(axis=1, dtype=np.uint8 if bits.shape[1] < 256 else np.int64)
 
 
 def _sum_weights(m, *spans):
@@ -447,14 +347,12 @@ class DictatorInstance(FunctionInstance):
         return sums[:, 0].astype(np.uint8)
 
     def build_state(self, config):
-        st = self._new_state(_DictatorState, config)
-        st.output = config[0]
-        return st
+        return _CounterState(self, config)
 
 
 class ParityInstance(FunctionInstance):
     def evaluate_rows(self, bits):
-        return (bits.sum(axis=1) & 1).astype(np.uint8)
+        return (_ones(bits) & 1).astype(np.uint8)
 
     def counter_weights(self):
         return _sum_weights(self.arity, slice(None))
@@ -463,14 +361,12 @@ class ParityInstance(FunctionInstance):
         return (sums[:, 0] & 1).astype(np.uint8)
 
     def build_state(self, config):
-        st = self._new_state(_ParityState, config)
-        st.output = sum(config) & 1
-        return st
+        return _CounterState(self, config)
 
 
 class DapInstance(FunctionInstance):
     def evaluate_rows(self, bits):
-        rest_even = (bits[:, 1:].sum(axis=1) & 1) == 0
+        rest_even = (_ones(bits[:, 1:]) & 1) == 0
         return ((bits[:, 0] == 1) & rest_even).astype(np.uint8)
 
     def counter_weights(self):
@@ -480,16 +376,12 @@ class DapInstance(FunctionInstance):
         return ((sums[:, 0] == 1) & (sums[:, 1] & 1 == 0)).astype(np.uint8)
 
     def build_state(self, config):
-        st = self._new_state(_DapState, config)
-        st.rest_parity = sum(config[1:]) & 1
-        st.output = 1 if (config[0] == 1 and st.rest_parity == 0) else 0
-        return st
+        return _CounterState(self, config)
 
 
 class Type2Instance(FunctionInstance):
     def evaluate_rows(self, bits):
-        tail = (bits[:, 2:].sum(axis=1) & 1).astype(np.uint8)
-        return np.where(bits[:, 1] == 1, bits[:, 0], tail).astype(np.uint8)
+        return np.where(bits[:, 1] == 1, bits[:, 0], _ones(bits[:, 2:]) & 1).astype(np.uint8)
 
     def counter_weights(self):
         return _sum_weights(self.arity, slice(0, 1), slice(1, 2), slice(2, None))
@@ -498,10 +390,7 @@ class Type2Instance(FunctionInstance):
         return np.where(sums[:, 1] == 1, sums[:, 0], sums[:, 2] & 1).astype(np.uint8)
 
     def build_state(self, config):
-        st = self._new_state(_Type2State, config)
-        st.tail_parity = sum(config[2:]) & 1
-        st.output = config[0] if config[1] == 1 else st.tail_parity
-        return st
+        return _CounterState(self, config)
 
 
 class MajorityInstance(FunctionInstance):
@@ -511,7 +400,7 @@ class MajorityInstance(FunctionInstance):
         self.threshold = (n + 1) // 2
 
     def evaluate_rows(self, bits):
-        return (bits.sum(axis=1) >= self.threshold).astype(np.uint8)
+        return (_ones(bits) >= self.threshold).astype(np.uint8)
 
     def counter_weights(self):
         return _sum_weights(self.arity, slice(None))
@@ -520,10 +409,7 @@ class MajorityInstance(FunctionInstance):
         return (sums[:, 0] >= self.threshold).astype(np.uint8)
 
     def build_state(self, config):
-        st = self._new_state(_MajorityState, config)
-        st.ones = sum(config)
-        st.output = 1 if st.ones >= self.threshold else 0
-        return st
+        return _CounterState(self, config)
 
 
 class BigTameInstance(FunctionInstance):
@@ -533,9 +419,8 @@ class BigTameInstance(FunctionInstance):
 
     def evaluate_rows(self, bits):
         n = self.spec.param
-        all_sel = bits[:, 1:n + 1].sum(axis=1) == n
-        tail = (bits[:, n + 1:].sum(axis=1) & 1).astype(np.uint8)
-        return np.where(all_sel, tail, bits[:, 0]).astype(np.uint8)
+        tail = _ones(bits[:, n + 1:]) & 1
+        return np.where(_ones(bits[:, 1:n + 1]) == n, tail, bits[:, 0]).astype(np.uint8)
 
     def counter_weights(self):
         n = self.spec.param
@@ -546,12 +431,7 @@ class BigTameInstance(FunctionInstance):
         return np.where(sums[:, 1] == n, sums[:, 2] & 1, sums[:, 0]).astype(np.uint8)
 
     def build_state(self, config):
-        n = self.spec.param
-        st = self._new_state(_BigTameState, config)
-        st.sel_ones = sum(config[1:n + 1])
-        st.tail_parity = sum(config[n + 1:]) & 1
-        st.output = st.tail_parity if st.sel_ones == n else config[0]
-        return st
+        return _CounterState(self, config)
 
 
 class TreeStep(NamedTuple):
@@ -610,12 +490,6 @@ class _TreeInstance(FunctionInstance):
             return rows[:, 0].copy()
         return (self.input_counts(rows)[-1][:, 0] >= self.steps[-1].threshold).astype(np.uint8)
 
-    def _node_values(self, config):
-        """Outputs of every step for one configuration, bottom up."""
-        counts = self.input_counts(np.array([config], dtype=np.uint8))
-        return [(c[0] >= st.threshold).astype(np.uint8).tolist()
-                for c, st in zip(counts, self.steps)]
-
     def bit_inputs(self, bits):
         """(step, node) fed by each bit of an int64 array."""
         pos = bits if self.bit_position is None else self.bit_position[bits]
@@ -628,7 +502,6 @@ class IterMaj3Instance(_TreeInstance):
     def __init__(self, spec):
         d = spec.param
         super().__init__(spec, 3**d, depth=d)
-        self.leaf_base = (3**d - 1) // 2
         self._declare(TreeStep(3 ** (d - 1 - s), 2, ((0, 3**d),) if s == 0 else ())
                       for s in range(d))
 
@@ -636,11 +509,7 @@ class IterMaj3Instance(_TreeInstance):
         return self._root(bits)
 
     def build_state(self, config):
-        levels = [list(config)] + self._node_values(config)
-        st = self._new_state(_IterMaj3State, config)
-        st.vals = [v for level in reversed(levels) for v in level]  # heap order
-        st.output = st.vals[0]
-        return st
+        return _TreeState(self, config)
 
 
 def _preorder_maps(n_nodes):
@@ -684,14 +553,7 @@ class AndOrInstance(_TreeInstance):
         return self._root(bits)
 
     def build_state(self, config):
-        st = self._new_state(_AndOrState, config)
-        st.gates = [config[b] for b in self.bit_of_node]
-        st.vals = list(st.gates)
-        for s, level in enumerate(self._node_values(config)):
-            lo = 2 ** (self.depth - 1 - s) - 1
-            st.vals[lo:lo + len(level)] = level
-        st.output = st.vals[0]
-        return st
+        return _TreeState(self, config)
 
 
 class TreePercInstance(_TreeInstance):
@@ -711,29 +573,17 @@ class TreePercInstance(_TreeInstance):
             offsets.append(offsets[k] + v[k])
         arity = sum(v[1:])
         super().__init__(spec, arity, depth=n)
-        self.children = children
-        self.level = n
-        self.offsets = offsets
         steps = [TreeStep(v[n - 1], 1, ((offsets[n], arity),))]
         for k in range(n - 1, 0, -1):
             steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k] + v[k]),)),
                       TreeStep(v[k - 1], 1)]
         self._declare(steps)
 
-    def edge_level_index(self, i):
-        k = bisect.bisect_right(self.offsets, i) - 1
-        return k, i - self.offsets[k]
-
     def evaluate_rows(self, bits):
         return self._root(bits)
 
     def build_state(self, config):
-        # the connecting steps count the live children of each vertex
-        counts = self.input_counts(np.array([config], dtype=np.uint8))
-        st = self._new_state(_PercState, config)
-        st.live = [c[0].tolist() for c in counts[::-2]]
-        st.output = 1 if st.live[0][0] > 0 else 0
-        return st
+        return _TreeState(self, config)
 
 
 class TableInstance(FunctionInstance):
@@ -741,10 +591,8 @@ class TableInstance(FunctionInstance):
         size = len(spec.table)
         m = size.bit_length() - 1
         super().__init__(spec, m)
-        self.table_int = list(spec.table)
         self._table_arr = np.array(spec.table, dtype=np.uint8)
-        self.bit_weight = [1 << (m - 1 - i) for i in range(m)]
-        self._weight_arr = np.array(self.bit_weight, dtype=np.int64)
+        self._weight_arr = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
 
     def evaluate_rows(self, bits):
         idx = bits.astype(np.int64) @ self._weight_arr
@@ -757,10 +605,7 @@ class TableInstance(FunctionInstance):
         return self._table_arr[sums[:, 0]]
 
     def build_state(self, config):
-        st = self._new_state(_TableState, config)
-        st.index = sum(w for w, b in zip(self.bit_weight, config) if b)
-        st.output = self.table_int[st.index]
-        return st
+        return _CounterState(self, config)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,11 @@ def _truth_values(instance):
     return out
 
 
-def _popcount(m):
-    """Number of ones of every configuration index, by doubling."""
+def _popcount(m, p):
+    """Number of ones of every configuration index, by doubling; None at
+    p = 1/2, where _class_counts needs no classes."""
+    if p == 0.5:
+        return None
     out = np.zeros(1 << m, dtype=np.uint8)
     for k in range(m):
         np.add(out[:1 << k], 1, out=out[1 << k:2 << k])
@@ -68,8 +71,9 @@ def _popcount(m):
 def _class_counts(sel, pop, p):
     """Exact count of the True entries of the bool array `sel` per number
     of ones `pop` of their configuration; at p = 1/2 every configuration
-    weighs the same, so one class holds them all.  np.bincount copies its
-    input as intp, so it sees at most _CHUNK entries at a time."""
+    weighs the same, so one class holds them all and `pop` is None.
+    np.bincount copies its input as intp, so it sees at most _CHUNK
+    entries at a time."""
     if p == 0.5:
         return [int(np.count_nonzero(sel))]
     sel, pop = sel.ravel(), pop.ravel()
@@ -84,7 +88,7 @@ def _weight_table(m, p):
 
 def _prob_one(table, p):
     m = table.size.bit_length() - 1
-    counts = _class_counts(table.view(bool), _popcount(m), p)
+    counts = _class_counts(table.view(bool), _popcount(m, p), p)
     return math.fsum(c * w for c, w in zip(counts, _weight_table(m, p)))
 
 
@@ -127,13 +131,14 @@ def exact_influence_report(instance, p):
     """Exact per-bit influence/pivotality by enumeration over all pairs."""
     _require(instance, ENUM_ARITY_CAP, p=p)
     m = instance.arity
-    table, pop, w = _truth_values(instance), _popcount(m), _weight_table(m, p)
+    table, pop, w = _truth_values(instance), _popcount(m, p), _weight_table(m, p)
     infl, pivot = [], []
     for i in range(m):
-        v, ones = table.reshape(1 << i, 2, -1), pop.reshape(1 << i, 2, -1)
+        v = table.reshape(1 << i, 2, -1)
+        ones = None if pop is None else pop.reshape(1 << i, 2, -1)[:, 0]
         # differing pairs by the ones of their bit-i = 0 member (its partner
         # has one more); a redrawn bit flips w.p. p from 0, 1-p from 1
-        pairs = list(zip(_class_counts(v[:, 0] != v[:, 1], ones[:, 0], p), w, w[1:]))
+        pairs = list(zip(_class_counts(v[:, 0] != v[:, 1], ones, p), w, w[1:]))
         pivot.append(math.fsum(c * (a + b) for c, a, b in pairs))
         infl.append(math.fsum(c * (a * p + b * (1 - p)) for c, a, b in pairs))
     return InfluenceReport(

@@ -179,7 +179,7 @@ def test_build_state_majority5():
     inst = bf.make_instance(bf.FunctionSpec.majority(5))
     st = bf.build_state(inst, [1, 0, 1, 0, 1])
     assert st.output == 1
-    assert st.ones == 3
+    assert st.sums.tolist() == [3]
 
 
 def test_build_state_itermaj3():
@@ -192,7 +192,7 @@ def test_build_state_perc_closed():
     inst = bf.make_instance(bf.FunctionSpec.perc((2,), 1))
     st = bf.build_state(inst, [0, 0])
     assert st.output == 0
-    assert st.live[0][0] == 0
+    assert st.counts[-1][0] == 0
 
 
 def test_apply_update_majority():
@@ -260,7 +260,10 @@ def test_incremental_matches_full_evaluation(spec):
     (bf.FunctionSpec.itermaj3(3), 3),
     (bf.FunctionSpec.andor(4), 4),
     (bf.FunctionSpec.perc((2, 2, 2, 2), 4), 4),
-], ids=["itermaj3", "andor", "perc"])
+    (bf.FunctionSpec.itermaj3(0), 0),
+    (bf.FunctionSpec.andor(0), 0),
+    (bf.FunctionSpec.perc((3, 1, 2, 5), 3), 3),
+], ids=["itermaj3", "andor", "perc", "itermaj3-0", "andor-0", "perc-fan1"])
 def test_update_cost_bounded_by_depth(spec, depth):
     rng = np.random.default_rng(7)
     inst = bf.make_instance(spec)
@@ -316,6 +319,45 @@ def test_tree_evaluation_matches_definition(text):
     want = [_tree_by_definition(spec, row.tolist()) for row in rows]
     assert bf.evaluate_batch(inst, rows).tolist() == want
     assert [bf.build_state(inst, row).output for row in rows[:20]] == want[:20]
+    # a random update walk through the incremental state, checked against
+    # the recursive definition after every event
+    config = rows[0].tolist()
+    st = bf.build_state(inst, config)
+    for i, v in zip(rng.integers(0, inst.arity, size=300).tolist(),
+                    (rng.random(300) < 0.5).tolist()):
+        config[i] = int(v)
+        out, _ = bf.apply_update(st, i, int(v))
+        assert out == _tree_by_definition(spec, config)
+
+
+@pytest.mark.parametrize("text", ["maj:257", "parity:257", "dap:258", "type2:259", "bigtame:6"])
+def test_bit_sums_exact_past_255_ones(text):
+    # a uint8 row sum would wrap at 256 ones; every sum must stay exact
+    inst = bf.make_instance(bf.parse_spec(text))
+    m = inst.arity
+    tail = {"maj": 0, "parity": 0, "dap": 1, "type2": 2, "bigtame": 7}[inst.spec.family]
+    rows = []
+    for ones in (255, 256, 257):
+        for head in range(1 << tail):
+            row = np.zeros(m, dtype=np.uint8)
+            row[:tail] = [(head >> k) & 1 for k in range(tail)]
+            row[tail:tail + ones] = 1
+            rows.append(row)
+    rows = np.array(rows)
+
+    def by_definition(x):
+        x = x.tolist()
+        if text == "maj:257":
+            return int(sum(x) >= 129)
+        if text == "parity:257":
+            return sum(x) % 2
+        if text == "dap:258":
+            return int(x[0] == 1 and sum(x[1:]) % 2 == 0)
+        if text == "type2:259":
+            return x[0] if x[1] == 1 else sum(x[2:]) % 2
+        return sum(x[7:]) % 2 if sum(x[1:7]) == 6 else x[0]
+
+    assert bf.evaluate_batch(inst, rows).tolist() == [by_definition(x) for x in rows]
 
 
 def test_andor_complement_symmetry():
