@@ -17,8 +17,10 @@ fixed-point ticks.  Edge e of `perc:children:L` therefore has the same
 history here and in `dynamics`, and the two engines agree replica by
 replica.  A replica whose c_1 root edges expect more than
 `dynamics.EVENT_BUDGET` updates (c_1 * T) is refused before any draw.
-A replica expected to draw more than _BLOCK_DRAWS edges and updates in
-its descent is refused too; a block of replicas holds at most that many.
+A replica expected to draw more than _REPLICA_DRAWS edges and updates in
+its descent is refused too.  Blocks of replicas are sized separately, by
+_BLOCK_DRAWS expected draws, so that one level's arrays stay near the
+per-core cache.
 
 The exploration descends lazily: a vertex is visited only while some time
 interval keeps its whole root path open.  Interval endpoints are derived
@@ -29,10 +31,12 @@ monotone in the level, not just in expectation.
 
 Replicas are processed in blocks with ragged interval arrays (flat bounds
 plus per-vertex counts); intersections take a vectorized fast path when
-both sides are single intervals and an event-count sweep otherwise.
-An edge's update times come from its own key alone, so results are
-independent, bit for bit, of the block size and of which levels are
-requested.
+either side is a single interval and an event-count sweep otherwise.  A
+level's frontier lists its vertices case by case, not by replica; each
+vertex keeps its intervals contiguous and in time order, and the union
+statistics sort by replica themselves.  An edge's update times come from
+its own key alone, so results are independent, bit for bit, of the block
+size, of the order of the frontier and of which levels are requested.
 """
 
 import math
@@ -140,6 +144,8 @@ class WeightSequence:
         return self.profile.vertex_count(k)
 
     def w(self, k):
+        if not 1 <= k <= self.profile.n_levels:
+            raise InvalidSpec("level %d outside 1..%d" % (k, self.profile.n_levels))
         return math.exp(self.log_w[k - 1])
 
     def w_values(self):
@@ -302,7 +308,7 @@ class _Frontier:
     __slots__ = ("rep", "repk", "vidx", "rs", "re", "rc")
 
     def __init__(self, rep, repk, vidx, rs, re, rc):
-        self.rep = rep      # global replica ids, nondecreasing (int64)
+        self.rep = rep      # global replica ids, in no particular order (int64)
         self.repk = repk    # per-replica key hash, aligned with rep (uint64)
         self.vidx = vidx    # vertex index within the level (uint64)
         self.rs = rs        # flat interval starts (float64)
@@ -311,11 +317,14 @@ class _Frontier:
 
 
 def _level_step(front, c, offset, p, slots, horizon):
-    """Descend one level: sample child edges, intersect reach with open sets."""
+    """Descend one level: sample child edges, intersect reach with open sets.
+
+    The child frontier lists its vertices case by case, each case in edge
+    order: edges open throughout, the two single-interval clips, the sweep.
+    """
     F = front.rep.size
     col = np.arange(c, dtype=np.uint64)
     first = front.vidx * _U64(c)
-    evidx = np.add.outer(first, col).ravel()
     # key of edge e is mix(rep_key + (e+1)*step); distributing the multiply
     # over (first + offset + 1) + col keeps the stream identical per edge
     keys = _mix64(np.add.outer(
@@ -327,49 +336,43 @@ def _level_step(front, c, offset, p, slots, horizon):
     s0 = _unit(_draw(keys, _U64(1))) < p
     edge, slot, tick, st_ev = _skeleton(keys, p, cdf, 0, n_slots)
     m = np.bincount(edge, minlength=E)
-    parent = np.repeat(np.arange(F, dtype=np.int64), c)
-
     roffsets = np.cumsum(front.rc) - front.rc
-    nc_all = np.zeros(E, dtype=np.int64)
 
     # edges with no update that start open leave the parent reach intact
-    fullm = (m == 0) & s0
-    nc_all[fullm] = front.rc[parent[fullm]]
+    fidx = np.flatnonzero((m == 0) & s0)
+    fpar = fidx // c
+    nF = front.rc[fpar]
+    src = _gather_ragged(roffsets[fpar], nF)
+    parts = [(fidx, nF, front.rs[src], front.re[src])]  # (edges, counts, s, e)
 
-    lidx = np.flatnonzero(m > 0)
-    clips = []  # (edge positions within lidx, counts, starts, ends)
+    lidx = np.flatnonzero(m)
     if lidx.size:
         mL = m[lidx]
         s0L = s0[lidx]
         L = lidx.size
-        eseq = np.repeat(np.arange(L, dtype=np.int64), mL)
         cm = np.cumsum(mL)
-        hpos = cm - mL
-        last = cm - 1
+        hpos, last = cm - mL, cm - 1
+        final = st_ev[last]
         t_ev = _tick_time(slot, tick, slot_len)
 
         prev = np.empty(st_ev.size, dtype=bool)
         prev[1:] = st_ev[:-1]
         prev[hpos] = s0L
-        flip = st_ev != prev
-        rise = flip & st_ev
-        fall = flip ^ rise
-        final = st_ev[last]
-
-        # open spans assemble positionally: within an edge the start at 0
-        # (if initially open) precedes the rises, which the event stream
-        # already orders by time; ends mirror this with the horizon last
-        risecnt = np.bincount(eseq[rise], minlength=L)
-        fallcnt = np.bincount(eseq[fall], minlength=L)
-        nO_raw = s0L.astype(np.int64) + risecnt
-        total_o = int(nO_raw.sum())
-        ooff_raw = np.cumsum(nO_raw) - nO_raw
-        open_s = np.empty(total_o)
-        open_e = np.empty(total_o)
+        # an edge's open spans start at its rises, or at 0 on its first event
+        # if it starts open, and end at its falls, or at the horizon on its
+        # last event if it ends open: each stream lists them in edge and
+        # time order
+        start = st_ev > prev
+        start[hpos] |= s0L
+        end = st_ev < prev
+        end[last] |= final
+        n_start = np.cumsum(start)
+        ooff_raw = n_start[hpos] - start[hpos]
+        ostop = n_start[last]
+        nO_raw = ostop - ooff_raw
+        open_s, open_e = t_ev[start], t_ev[end]
         open_s[ooff_raw[s0L]] = 0.0
-        open_s[_gather_ragged(ooff_raw + s0L, risecnt)] = t_ev[rise]
-        open_e[_gather_ragged(ooff_raw, fallcnt)] = t_ev[fall]
-        open_e[ooff_raw[final] + fallcnt[final]] = horizon
+        open_e[ostop[final] - 1] = horizon
         pos = open_s < open_e  # drop zero-length spans from colliding times
         if not np.all(pos):
             oedge = np.repeat(np.arange(L, dtype=np.int64), nO_raw)[pos]
@@ -379,7 +382,7 @@ def _level_step(front, c, offset, p, slots, horizon):
             nO = nO_raw
         ooffsets = np.cumsum(nO) - nO
 
-        lpar = parent[lidx]
+        lpar = lidx // c
         nR = front.rc[lpar]
         roffL = roffsets[lpar]
 
@@ -389,14 +392,13 @@ def _level_step(front, c, offset, p, slots, horizon):
             if idx.size == 0:
                 return
             n, one = n[idx], one[idx]
-            g = _gather_ragged(off[idx], n)
-            cs = np.maximum(s[g], np.repeat(one_s[one], n))
-            ce = np.minimum(e[g], np.repeat(one_e[one], n))
+            seg = np.repeat(np.arange(idx.size), n)
+            g = (off[idx] - (np.cumsum(n) - n))[seg] + np.arange(seg.size)
+            cs = np.maximum(s[g], one_s[one][seg])
+            ce = np.minimum(e[g], one_e[one][seg])
             keep = cs < ce
-            cnt = np.bincount(np.repeat(np.arange(idx.size), n)[keep],
-                              minlength=idx.size)
-            nc_all[lidx[idx]] = cnt
-            clips.append((idx, cnt, cs[keep], ce[keep]))
+            parts.append((lidx[idx], np.bincount(seg[keep], minlength=idx.size),
+                          cs[keep], ce[keep]))
 
         # a single-interval reach clips every open span; a single open
         # span clips a fragmented reach
@@ -432,33 +434,16 @@ def _level_step(front, c, offset, p, slots, horizon):
             cs_t, ce_t = ev_t[rise2], ev_t[fall2]
             cedge = ev_e[rise2]
             keepS = cs_t < ce_t
-            cs_t, ce_t, cedge = cs_t[keepS], ce_t[keepS], cedge[keepS]
-            cntS = np.bincount(cedge, minlength=S)
-            nc_all[lidx[sidx]] = cntS
-            clips.append((sidx, cntS, cs_t, ce_t))
+            parts.append((lidx[sidx], np.bincount(cedge[keepS], minlength=S),
+                          cs_t[keepS], ce_t[keepS]))
 
-    out_off = np.cumsum(nc_all) - nc_all
-    total = int(nc_all.sum())
-    new_rs = np.empty(total)
-    new_re = np.empty(total)
-
-    if np.any(fullm):
-        fidx = np.flatnonzero(fullm)
-        nF = front.rc[parent[fidx]]
-        dst = _gather_ragged(out_off[fidx], nF)
-        src = _gather_ragged(roffsets[parent[fidx]], nF)
-        new_rs[dst] = front.rs[src]
-        new_re[dst] = front.re[src]
-    for cidx, ccnt, cs, ce in clips:
-        dst = _gather_ragged(out_off[lidx[cidx]], ccnt)
-        new_rs[dst] = cs
-        new_re[dst] = ce
-
-    keep_edge = nc_all > 0
-    kpar = parent[keep_edge]
+    eidx, rc, rs, re = (np.concatenate(a) for a in zip(*parts))
+    kept = rc > 0
+    eidx, rc = eidx[kept], rc[kept]
+    kpar = eidx // c
     return _Frontier(rep=front.rep[kpar], repk=front.repk[kpar],
-                     vidx=evidx[keep_edge], rs=new_rs, re=new_re,
-                     rc=nc_all[keep_edge])
+                     vidx=first[kpar] + (eidx - kpar * c).astype(np.uint64),
+                     rs=rs, re=re, rc=rc)
 
 
 def _union_stats(front, base_rep, nrep, horizon, init, C, S):
@@ -473,7 +458,10 @@ def _union_stats(front, base_rep, nrep, horizon, init, C, S):
     if front.rep.size == 0:
         return
 
-    irep = np.repeat(front.rep, front.rc) - base_rep
+    # replica of each interval as the narrowest unsigned integer holding
+    # the block: numpy radix-sorts keys of 16 bits or fewer
+    irep = np.repeat((front.rep - base_rep).astype(np.min_scalar_type(nrep - 1)),
+                     front.rc)
 
     # a vertex that kept its full [0, horizon) reach makes the whole union
     # [0, horizon): initially one, never switching — no sort needed there
@@ -491,15 +479,15 @@ def _union_stats(front, base_rep, nrep, horizon, init, C, S):
         starts, ends = front.rs, front.re
 
     def _sort_within_replicas(vals):
-        # argsort the floats, then restore the (already nondecreasing)
-        # replica grouping with a stable integer sort — cheaper than lexsort
+        # argsort the floats, then group by replica with a stable sort of
+        # the narrow replica key — cheaper than lexsort
         o1 = np.argsort(vals)
-        o2 = np.argsort(irep[o1], kind="stable")
-        return vals[o1[o2]]
+        key = irep[o1]
+        o2 = np.argsort(key, kind="stable")
+        return vals[o1[o2]], key[o2]
 
-    ss = _sort_within_replicas(starts)
-    es = _sort_within_replicas(ends)
-    rr = irep
+    ss, rr = _sort_within_replicas(starts)
+    es, _ = _sort_within_replicas(ends)
     n = rr.size
     hd = np.empty(n, dtype=bool)
     hd[0] = True
@@ -558,8 +546,12 @@ def _edge_offsets(children):
     return offsets
 
 
-# expected edges and updates drawn per block (about 80 bytes each at peak)
-_BLOCK_DRAWS = 1 << 20
+# expected edges and updates drawn by one replica (more is refused) and by
+# one block of replicas.  A level step peaks near 80 bytes per draw; blocks
+# of half the refusal limit keep the deep levels' arrays closer to a 2 MB
+# per-core cache, which measured faster, and lower the peak
+_REPLICA_DRAWS = 1 << 20
+_BLOCK_DRAWS = 1 << 19
 
 
 def _draws_per_replica(children, p, T):
@@ -666,7 +658,7 @@ class RegimeReport:
 
 
 def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
-                      edge_cap=10_000_000, _block=256):
+                      edge_cap=10_000_000, _block=None):
     """Root-connectivity statistics per level on shared edge trajectories.
 
     Every requested level is evaluated on the same per-replica edge
@@ -679,7 +671,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     A zero horizon degenerates to static percolation of the initial edge
     states: switch counts are zero and p_one equals p_always_one.  A
     horizon at which the c_1 root edges expect more than
-    `dynamics.EVENT_BUDGET` updates, or one replica more than _BLOCK_DRAWS
+    `dynamics.EVENT_BUDGET` updates, or one replica more than _REPLICA_DRAWS
     draws (edges and updates), raises InstanceTooLarge.
     """
     profile = _as_profile(profile)
@@ -697,11 +689,12 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
             % (levels[-1], need, edge_cap))
     children = profile.children
     draws = _draws_per_replica(children[:levels[-1]], p, T)
-    if not draws <= _BLOCK_DRAWS:
+    if not draws <= _REPLICA_DRAWS:
         raise InstanceTooLarge(
             "a level-%d replica at horizon %g expects up to %.3g draws, "
-            "budget is %d" % (levels[-1], T, draws, _BLOCK_DRAWS))
-    _block = max(1, min(_block, int(_BLOCK_DRAWS // draws)))
+            "budget is %d" % (levels[-1], T, draws, _REPLICA_DRAWS))
+    per_block = int(_BLOCK_DRAWS // draws)
+    _block = max(1, per_block if _block is None else min(_block, per_block))
 
     offsets = _edge_offsets(children[:levels[-1]])
     # a zero horizon still needs nonempty intervals to carry initial states

@@ -24,3 +24,22 @@ def test_bench_tracer_installs_and_restores_every_hook():
     assert patched
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_bench_tracer_reads_every_level_step():
+    # `--trace 1` reads the frontier sizes of each level step's arguments
+    # and result; a level step whose frontier loses those fields breaks it
+    from boolvol import perctree
+
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        perctree.regime_experiment((2, 3, 2), [1, 3], T=2.0, replicas=50, seed=4)
+    finally:
+        tracer.uninstall()
+    steps = [sp for sp in tracer.spans if sp.name == "perctree._level_step"]
+    assert [sp.attrs["level"] for sp in steps] == [1, 2, 3]
+    for sp in steps:
+        assert {"sampled", "kept", "intervals"} <= set(sp.attrs)
+        assert 0 < sp.attrs["kept"] <= min(sp.attrs["sampled"], sp.attrs["intervals"])
+    assert sum(sp.name == "perctree._union_stats" for sp in tracer.spans) == 2

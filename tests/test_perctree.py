@@ -5,6 +5,7 @@ recursion, exact total influence); structural assertions (nesting,
 determinism, exact endpoint propagation) are bitwise.
 """
 
+import hashlib
 import math
 import os
 
@@ -108,6 +109,13 @@ class TestWeightSequence:
             assert ws.vertex_count(k) == exact
             approx = math.exp(ws.log_w[k - 1]) * 2.0 ** k
             assert abs(approx - exact) <= 1e-9 * exact
+
+    def test_weight_level_validated(self):
+        ws = weight_sequence(LevelProfile((2, 3, 4)))
+        assert ws.w(1) == pytest.approx(1.0) and ws.w(3) == pytest.approx(3.0)
+        for k in (0, -1, 4):
+            with pytest.raises(InvalidSpec, match="outside 1..3"):
+                ws.w(k)
 
     def test_serialization_shapes(self):
         ws = weight_sequence(LevelProfile((4, 4, 4)))
@@ -540,3 +548,119 @@ class TestRegimeExperiment:
             assert keys <= set(lvd)
         rows = rep.to_csv_rows()
         assert len(rows) == 2 and rows[0][0] == 1
+
+
+# (profile, levels, keyword arguments) -> sha256 of (C, S, initial) per
+# level.  Recorded with the edge-ordered frontier; the level step may list
+# its vertices in any order, but no draw and no output bit may move.
+FROZEN_REGIMES = [
+    ((2,) * 12, [4, 8, 12], dict(replicas=300, seed=11), {
+        4: "35b6e2f5ae06f9f50eeeb1e6582544861f2f57f30dd258241d25b8bd7e514e35",
+        8: "ef45b02d724aa8bf68548c0e146cb7d89260431ea758db2ba57b5cafb85650bd",
+        12: "eac537feb2ea59bf1ad1161bf996c87588f1fb576d1b1aa0e98f0be4ed633ee4",
+    }),
+    (NALPHA3_CHILDREN, [1, 2, 4, 10], dict(replicas=40, seed=12), {
+        1: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
+        2: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
+        4: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
+        10: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
+    }),
+    ((2, 3, 2, 3, 2), [1, 3, 5], dict(p=0.3, T=40.0, replicas=40, seed=13), {
+        1: "20c6c1c42a56b6f14667dab3bf80c2cad4bb1982521b99bf445104f2887c1bb4",
+        3: "f3a4f2cb2dc4ad939136ef3a368286e41c8ac06bba339de355d1b23706c6e93f",
+        5: "7c6fbc06e635dc94b524a2a5313505d6529ad7ca0ac142323c02e0dacb01f468",
+    }),
+    ((3, 3, 3), [1, 2, 3], dict(T=0.0, replicas=200, seed=14), {
+        1: "e9d64be46ad2d36e6302eda0513fd206479eb57dd1ff9d66772882e3e60f9cfb",
+        2: "17bbda955bc1276fd159f0e71be9b753b96021559f94a4ede326946af05e9a01",
+        3: "ae10150cf0497d488803110b637f19900c07b00748c222a93a60496f461b5fe8",
+    }),
+    ((2,) * 6, [1, 3, 6], dict(p=0.9, T=3.0, replicas=100, seed=15), {
+        1: "f7a61ff7d48eaf03ffc447250119b2ec8585414daa511470ababc9a478d610b9",
+        3: "f7a61ff7d48eaf03ffc447250119b2ec8585414daa511470ababc9a478d610b9",
+        6: "f7a61ff7d48eaf03ffc447250119b2ec8585414daa511470ababc9a478d610b9",
+    }),
+    # 101 replicas in blocks of 13: the last block holds 10
+    ((2, 3, 4), [1, 3], dict(T=5.0, replicas=101, seed=16, _block=13), {
+        1: "e6f215e97df016c857da7f903202fb0e2bfbb985aefbb4f10ca5c95c3f317940",
+        3: "626a9551abb666fc50405fb5531604a3a31faafa61987ad58e39b88109083c1e",
+    }),
+]
+
+
+def _regime_digest(emp):
+    h = hashlib.sha256()
+    for a, dtype in ((emp.C, "<i8"), (emp.S, "<i8"), (emp.initial, "u1")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("children,levels,kw,want", FROZEN_REGIMES)
+def test_regime_stream_is_frozen(children, levels, kw, want):
+    rep = regime_experiment(LevelProfile(children), levels, **kw)
+    assert {lv.level: _regime_digest(lv.empirical) for lv in rep.levels} == want
+
+
+def _random_frontier(rng, nrep, base_rep, T):
+    """Vertices in random replica order, with abutting, equal and
+    full-cover intervals; some replicas hold no vertex, some one interval."""
+    grid = np.linspace(0.0, T, 9)
+    occupied = rng.choice(nrep, size=min(nrep, 30), replace=False)
+    rep, rc, rs, re = [], [], [], []
+    for r in occupied:
+        for _ in range(rng.integers(1, 4)):
+            pts = np.unique(rng.choice(grid, size=2 * rng.integers(1, 4)))
+            if pts.size % 2:
+                pts = pts[:-1]
+            if pts.size == 0:
+                pts = grid[[2, 3]]
+            rep.append(r)
+            rc.append(pts.size // 2)
+            rs.append(pts[0::2])
+            re.append(pts[1::2])
+    single = rng.choice(np.setdiff1d(np.arange(nrep), occupied))
+    full = occupied[0]
+    for r, s, e in ((single, 0.3 * T, 0.6 * T), (full, 0.0, T)):
+        rep.append(r)
+        rc.append(1)
+        rs.append(np.array([s]))
+        re.append(np.array([e]))
+    order = rng.permutation(len(rep))
+    ivs = [(rs[i], re[i]) for i in order]
+    rep = np.array(rep, dtype=np.int64)[order] + base_rep
+    front = perctree._Frontier(
+        rep=rep, repk=rep.astype(np.uint64), vidx=np.zeros(rep.size, dtype=np.uint64),
+        rs=np.concatenate([s for s, _ in ivs]), re=np.concatenate([e for _, e in ivs]),
+        rc=np.array(rc, dtype=np.int64)[order])
+    return front, single, full
+
+
+@pytest.mark.parametrize("nrep", [40, 300, 70_000])
+def test_union_stats_on_unordered_frontier(nrep):
+    rng = np.random.default_rng(nrep)
+    T, base_rep = 2.0, 1000
+    for _ in range(5):
+        front, single, full = _random_frontier(rng, nrep, base_rep, T)
+        assert np.any(np.diff(front.rep) < 0)
+        init = np.zeros(nrep, dtype=np.uint8)
+        C = np.zeros(nrep, dtype=np.int64)
+        S = np.zeros(nrep, dtype=np.int64)
+        perctree._union_stats(front, base_rep, nrep, T, init, C, S)
+
+        want = np.zeros((3, nrep), dtype=np.int64)
+        irep = np.repeat(front.rep - base_rep, front.rc)
+        for r in np.unique(irep):
+            merged = []
+            for lo, hi in sorted(zip(front.rs[irep == r], front.re[irep == r])):
+                if merged and lo <= merged[-1][1]:
+                    merged[-1][1] = max(merged[-1][1], hi)
+                else:
+                    merged.append([lo, hi])
+            want[0, r] = merged[0][0] == 0.0
+            want[1, r] = sum(int(lo > 0.0) + int(hi < T) for lo, hi in merged)
+            want[2, r] = sum(int(hi < T) for _, hi in merged)
+        assert want[:, full].tolist() == [1, 0, 0]
+        assert want[:, single].tolist() == [0, 2, 1]
+        assert np.array_equal(init, want[0])
+        assert np.array_equal(C, want[1])
+        assert np.array_equal(S, want[2])
