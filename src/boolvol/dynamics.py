@@ -18,6 +18,16 @@ slot's sorted update times.  Within a slot a time is kept as a 40-bit
 tick, so one argsort of a packed uint64 key orders a whole block of
 events by (replica, time).
 
+A draw u is read as the uniform (u >> 11) * 2^-53, but never converted:
+"uniform < p" is the integer test u < ceil(p * 2^53) << 11 (`_below`),
+and a count is the number of `_poisson_cdf` thresholds ceil(cdf_k *
+2^53) << 11 at or below u, which picks the same outcome bit for bit.
+splitmix64 adds its gamma before mixing; since uint64 addition wraps and
+is associative, the gamma is folded with the counter offset into one
+constant (`_offset`), so a draw is one add and the in-place finalizer
+(`_finish`), and a slot's spacing and value keys are one gather of the
+slot key plus a multiple of the counter step.
+
 `_skeleton` is this recipe for any array of clock keys, and `_tick_time`
 turns a (slot, tick) into a time.  `perctree` keys the edges of its lazy
 engine as the bits of `perc:children:L` are keyed here and draws them
@@ -28,7 +38,12 @@ One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
 its expected number of draws (a replica too long for one block is
 replayed in slot chunks), and hands each chunk's switches on as it goes;
 `_replicas` folds them into counts and keeps switch times only when asked,
-so a count-only run holds one block at a time.  Both family classes replay
+so a count-only run holds one block at a time.  A block pays some 80
+numpy calls of fixed cost (more per tree step on the tree families), so
+larger blocks amortise them, while its arrays of a few tens of bytes per
+draw should stay near a per-core cache: 2^15 expected draws
+(`_BLOCK_DRAWS`) measured faster than 2^14 and 2^16.  Draws are keyed by
+replica, so the block size moves no output.  Both family classes replay
 through one grouped cumsum, `_grouped_replay`, with no Python loop over
 events:
 
@@ -48,6 +63,7 @@ root-edge updates in `perctree`) is refused by `_slots`, before any draw.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,19 +102,32 @@ _KEY_DRAW = 0xD1342543DE82EF95
 _KEY_SLOT = 0x670A55F755DC72D5
 
 
-_MIX = tuple(_U64(c) for c in (_SM_GAMMA, 30, _SM_MUL1, 27, _SM_MUL2, 31))
+_SHIFTS = tuple(_U64(c) for c in (30, 27, 31))
+_MULS = tuple(_U64(c) for c in (_SM_MUL1, _SM_MUL2))
+
+
+def _finish(x):
+    """splitmix64 output function, in place on a uint64 array the caller owns."""
+    (s1, s2, s3), (m1, m2) = _SHIFTS, _MULS
+    t = x >> s1
+    x ^= t
+    x *= m1
+    np.right_shift(x, s2, out=t)
+    x ^= t
+    x *= m2
+    np.right_shift(x, s3, out=t)
+    x ^= t
+    return x
+
+
+def _offset(c):
+    """uint64 constant c + gamma (mod 2^64): splitmix64(x + c) is _finish(x + _offset(c))."""
+    return _U64((c + _SM_GAMMA) & _MASK64)
 
 
 def _mix64(x):
-    """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    gamma, s1, m1, s2, m2, s3 = _MIX
-    x = x + gamma
-    x ^= x >> s1
-    x *= m1
-    x ^= x >> s2
-    x *= m2
-    x ^= x >> s3
-    return x
+    """splitmix64 of a uint64 array (wrapping arithmetic)."""
+    return _finish(x + _offset(0))
 
 
 def _mix64_int(x):
@@ -109,26 +138,43 @@ def _mix64_int(x):
 
 
 def _draw(keys, ctr):
-    return _mix64(keys + ctr * _U64(_KEY_DRAW))
+    """Draw number `ctr` (a Python int) of every key."""
+    return _finish(keys + _offset(ctr * _KEY_DRAW))
 
 
-def _unit(u):
-    """Uniform in [0, 1) from the top 53 bits."""
-    return (u >> _U64(11)) * 2.0 ** -53
+def _below(u, p):
+    """Whether the uniform in [0, 1) carried by u's top 53 bits lies below p.
+
+    Compared as integers: for an integer k, k * 2^-53 < p iff k <
+    ceil(p * 2^53), so the test is u < ceil(p * 2^53) << 11, true for
+    every u once that ceiling reaches 2^53.
+    """
+    k = math.ceil(p * 2.0 ** 53)
+    if k >> 53:
+        return np.ones(u.shape, dtype=bool)
+    return u < _U64(k << 11)
 
 
 def _edge_keys(seed0, replicas_u64, edge_ids_u64):
-    rep_keys = _mix64(_U64(seed0) + replicas_u64 * _U64(_KEY_REPLICA))
-    return _mix64(rep_keys + (edge_ids_u64 + _U64(1)) * _U64(_KEY_EDGE))
+    rep_keys = _finish(replicas_u64 * _U64(_KEY_REPLICA) + _offset(seed0))
+    return _finish(rep_keys + (edge_ids_u64 * _U64(_KEY_EDGE) + _offset(_KEY_EDGE)))
 
 
 def _poisson_cdf(mean):
+    """Count thresholds of Poisson(mean): ceil(cdf_k * 2^53) << 11 per k,
+    without the entries whose ceiling reaches 2^53 (no draw reaches them).
+
+    A slot draw u gets count searchsorted(thresholds, u, "right"), the
+    number of k with cdf_k <= (u >> 11) * 2^-53: inverse-CDF sampling
+    from u's top 53 bits, compared as integers.
+    """
     kmax = max(30, int(mean + 12.0 * math.sqrt(mean) + 20.0))
     pmf = np.empty(kmax + 1)
     pmf[0] = math.exp(-mean)
     for k in range(1, kmax + 1):
         pmf[k] = pmf[k - 1] * mean / k
-    return np.cumsum(pmf)
+    thr = np.ceil(np.cumsum(pmf) * 2.0 ** 53)
+    return thr[thr < 2.0 ** 53].astype(np.uint64) << _U64(11)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +183,7 @@ def _poisson_cdf(mean):
 _SLOT = 16.0            # longest horizon slot
 _TICK_BITS = 40         # time resolution: 2^-40 of a slot
 _TICK_MASK = _U64((1 << _TICK_BITS) - 1)
-_BLOCK_DRAWS = 1 << 14  # expected draws per block
+_BLOCK_DRAWS = 1 << 15  # expected draws per block
 
 
 @dataclass(frozen=True)
@@ -156,6 +202,13 @@ class DynamicsParams:
             raise ValueError("replicas must be >= 1, got %r" % (self.replicas,))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit nonnegative integer")
+
+
+def _check_id(name, value):
+    """`value` as an int, or ValueError unless it is an integer in [0, 2^64)."""
+    if not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
+        raise ValueError("%s must be an integer in [0, 2^64), got %r" % (name, value))
+    return int(value)
 
 
 @dataclass
@@ -178,25 +231,31 @@ def _slot_ticks(keys, counts, p):
     cm = np.cumsum(counts)
     head = cm - counts
     owner = np.repeat(np.arange(counts.size), counts)
-    occ = np.arange(owner.size, dtype=np.uint64) - head.astype(np.uint64)[owner]
-    ctr = _U64(2) + _U64(2) * occ  # the spacing's counter; the value's is ctr + 1
-    kk = keys[owner]
+    # event i, the (i - head)-th of its slot, draws its spacing at counter
+    # 2 + 2 (i - head) and its value one counter above, so each key is the
+    # slot's key shifted back by head counter pairs plus i counter pairs
+    pair = _U64(2 * _KEY_DRAW & _MASK64)
+    base = keys + _offset(2 * _KEY_DRAW)
+    skey = (base - head.astype(np.uint64) * pair)[owner]
+    skey += np.arange(owner.size, dtype=np.uint64) * pair
+    vkey = skey + _U64(_KEY_DRAW)
 
-    def spacings(k, c):
-        return (-np.log1p(-_unit(_draw(k, c))) * 2.0 ** _TICK_BITS).astype(np.int64)
+    def spacings(u):
+        u >>= _U64(11)
+        return (np.log1p(u * -2.0 ** -53) * -2.0 ** _TICK_BITS).astype(np.int64)
 
-    spac = spacings(kk, ctr)
+    spac = spacings(_finish(skey))
     run = np.cumsum(spac)  # int64; a wrap cancels in the differences below
     partial = run - (run[head] - spac[head])[owner]
-    totals = partial[cm - 1] + spacings(keys, _U64(2) + _U64(2) * counts.astype(np.uint64))
+    base += counts.astype(np.uint64) * pair  # the slot's last spacing, counter 2 + 2 counts
+    totals = partial[cm - 1] + spacings(_finish(base))
     ticks = partial / totals[owner] * 2.0 ** _TICK_BITS
-    values = _unit(_draw(kk, ctr + _U64(1))) < p
-    return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), values
+    return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), _below(_finish(vkey), p)
 
 
 def _slots(clocks, T):
-    """(n, length, cdf): horizon T cut into n = ceil(T / _SLOT) equal slots
-    and the Poisson CDF of one slot's update count.
+    """(n, length, thresholds): horizon T cut into n = ceil(T / _SLOT) equal
+    slots and the `_poisson_cdf` thresholds of one slot's update count.
 
     A replica with `clocks` update clocks expecting more than EVENT_BUDGET
     events (clocks * T) is refused here, before any draw.
@@ -213,19 +272,24 @@ def _skeleton(keys, p, cdf, j0, j1):
     """Update events over slots j0..j1-1 of the clocks keyed `keys`.
 
     Slot j of a clock is keyed key + j * _KEY_SLOT; counter 0 draws its
-    update count from `cdf` and `_slot_ticks` its ticks and redrawn
-    values.  Returns (clock, slot, tick, value) per event in (clock, time)
-    order: clock indexes `keys`, slot counts from j0.
+    update count from the `_poisson_cdf` thresholds `cdf` and `_slot_ticks`
+    its ticks and redrawn values.  Returns (clock, slot, tick, value) per
+    event in (clock, time) order: clock indexes `keys`, slot counts from j0.
     """
     nsl = j1 - j0
     if nsl == 0:
         none = np.empty(0, dtype=np.int64)
         return none, none, none.astype(np.uint64), none.astype(bool)
-    slots = np.arange(j0, j1, dtype=np.uint64) * _U64(_KEY_SLOT)
-    gkeys = (keys[:, None] + slots).ravel()
-    counts = np.searchsorted(cdf, _unit(_draw(gkeys, _U64(0))), side="right")
+    if nsl == 1:
+        gkeys = keys + _U64(j0 * _KEY_SLOT & _MASK64) if j0 else keys
+    else:
+        slots = np.arange(j0, j1, dtype=np.uint64) * _U64(_KEY_SLOT)
+        gkeys = (keys[:, None] + slots).ravel()
+    counts = np.searchsorted(cdf, _draw(gkeys, 0), side="right")
     nz = np.flatnonzero(counts)
     owner, tick, value = _slot_ticks(gkeys[nz], counts[nz], p)
+    if nsl == 1:
+        return nz[owner], np.zeros(owner.size, dtype=np.int64), tick, value
     clock, slot = np.divmod(nz, nsl)
     return clock[owner], slot[owner], tick, value
 
@@ -238,7 +302,7 @@ def _tick_time(slot, tick, slot_len):
 def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
     """Skeleton of replicas lo..hi-1 over horizon slots j0..j1-1.
 
-    `cdf` is the Poisson CDF of one slot's update count.  Returns
+    `cdf` holds the `_poisson_cdf` thresholds of one slot's update count.  Returns
     (config, cell, value, key).  `config` holds the (hi-lo, arity) bits at
     the start of slot j0: drawn when not given (slot 0).  The other three
     hold one entry per drawn event, in generation order (replica, bit,
@@ -251,7 +315,7 @@ def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
     keys = _edge_keys(_mix64_int(seed), np.arange(lo, hi, dtype=np.uint64)[:, None],
                       np.arange(m, dtype=np.uint64)).ravel()
     if config is None:
-        config = (_unit(_draw(keys, _U64(1))) < p).astype(np.uint8).reshape(hi - lo, m)
+        config = _below(_draw(keys, 1), p).astype(np.uint8).reshape(hi - lo, m)
     cell, slot, tick, value = _skeleton(keys, p, cdf, j0, j1)
     place = (cell // m * (j1 - j0) + slot).astype(np.uint64) << _U64(_TICK_BITS)
     return config, cell, value.astype(np.uint8), place | tick
@@ -470,7 +534,13 @@ def simulate_batch(instance, dyn_params):
 
 
 def simulate_trajectory(instance, dyn_params, replica_index):
-    """One full replica: initial output, switch times and counts."""
+    """One full replica: initial output, switch times and counts.
+
+    Replica `replica_index` is a pure function of (seed, index), so any
+    integer in [0, 2^64) is valid, `dyn_params.replicas` or above too;
+    anything else raises ValueError.
+    """
+    replica_index = _check_id("replica index", replica_index)
     b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
                   replica_index, replica_index + 1, keep="all")
     return Trajectory(initial_output=int(b.initial[0]), switch_times=b.times.tolist(),

@@ -50,14 +50,17 @@ from .dynamics import (
     _U64,
     DynamicsParams,
     EmpiricalC,
+    _below,
+    _check_id,
     _draw,
     _edge_keys,
+    _finish,
     _mix64,
     _mix64_int,
+    _offset,
     _skeleton,
     _slots,
     _tick_time,
-    _unit,
 )
 from .errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
 from .functions import FunctionSpec, read_profile_file
@@ -277,14 +280,18 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     to open with probability p.  This is, bit for bit, the edge's history
     in both percolation engines (`dynamics._skeleton` over ceil(T / 16)
     slots).  p and T are checked as in `regime_experiment`; T above
-    `dynamics.EVENT_BUDGET` raises InstanceTooLarge.  Exposed for
-    debugging and for independent reimplementations of the exploration.
+    `dynamics.EVENT_BUDGET` raises InstanceTooLarge.  `replica` and
+    `edge_id` may be any integers in [0, 2^64) (ValueError otherwise).
+    Exposed for debugging and for independent reimplementations of the
+    exploration.
     """
     DynamicsParams(p=p, T=T, seed=seed, replicas=1)
+    replica = _check_id("replica", replica)
+    edge_id = _check_id("edge id", edge_id)
     n_slots, slot_len, cdf = _slots(1, T)
     keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
-    initial = int(_unit(_draw(keys, _U64(1)))[0] < p)
+    initial = int(_below(_draw(keys, 1), p)[0])
     _, slot, tick, states = _skeleton(keys, p, cdf, 0, n_slots)
     times = _tick_time(slot, tick, slot_len)
     return EdgeSkeleton(initial=initial,
@@ -323,17 +330,17 @@ def _level_step(front, c, offset, p, slots, horizon):
     order: edges open throughout, the two single-interval clips, the sweep.
     """
     F = front.rep.size
-    col = np.arange(c, dtype=np.uint64)
+    # key of edge e is mix(rep_key + (e+1)*step) with e = vidx*c + offset + col;
+    # distributing the multiply over the three terms keeps each edge's stream
     first = front.vidx * _U64(c)
-    # key of edge e is mix(rep_key + (e+1)*step); distributing the multiply
-    # over (first + offset + 1) + col keeps the stream identical per edge
-    keys = _mix64(np.add.outer(
-        front.repk + (first + _U64(offset + 1)) * _U64(_KEY_EDGE),
-        col * _U64(_KEY_EDGE)).ravel())
+    base = first * _U64(_KEY_EDGE)
+    base += front.repk
+    base += _offset((int(offset) + 1) * _KEY_EDGE)
+    keys = _finish(np.add.outer(base, np.arange(c, dtype=np.uint64) * _U64(_KEY_EDGE)).ravel())
     E = F * c
 
     n_slots, slot_len, cdf = slots
-    s0 = _unit(_draw(keys, _U64(1))) < p
+    s0 = _below(_draw(keys, 1), p)
     edge, slot, tick, st_ev = _skeleton(keys, p, cdf, 0, n_slots)
     m = np.bincount(edge, minlength=E)
     roffsets = np.cumsum(front.rc) - front.rc

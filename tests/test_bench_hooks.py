@@ -4,6 +4,8 @@ that drops one of them breaks `Tracer.install`, which this catches fast."""
 import importlib.util
 import pathlib
 
+import numpy as np
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -43,3 +45,27 @@ def test_bench_tracer_reads_every_level_step():
         assert {"sampled", "kept", "intervals"} <= set(sp.attrs)
         assert 0 < sp.attrs["kept"] <= min(sp.attrs["sampled"], sp.attrs["intervals"])
     assert sum(sp.name == "perctree._union_stats" for sp in tracer.spans) == 2
+
+
+def test_bench_tracer_counts_every_drawn_event(monkeypatch):
+    # `dynamics.events` adds len(cell) of every `_replica_draws` call (small
+    # blocks make many calls), so `_replica_draws` must hand on every event
+    # the skeleton of the run's bit clocks draws, not only effective ones
+    from boolvol import dynamics, functions
+
+    f = functions.make_instance(functions.parse_spec("andor:3"))
+    monkeypatch.setattr(dynamics, "_BLOCK_DRAWS", 200)
+    pr = dynamics.DynamicsParams(p=0.4, T=20.0, seed=9, replicas=30)
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        dynamics.estimate_C_distribution(f, pr)
+    finally:
+        tracer.uninstall()
+    n_slots, _, cdf = dynamics._slots(f.arity, pr.T)
+    keys = dynamics._edge_keys(dynamics._mix64_int(pr.seed),
+                               np.arange(pr.replicas, dtype=np.uint64)[:, None],
+                               np.arange(f.arity, dtype=np.uint64)).ravel()
+    clock, _, _, _ = dynamics._skeleton(keys, pr.p, cdf, 0, n_slots)
+    assert clock.size > 0
+    assert tracer.counts["dynamics.events"] == clock.size

@@ -1,5 +1,6 @@
 """Event-driven simulation: closed forms, oracle cross-checks, determinism."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -43,6 +44,21 @@ def test_params_validation(kwargs):
 
 
 # -- single trajectories ------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [-1, 2**64, 0.5, "3", None])
+def test_trajectory_rejects_bad_replica_index(bad):
+    with pytest.raises(ValueError, match="replica index"):
+        dyn.simulate_trajectory(inst("maj:3"), params(), bad)
+
+
+def test_trajectory_accepts_every_64_bit_replica_index():
+    # a replica is a pure function of (seed, index): indices past
+    # `replicas` are valid, up to the last 64-bit one
+    f = inst("maj:3")
+    pr = params(T=2.0)
+    for r in (5, np.uint64(7), 2**64 - 1):
+        traj = dyn.simulate_trajectory(f, pr, r)
+        assert traj == dyn.simulate_trajectory(f, params(T=2.0, replicas=int(r) + 1), int(r))
 
 def test_horizon_zero_has_no_switches():
     traj = dyn.simulate_trajectory(inst("maj:3"), params(T=0.0), 0)
@@ -246,6 +262,112 @@ def test_count_only_runs_hold_one_block(entry, text):
             tracemalloc.stop()
 
     assert peak(330) - peak(30) < 2**20
+
+
+# -- counter-based draws --------------------------------------------------------
+
+def unit(u):
+    """The float reading of a draw: a uniform in [0, 1) from its top 53 bits."""
+    return (u >> np.uint64(11)) * 2.0 ** -53
+
+
+def float_poisson_cdf(mean):
+    """Poisson CDF table of a slot's update count, as float64 partial sums."""
+    kmax = max(30, int(mean + 12.0 * math.sqrt(mean) + 20.0))
+    pmf = np.empty(kmax + 1)
+    pmf[0] = math.exp(-mean)
+    for k in range(1, kmax + 1):
+        pmf[k] = pmf[k - 1] * mean / k
+    return np.cumsum(pmf)
+
+
+def edge_draws(k, rng, n=2000):
+    """Random draws plus the three around k << 11 that fall in 64 bits."""
+    edge = [(k << 11) + d for d in (-1, 0, 2047) if 0 <= (k << 11) + d < 2**64]
+    return np.concatenate((np.array(edge, dtype=np.uint64),
+                           rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False)))
+
+
+def test_below_matches_float_compare():
+    rng = np.random.default_rng(2)
+    ps = [0.0, 2.0 ** -53, 1 / 3, 0.5, 1 - 2.0 ** -53, 1.0] + rng.random(20).tolist()
+    for p in ps:
+        u = edge_draws(math.ceil(p * 2.0 ** 53), rng)
+        assert np.array_equal(dyn._below(u, p), unit(u) < p), p
+
+
+def test_count_thresholds_match_float_inverse_cdf():
+    rng = np.random.default_rng(3)
+    means = [2.0 ** -40, 1e-3, 0.3, 1.0, 16 / 3, 40 / 3, 15.9, 16.0]
+    means += (16 * rng.random(8)).tolist()
+    tails = 0
+    for mean in means:
+        cdf = float_poisson_cdf(mean)
+        tails += cdf[-1] >= 1.0
+        thr = dyn._poisson_cdf(mean)
+        u = np.concatenate([edge_draws(math.ceil(c * 2.0 ** 53), rng, 200) for c in cdf])
+        got = np.searchsorted(thr, u, side="right")
+        assert np.array_equal(got, np.searchsorted(cdf, unit(u), side="right")), mean
+    assert tails  # some tables end in entries that round to 1 or above
+
+
+# (initial, C, times) of `_replicas(..., keep="all")` over p in {0, .3, .5, 1}
+# and T in {0, 1, 17, 40}, recorded before the draw kernel worked on integer
+# thresholds and folded offsets; any change to a draw moves them
+FROZEN_MC = {
+    "maj:7": "2ece1a2282d22a4b4209d9bed7ca67d6b587d7afbea60758ac8f70f65c012112",
+    "parity:6": "a264d1f005867f8a8dcb2f0e8a9c24bcd5185d57e8f9c6522f5f3678dc8943a5",
+    "type2:6": "bca9edbbcc82a914b17a383b9b045d3132028460ae3b3f563ee5e800f0c54501",
+    "itermaj3:3": "c85d32cf5a4ac25537d684f978e89be617edc70e26fe5dd2f6cfa0a074f8116e",
+    "andor:4": "524223eb8dd882541fa4cbe91b83a60d77f987109e03ba6d9eade56ed355aa5e",
+    "perc:2,3:2": "347464417ba5b8801fc27f98d2539e4f0b57d0d027a998a3e885203ffa44523d",
+}
+
+
+@pytest.mark.parametrize("block", [2**10, dyn._BLOCK_DRAWS])
+@pytest.mark.parametrize("text", sorted(FROZEN_MC))
+def test_mc_stream_is_frozen(monkeypatch, text, block):
+    monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
+    f = inst(text)
+    h = hashlib.sha256()
+    for p in (0.0, 0.3, 0.5, 1.0):
+        for T in (0.0, 1.0, 17.0, 40.0):
+            b = dyn._replicas(f, p, T, 2024, 3, 33, keep="all")
+            for a, dtype in ((b.initial, "u1"), (b.C, "<i8"), (b.times, "<f8")):
+                h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    assert h.hexdigest() == FROZEN_MC[text]
+
+
+@pytest.mark.parametrize("text", ["maj:1001", "itermaj3:6"])
+def test_counts_do_not_depend_on_block_size(monkeypatch, text):
+    # at T = 20 a 2^10 block cuts every replica into slot spans, while
+    # larger blocks hold several whole replicas
+    f = inst(text)
+    for T in (1.0, 20.0):
+        pr = params(T=T, seed=41, replicas=24)
+        runs = []
+        for block in (2**10, 2**14, dyn._BLOCK_DRAWS):
+            monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
+            emp = dyn.estimate_C_distribution(f, pr)
+            runs.append(emp.C.tobytes() + emp.S.tobytes() + emp.initial.tobytes())
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("block", [2**10, dyn._BLOCK_DRAWS])
+def test_blocks_hold_at_most_block_draws(monkeypatch, block):
+    monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
+    for m in (1, 3, 64, 1001):
+        for T in (0.0, 0.5, 1.0, 17.0, 40.0, 300.0):
+            n_slots = math.ceil(T / dyn._SLOT)
+            slot_len = T / n_slots if n_slots else 0.0
+            per_rep = m + n_slots * m * (1.0 + slot_len)
+            blocks = dyn._blocks(m, n_slots, slot_len, 5, 700)
+            assert [a for a, _, _ in blocks] == [5] + [b for _, b, _ in blocks[:-1]]
+            assert blocks[-1][1] == 700
+            for a, b, spans in blocks:
+                if b - a > 1:
+                    assert (b - a) * per_rep <= block
+                    assert spans == [(0, n_slots)]
 
 
 # -- C distribution vs exact oracle -------------------------------------------

@@ -240,6 +240,16 @@ class TestEdgeSkeleton:
         with pytest.raises(ValueError, match="p must"):
             edge_skeleton(1, 0, 0, p=2.0)
 
+    @pytest.mark.parametrize("replica,edge_id", [(-1, 0), (0.5, 0), (2**64, 0),
+                                                 (0, -1), (0, 2.0), (0, 2**64)])
+    def test_rejects_bad_ids(self, replica, edge_id):
+        with pytest.raises(ValueError, match="must be an integer"):
+            edge_skeleton(1, replica, edge_id)
+
+    def test_accepts_every_64_bit_id(self):
+        last = edge_skeleton(1, 2**64 - 1, 2**64 - 1, T=3.0)
+        assert last == edge_skeleton(1, np.uint64(2**64 - 1), 2**64 - 1, T=3.0)
+
     def test_degenerate_p(self):
         assert edge_skeleton(1, 0, 0, p=0.0).initial == 0
         assert edge_skeleton(1, 0, 0, p=1.0).initial == 1
