@@ -114,49 +114,32 @@ def cmd_influence(cfg, args):
     return payload, ("bit", "influence", "pivotality"), report.per_bit
 
 
+_JOINT_COLUMNS = ("mean_product", "disagree", "se_product", "se_disagree",
+                  "replicas")
+
+
+def _joint_payload(name, spec, seed, est, **params):
+    """Payload and CSV row of a `JointEstimate` (the joint and noise commands)."""
+    payload = {"schema": _schema(name), "spec": spec.spec_string(), **params,
+               "replicas": est.replicas, "seed": seed,
+               "mean_product": est.mean_product, "disagree": est.disagree,
+               "se_product": est.se_product, "se_disagree": est.se_disagree}
+    return payload, _JOINT_COLUMNS, [tuple(payload[k] for k in _JOINT_COLUMNS)]
+
+
 def cmd_joint(cfg, args):
     spec = parse_spec(args.spec)
-    replicas = cfg.resolve_replicas(10_000)
-    est = estimate_joint(make_instance(spec), args.p, args.t, replicas, cfg.seed)
-    payload = {
-        "schema": _schema("joint"),
-        "spec": spec.spec_string(),
-        "p": args.p,
-        "t": args.t,
-        "replicas": est.replicas,
-        "seed": cfg.seed,
-        "mean_product": est.mean_product,
-        "disagree": est.disagree,
-        "se_product": est.se_product,
-        "se_disagree": est.se_disagree,
-    }
-    row = (est.mean_product, est.disagree, est.se_product, est.se_disagree,
-           est.replicas)
-    return payload, ("mean_product", "disagree", "se_product", "se_disagree",
-                     "replicas"), [row]
+    est = estimate_joint(make_instance(spec), args.p, args.t,
+                         cfg.resolve_replicas(10_000), cfg.seed)
+    return _joint_payload("joint", spec, cfg.seed, est, p=args.p, t=args.t)
 
 
 def cmd_noise(cfg, args):
     spec = parse_spec(args.spec)
-    replicas = cfg.resolve_replicas(10_000)
     est = sample_noise_pair(make_instance(spec), args.p, args.epsilon,
-                            replicas, cfg.seed)
-    payload = {
-        "schema": _schema("noise"),
-        "spec": spec.spec_string(),
-        "p": args.p,
-        "epsilon": args.epsilon,
-        "replicas": est.replicas,
-        "seed": cfg.seed,
-        "mean_product": est.mean_product,
-        "disagree": est.disagree,
-        "se_product": est.se_product,
-        "se_disagree": est.se_disagree,
-    }
-    row = (est.mean_product, est.disagree, est.se_product, est.se_disagree,
-           est.replicas)
-    return payload, ("mean_product", "disagree", "se_product", "se_disagree",
-                     "replicas"), [row]
+                            cfg.resolve_replicas(10_000), cfg.seed)
+    return _joint_payload("noise", spec, cfg.seed, est, p=args.p,
+                          epsilon=args.epsilon)
 
 
 def _series_payload(op, params, series):

@@ -198,10 +198,10 @@ class DynamicsParams:
             raise ValueError("p must lie in [0, 1], got %r" % (self.p,))
         if not self.T >= 0:
             raise ValueError("horizon must be >= 0, got %r" % (self.T,))
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1, got %r" % (self.replicas,))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit nonnegative integer")
+        if not isinstance(self.replicas, numbers.Integral) or self.replicas < 1:
+            raise ValueError("replicas must be an integer >= 1, got %r" % (self.replicas,))
+        object.__setattr__(self, "replicas", int(self.replicas))
+        object.__setattr__(self, "seed", _check_id("seed", self.seed))
 
 
 def _check_id(name, value):

@@ -30,13 +30,15 @@ are exactly nested across levels, and every statistic below is exactly
 monotone in the level, not just in expectation.
 
 Replicas are processed in blocks with ragged interval arrays (flat bounds
-plus per-vertex counts); intersections take a vectorized fast path when
-either side is a single interval and an event-count sweep otherwise.  A
-level's frontier lists its vertices case by case, not by replica; each
-vertex keeps its intervals contiguous and in time order, and the union
-statistics sort by replica themselves.  An edge's update times come from
-its own key alone, so results are independent, bit for bit, of the block
-size, of the order of the frontier and of which levels are requested.
+plus per-vertex counts).  A level step intersects every pair of parent
+reach interval and child open span at once; both lists are disjoint and in
+time order, so the pieces come out in time order without a sort.  A
+level's frontier lists its vertices in edge order; each vertex keeps its
+intervals contiguous and in time order, and the union statistics sort by
+replica themselves, whatever the vertex order.  An edge's update times
+come from its own key alone, so results are independent, bit for bit, of
+the block size, of the order of the frontier and of which levels are
+requested.
 """
 
 import math
@@ -309,6 +311,13 @@ def _gather_ragged(src_offsets, counts):
     return np.repeat(shift, counts) + np.arange(int(counts.sum()))
 
 
+def _running(counts):
+    """Running totals of `counts`, from 0 before the first to the full sum."""
+    out = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
 class _Frontier:
     """Vertices with a nonempty root-path-open time set, as ragged intervals."""
 
@@ -326,8 +335,16 @@ class _Frontier:
 def _level_step(front, c, offset, p, slots, horizon):
     """Descend one level: sample child edges, intersect reach with open sets.
 
-    The child frontier lists its vertices case by case, each case in edge
-    order: edges open throughout, the two single-interval clips, the sweep.
+    An edge's open spans run from each rise to the next fall of its state,
+    read along a timeline of a head at time 0 (its initial state), its
+    updates and a closed tail at the horizon; an edge with no update that
+    starts open has the one span [0, horizon).  A child's reach is the
+    nonempty intersections of its edge's open spans with its parent's
+    reach, every pair at once, listed span by span.  Both lists are
+    disjoint and in time order, so for o1 before o2 and r1 before r2,
+    o1 & r2 and o2 & r1 cannot both be nonempty: the pieces come out in
+    time order without a sort.  The child frontier lists its vertices in
+    edge order.
     """
     F = front.rep.size
     # key of edge e is mix(rep_key + (e+1)*step) with e = vidx*c + offset + col;
@@ -343,114 +360,44 @@ def _level_step(front, c, offset, p, slots, horizon):
     s0 = _below(_draw(keys, 1), p)
     edge, slot, tick, st_ev = _skeleton(keys, p, cdf, 0, n_slots)
     m = np.bincount(edge, minlength=E)
-    roffsets = np.cumsum(front.rc) - front.rc
 
-    # edges with no update that start open leave the parent reach intact
-    fidx = np.flatnonzero((m == 0) & s0)
-    fpar = fidx // c
-    nF = front.rc[fpar]
-    src = _gather_ragged(roffsets[fpar], nF)
-    parts = [(fidx, nF, front.rs[src], front.re[src])]  # (edges, counts, s, e)
+    # every edge's timeline in edge order: head, updates, tail.  A span of
+    # zero length (colliding update times) intersects to nothing below
+    tail = np.cumsum(m + 2) - 1
+    head = tail - m - 1
+    at = edge * 2 + np.arange(1, edge.size + 1)
+    t = np.empty(2 * E + edge.size)
+    t[head] = 0.0
+    t[at] = _tick_time(slot, tick, slot_len)
+    t[tail] = horizon
+    state = np.zeros(t.size, dtype=bool)
+    state[head] = s0
+    state[at] = st_ev
+    # each timeline starts after a closed tail and ends closed, so its
+    # state flips alternate rise, fall, rise, ...; n_open counts the spans
+    # up to each edge's end
+    prev = np.zeros(t.size, dtype=bool)
+    prev[1:] = state[:-1]
+    flips = np.flatnonzero(state != prev)
+    open_s, open_e = t[flips[0::2]], t[flips[1::2]]
+    n_open = np.searchsorted(flips, tail, "right") // 2
 
-    lidx = np.flatnonzero(m)
-    if lidx.size:
-        mL = m[lidx]
-        s0L = s0[lidx]
-        L = lidx.size
-        cm = np.cumsum(mL)
-        hpos, last = cm - mL, cm - 1
-        final = st_ev[last]
-        t_ev = _tick_time(slot, tick, slot_len)
+    # one pair per (open span, parent reach interval), span by span; the
+    # kept pieces of each edge come from running counts at its last pair
+    spans = np.diff(n_open[c - 1::c], prepend=0)  # per parent vertex
+    nR = np.repeat(front.rc, spans)
+    gR = _gather_ragged(np.repeat(np.cumsum(front.rc) - front.rc, spans), nR)
+    cs = np.maximum(front.rs[gR], np.repeat(open_s, nR))
+    ce = np.minimum(front.re[gR], np.repeat(open_e, nR))
+    keep = cs < ce
+    rc = np.diff(_running(keep)[_running(nR)[n_open]], prepend=0)
 
-        prev = np.empty(st_ev.size, dtype=bool)
-        prev[1:] = st_ev[:-1]
-        prev[hpos] = s0L
-        # an edge's open spans start at its rises, or at 0 on its first event
-        # if it starts open, and end at its falls, or at the horizon on its
-        # last event if it ends open: each stream lists them in edge and
-        # time order
-        start = st_ev > prev
-        start[hpos] |= s0L
-        end = st_ev < prev
-        end[last] |= final
-        n_start = np.cumsum(start)
-        ooff_raw = n_start[hpos] - start[hpos]
-        ostop = n_start[last]
-        nO_raw = ostop - ooff_raw
-        open_s, open_e = t_ev[start], t_ev[end]
-        open_s[ooff_raw[s0L]] = 0.0
-        open_e[ostop[final] - 1] = horizon
-        pos = open_s < open_e  # drop zero-length spans from colliding times
-        if not np.all(pos):
-            oedge = np.repeat(np.arange(L, dtype=np.int64), nO_raw)[pos]
-            open_s, open_e = open_s[pos], open_e[pos]
-            nO = np.bincount(oedge, minlength=L)
-        else:
-            nO = nO_raw
-        ooffsets = np.cumsum(nO) - nO
-
-        lpar = lidx // c
-        nR = front.rc[lpar]
-        roffL = roffsets[lpar]
-
-        def clip(case, n, off, s, e, one, one_s, one_e):
-            # edges in `case`: n intervals from off clipped to interval one
-            idx = np.flatnonzero(case)
-            if idx.size == 0:
-                return
-            n, one = n[idx], one[idx]
-            seg = np.repeat(np.arange(idx.size), n)
-            g = (off[idx] - (np.cumsum(n) - n))[seg] + np.arange(seg.size)
-            cs = np.maximum(s[g], one_s[one][seg])
-            ce = np.minimum(e[g], one_e[one][seg])
-            keep = cs < ce
-            parts.append((lidx[idx], np.bincount(seg[keep], minlength=idx.size),
-                          cs[keep], ce[keep]))
-
-        # a single-interval reach clips every open span; a single open
-        # span clips a fragmented reach
-        clip((nR == 1) & (nO > 0), nO, ooffsets, open_s, open_e,
-             roffL, front.rs, front.re)
-        clip((nR > 1) & (nO == 1), nR, roffL, front.rs, front.re,
-             ooffsets, open_s, open_e)
-
-        # fragmented on both sides (rare): event-count sweep
-        sweep = (nR > 1) & (nO > 1)
-        if np.any(sweep):
-            sidx = np.flatnonzero(sweep)
-            S = sidx.size
-            nRs, nOs = nR[sidx], nO[sidx]
-            gR = _gather_ragged(roffL[sidx], nRs)
-            gO = _gather_ragged(ooffsets[sidx], nOs)
-            seg = np.arange(S, dtype=np.int64)
-            ev_t = np.concatenate([front.rs[gR], open_s[gO],
-                                   front.re[gR], open_e[gO]])
-            ev_e = np.concatenate([np.repeat(seg, nRs), np.repeat(seg, nOs)] * 2)
-            n_up = int(nRs.sum() + nOs.sum())
-            ev_d = np.concatenate([np.ones(n_up, dtype=np.int64),
-                                   np.full(n_up, -1, dtype=np.int64)])
-            o3 = np.lexsort((ev_t, ev_e))
-            ev_t, ev_e, ev_d = ev_t[o3], ev_e[o3], ev_d[o3]
-            acts = np.cumsum(ev_d)
-            n_ev = 2 * (nRs + nOs)
-            ends = np.cumsum(n_ev)
-            bases = np.concatenate([[0], acts[ends[:-1] - 1]])
-            act = acts - np.repeat(bases, n_ev)
-            rise2 = (ev_d == 1) & (act == 2)
-            fall2 = (ev_d == -1) & (act == 1)
-            cs_t, ce_t = ev_t[rise2], ev_t[fall2]
-            cedge = ev_e[rise2]
-            keepS = cs_t < ce_t
-            parts.append((lidx[sidx], np.bincount(cedge[keepS], minlength=S),
-                          cs_t[keepS], ce_t[keepS]))
-
-    eidx, rc, rs, re = (np.concatenate(a) for a in zip(*parts))
-    kept = rc > 0
-    eidx, rc = eidx[kept], rc[kept]
+    eidx = np.flatnonzero(rc > 0)
+    rc = rc[eidx]
     kpar = eidx // c
     return _Frontier(rep=front.rep[kpar], repk=front.repk[kpar],
                      vidx=first[kpar] + (eidx - kpar * c).astype(np.uint64),
-                     rs=rs, re=re, rc=rc)
+                     rs=cs[keep], re=ce[keep], rc=rc)
 
 
 def _union_stats(front, base_rep, nrep, horizon, init, C, S):

@@ -36,11 +36,25 @@ def binom_se(q, n):
         dict(replicas=0),
         dict(seed=-1),
         dict(T=math.nan),
+        dict(seed=0.5),
+        dict(seed=3.0),
+        dict(replicas=2.5),
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         params(**kwargs)
+
+
+def test_params_accept_numpy_integers():
+    # numpy integer seeds and replica counts are stored as Python ints, so
+    # they key the same replicas as the equal int
+    pr = params(seed=np.int64(7), replicas=np.uint64(40))
+    assert pr == params(seed=7, replicas=40)
+    assert type(pr.seed) is int and type(pr.replicas) is int
+    a = dyn.estimate_C_distribution(inst("maj:3"), pr)
+    b = dyn.estimate_C_distribution(inst("maj:3"), params(seed=7, replicas=40))
+    assert np.array_equal(a.C, b.C)
 
 
 # -- single trajectories ------------------------------------------------------

@@ -239,6 +239,9 @@ class TestEdgeSkeleton:
                 edge_skeleton(1, 0, 0, T=T)
         with pytest.raises(ValueError, match="p must"):
             edge_skeleton(1, 0, 0, p=2.0)
+        for seed in (2.5, 3.0):
+            with pytest.raises(ValueError, match="seed"):
+                edge_skeleton(seed, 0, 0)
 
     @pytest.mark.parametrize("replica,edge_id", [(-1, 0), (0.5, 0), (2**64, 0),
                                                  (0, -1), (0, 2.0), (0, 2**64)])
@@ -398,6 +401,8 @@ class TestRegimeExperiment:
             ((2, 2, 2, 2), [1, 2, 3, 4], 0.5, 1.0, 13),
             ((3, 1, 2), [1, 2, 3], 0.3, 0.7, 29),
             ((2, 16, 3), [2, 3], 0.5, 1.0, 31),
+            # most edges hold several open spans, under fragmented reaches
+            ((2, 3, 2), [1, 2, 3], 0.5, 6.0, 41),
         ]
         for children, levels, p, T, seed in cases:
             rep = regime_experiment(LevelProfile(children), levels, p=p, T=T,
@@ -674,3 +679,72 @@ def test_union_stats_on_unordered_frontier(nrep):
         assert np.array_equal(init, want[0])
         assert np.array_equal(C, want[1])
         assert np.array_equal(S, want[2])
+
+
+def _open_spans(sk, T):
+    """Open spans of one edge skeleton: rise (or 0) to fall (or T)."""
+    out, cur, start = [], bool(sk.initial), 0.0
+    for t, s in zip(sk.times, sk.states):
+        if s and not cur:
+            start = t
+        elif cur and not s:
+            out.append((start, t))
+        cur = bool(s)
+    if cur:
+        out.append((start, T))
+    return out
+
+
+@pytest.mark.parametrize("p,T", [(0.5, 0.7), (0.3, 18.0)])
+def test_level_step_intersects_every_reach_span_pair(p, T):
+    # a hand-built level-3 frontier of (4, 4, 3), keyed as the descent keys
+    # it, with full, fragmented and abutting reaches; every child must hold
+    # the nonempty reach & span pieces of its edge, in time order
+    c, offset, seed = 3, 4 + 16, 29
+    rng = np.random.default_rng(int(T))
+    grid = np.linspace(0.0, T, 13)
+    verts = [(0, 3, [(0.0, T)]), (5, 0, [(0.0, T)]),
+             (5, 7, [(0.0, grid[4]), (grid[4], grid[9])]),
+             (9, 15, [(grid[1], grid[2]), (grid[2], grid[5]), (grid[7], T)])]
+    # a reach split where its first child edge first switches: one piece on
+    # each side of the switch touches the edge's span there and must vanish
+    v1, t1 = next((v, sk.times[0]) for v in range(16)
+                  for sk in [edge_skeleton(seed, 2, v * c + offset, p, T)]
+                  if sk.times and sk.states[0] != sk.initial)
+    verts.append((2, v1, [(0.0, t1), (t1, T)]))
+    for _ in range(40):
+        pts = np.sort(rng.choice(grid, size=2 * int(rng.integers(1, 5)), replace=False))
+        if rng.random() < 0.5:  # let some pieces abut
+            pts[2::2] = np.minimum(pts[2::2], pts[1:-1:2])
+        verts.append((int(rng.integers(0, 12)), int(rng.integers(0, 16)),
+                      [(a, b) for a, b in zip(pts[0::2], pts[1::2]) if a < b]))
+    rep = np.array([r for r, _, _ in verts], dtype=np.int64)
+    seed0 = np.uint64(perctree._mix64_int(seed))
+    front = perctree._Frontier(
+        rep=rep,
+        repk=perctree._mix64(seed0 + rep.astype(np.uint64) * np.uint64(perctree._KEY_REPLICA)),
+        vidx=np.array([v for _, v, _ in verts], dtype=np.uint64),
+        rs=np.array([a for *_, reach in verts for a, _ in reach]),
+        re=np.array([b for *_, reach in verts for _, b in reach]),
+        rc=np.array([len(reach) for *_, reach in verts], dtype=np.int64))
+    child = perctree._level_step(front, c, offset, p, perctree._slots(1, T), T)
+
+    got = {}
+    off = 0
+    for r, v, n in zip(child.rep.tolist(), child.vidx.tolist(), child.rc.tolist()):
+        got.setdefault((r, v), []).append(
+            list(zip(child.rs[off:off + n].tolist(), child.re[off:off + n].tolist())))
+        off += n
+    assert off == child.rs.size
+    want = {}
+    for r, v, reach in verts:
+        for col in range(c):
+            spans = _open_spans(edge_skeleton(seed, r, v * c + offset + col, p, T), T)
+            pieces = [(max(a, s), min(b, e)) for a, b in reach for s, e in spans]
+            pieces = [(lo, hi) for lo, hi in pieces if lo < hi]
+            if pieces:
+                want.setdefault((r, v * c + col), []).append(pieces)
+    assert got == want
+    assert sum(len(ps) > 1 for ivs in want.values() for ps in ivs) > 10
+    by_rep = dict(zip(front.rep.tolist(), front.repk.tolist()))
+    assert [by_rep[r] for r in child.rep.tolist()] == child.repk.tolist()
