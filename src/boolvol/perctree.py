@@ -30,10 +30,12 @@ are exactly nested across levels, and every statistic below is exactly
 monotone in the level, not just in expectation.
 
 Replicas are processed in blocks with ragged interval arrays (flat bounds
-plus per-vertex counts).  A level step intersects every pair of parent
-reach interval and child open span at once; both lists are disjoint and in
-time order, so the pieces come out in time order without a sort.  A
-level's frontier lists its vertices in edge order; each vertex keeps its
+plus per-vertex counts).  A level step intersects each child open span
+with the parent reach intervals it can meet, all pairs at once; bisection
+skips the rest, so a step's arrays grow with its spans and the parent's
+intervals, not with their product.  Both lists are disjoint and in time
+order, so the pieces come out in time order without a sort.  A level's
+frontier lists its vertices in edge order; each vertex keeps its
 intervals contiguous and in time order, and the union statistics sort by
 replica themselves, whatever the vertex order.  An edge's update times
 come from its own key alone, so results are independent, bit for bit, of
@@ -318,6 +320,25 @@ def _running(counts):
     return out
 
 
+def _search(vals, lo, hi, x, side):
+    """Per query i, the first j in [lo_i, hi_i) with vals[j] > x_i (side
+    "right") or vals[j] >= x_i ("left"), else hi_i; vals[lo_i:hi_i] must
+    be ascending.  All queries bisect together, one halving per pass."""
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        v = vals[np.minimum(mid, vals.size - 1)]
+        go = (v <= x if side == "right" else v < x) & (mid < hi)
+        lo = np.where(go, mid + 1, lo)
+        hi = np.where(go, hi, mid)
+    return lo
+
+
+# a span is paired with every interval of a parent reach this short, which
+# costs less than bisecting it; longer reaches are bisected (the reaches of
+# horizon T hold about T/4 intervals at p = 1/2)
+_PAIR_ALL = 8
+
+
 class _Frontier:
     """Vertices with a nonempty root-path-open time set, as ragged intervals."""
 
@@ -340,11 +361,13 @@ def _level_step(front, c, offset, p, slots, horizon):
     updates and a closed tail at the horizon; an edge with no update that
     starts open has the one span [0, horizon).  A child's reach is the
     nonempty intersections of its edge's open spans with its parent's
-    reach, every pair at once, listed span by span.  Both lists are
-    disjoint and in time order, so for o1 before o2 and r1 before r2,
-    o1 & r2 and o2 & r1 cannot both be nonempty: the pieces come out in
-    time order without a sort.  The child frontier lists its vertices in
-    edge order.
+    reach, listed span by span and, within a span, in reach order.  Both
+    lists are disjoint and in time order, and every piece lies inside its
+    span, so the pieces come out in time order without a sort.  The
+    parent's intervals that cannot meet a span are skipped by bisection
+    once there are more than _PAIR_ALL of them, so the pairs grow with
+    the spans and reach intervals, not with their product.  The child
+    frontier lists its vertices in edge order.
     """
     F = front.rep.size
     # key of edge e is mix(rep_key + (e+1)*step) with e = vidx*c + offset + col;
@@ -382,15 +405,27 @@ def _level_step(front, c, offset, p, slots, horizon):
     open_s, open_e = t[flips[0::2]], t[flips[1::2]]
     n_open = np.searchsorted(flips, tail, "right") // 2
 
-    # one pair per (open span, parent reach interval), span by span; the
-    # kept pieces of each edge come from running counts at its last pair
+    # each open span pairs with its parent's reach intervals; a reach of
+    # more than _PAIR_ALL intervals is first narrowed by bisection to the
+    # ones the span meets, from the first ending after its start to the
+    # last starting before its end.  A level step thus makes at most
+    # _PAIR_ALL pairs per span beyond the pieces it keeps; the kept pieces
+    # of each edge come from running counts at its last pair
     spans = np.diff(n_open[c - 1::c], prepend=0)  # per parent vertex
-    nR = np.repeat(front.rc, spans)
-    gR = _gather_ragged(np.repeat(np.cumsum(front.rc) - front.rc, spans), nR)
-    cs = np.maximum(front.rs[gR], np.repeat(open_s, nR))
-    ce = np.minimum(front.re[gR], np.repeat(open_e, nR))
+    lo = np.repeat(np.cumsum(front.rc) - front.rc, spans)
+    npair = np.repeat(front.rc, spans)
+    far = np.flatnonzero(npair > _PAIR_ALL)
+    if far.size:
+        lo_f = lo[far]
+        hi_f = lo_f + npair[far]
+        lo_f = _search(front.re, lo_f, hi_f, open_s[far], "right")
+        lo[far] = lo_f
+        npair[far] = _search(front.rs, lo_f, hi_f, open_e[far], "left") - lo_f
+    gR = _gather_ragged(lo, npair)
+    cs = np.maximum(front.rs[gR], np.repeat(open_s, npair))
+    ce = np.minimum(front.re[gR], np.repeat(open_e, npair))
     keep = cs < ce
-    rc = np.diff(_running(keep)[_running(nR)[n_open]], prepend=0)
+    rc = np.diff(_running(keep)[_running(npair)[n_open]], prepend=0)
 
     eidx = np.flatnonzero(rc > 0)
     rc = rc[eidx]

@@ -8,6 +8,7 @@ determinism, exact endpoint propagation) are bitwise.
 import hashlib
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,8 +513,9 @@ class TestRegimeExperiment:
         # mean; a block holds at most _BLOCK_DRAWS expected draws
         children, T = (2, 2), 2000.0
         bound = perctree._draws_per_replica(children, 0.5, T)
-        blocks, drawn = [], [0]
+        blocks, drawn, peaks = [], [0], []
         explore, skeleton = perctree._explore_block, perctree._skeleton
+        step = perctree._level_step
 
         def explore_spy(*args):
             blocks.append(args[-2] - args[-3])
@@ -524,14 +526,33 @@ class TestRegimeExperiment:
             drawn[0] += keys.size + out[0].size
             return out
 
+        def step_spy(*args):
+            # the memory a level step allocates, per draw it makes: level 2
+            # holds about 500 open spans and 500 parent intervals per edge,
+            # some 125 (span, interval) pairs per draw if all were paired
+            before = drawn[0]
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = step(*args)
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / (drawn[0] - before))
+            if not tracing:
+                tracemalloc.stop()
+            return out
+
         monkeypatch.setattr(perctree, "_explore_block", explore_spy)
         monkeypatch.setattr(perctree, "_skeleton", skeleton_spy)
+        monkeypatch.setattr(perctree, "_level_step", step_spy)
         rep = regime_experiment(LevelProfile(children), [2], T=T, replicas=100, seed=3)
         assert len(blocks) > 1
         assert max(blocks) * bound <= perctree._BLOCK_DRAWS < (max(blocks) + 1) * bound
         assert sum(blocks) == 100
         # the bound is on the mean; the total draw count is near Poisson
         assert drawn[0] <= 100 * bound + 4.5 * math.sqrt(100 * bound)
+        # the arrays of a step stay near 80 bytes per draw at any horizon
+        assert len(peaks) == 2 * len(blocks) and max(peaks) < 160
         small = regime_experiment(LevelProfile(children), [2], T=T, replicas=100,
                                   seed=3, _block=7).levels[0].empirical
         assert np.array_equal(rep.levels[0].empirical.C, small.C)
@@ -712,6 +733,14 @@ def test_level_step_intersects_every_reach_span_pair(p, T):
                   for sk in [edge_skeleton(seed, 2, v * c + offset, p, T)]
                   if sk.times and sk.states[0] != sk.initial)
     verts.append((2, v1, [(0.0, t1), (t1, T)]))
+    # reaches longer than _PAIR_ALL, which are bisected: 40 abutting
+    # pieces, and every other piece of a grid cut at each update time of
+    # the vertex's child edges, so reach and span ends coincide
+    fine = np.linspace(0.0, T, 41)
+    verts.append((4, 6, list(zip(fine[:-1], fine[1:]))))
+    cuts = sorted(set(np.linspace(0.0, T, 20)).union(
+        *(edge_skeleton(seed, 7, 8 * c + offset + col, p, T).times for col in range(c))))
+    verts.append((7, 8, list(zip(cuts[0::2], cuts[1::2]))))
     for _ in range(40):
         pts = np.sort(rng.choice(grid, size=2 * int(rng.integers(1, 5)), replace=False))
         if rng.random() < 0.5:  # let some pieces abut
@@ -746,5 +775,6 @@ def test_level_step_intersects_every_reach_span_pair(p, T):
                 want.setdefault((r, v * c + col), []).append(pieces)
     assert got == want
     assert sum(len(ps) > 1 for ivs in want.values() for ps in ivs) > 10
+    assert sum(len(reach) > perctree._PAIR_ALL for *_, reach in verts) == 2
     by_rep = dict(zip(front.rep.tolist(), front.repk.tolist()))
     assert [by_rep[r] for r in child.rep.tolist()] == child.repk.tolist()
