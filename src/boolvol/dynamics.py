@@ -58,10 +58,20 @@ events:
 Every clock-driven entry point reads its statistic off `_replicas`.  A
 replica expecting more than EVENT_BUDGET events (arity*T here, c_1*T
 root-edge updates in `perctree`) is refused by `_slots`, before any draw.
+
+Each block allocates and frees tens of MB of temporaries in arrays of a
+few MB.  By default glibc maps such arrays fresh and returns freed heap
+to the kernel, so every block faults its memory in again, page by page.
+The block engines (`_replica_spans` here, `perctree.regime_experiment`)
+therefore call `_hold_freed_memory` on entry, which raises glibc's mmap
+and trim thresholds once per process; importing the package changes
+nothing, and no output depends on the allocator.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +87,28 @@ _PAIR_CHUNK = 4096
 # expected events per replica (arity * T) above which a run is refused;
 # the same order as perctree's default edge budget
 EVENT_BUDGET = 10_000_000
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+@functools.cache
+def _hold_freed_memory():
+    """Keep freed block memory in the process instead of re-faulting it.
+
+    Once per process, has glibc serve arrays below 32 MiB from the heap
+    (M_MMAP_THRESHOLD) and keep up to 64 MiB of freed heap
+    (M_TRIM_THRESHOLD); returns whether it did.  Where the C library has
+    no `mallopt` (not glibc) it does nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
 def replica_stream(seed, replica_index):
@@ -477,6 +509,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
     """
     m = instance.arity
     n_slots, slot_len, cdf = _slots(m, T)
+    _hold_freed_memory()
     weights = instance.counter_weights()
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
         config = None

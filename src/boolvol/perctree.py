@@ -19,8 +19,7 @@ replica.  A replica whose c_1 root edges expect more than
 `dynamics.EVENT_BUDGET` updates (c_1 * T) is refused before any draw.
 A replica expected to draw more than _REPLICA_DRAWS edges and updates in
 its descent is refused too.  Blocks of replicas are sized separately, by
-_BLOCK_DRAWS expected draws, so that one level's arrays stay near the
-per-core cache.
+_BLOCK_DRAWS expected draws, which bounds one level's arrays.
 
 The exploration descends lazily: a vertex is visited only while some time
 interval keeps its whole root path open.  Interval endpoints are derived
@@ -44,6 +43,7 @@ requested.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +59,7 @@ from .dynamics import (
     _draw,
     _edge_keys,
     _finish,
+    _hold_freed_memory,
     _mix64,
     _mix64_int,
     _offset,
@@ -401,9 +402,10 @@ def _level_step(front, c, offset, p, slots, horizon):
     # up to each edge's end
     prev = np.zeros(t.size, dtype=bool)
     prev[1:] = state[:-1]
-    flips = np.flatnonzero(state != prev)
+    flip = state != prev
+    flips = np.flatnonzero(flip)
     open_s, open_e = t[flips[0::2]], t[flips[1::2]]
-    n_open = np.searchsorted(flips, tail, "right") // 2
+    n_open = np.cumsum(flip)[tail] // 2
 
     # each open span pairs with its parent's reach intervals; a reach of
     # more than _PAIR_ALL intervals is first narrowed by bisection to the
@@ -537,8 +539,8 @@ def _edge_offsets(children):
 
 # expected edges and updates drawn by one replica (more is refused) and by
 # one block of replicas.  A level step peaks near 80 bytes per draw; blocks
-# of half the refusal limit keep the deep levels' arrays closer to a 2 MB
-# per-core cache, which measured faster, and lower the peak
+# of half the refusal limit lower that peak.  Blocks of 2^16 to 2^20 draws
+# timed the same: the size bounds memory, it is not a cache fit
 _REPLICA_DRAWS = 1 << 20
 _BLOCK_DRAWS = 1 << 19
 
@@ -661,9 +663,15 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     states: switch counts are zero and p_one equals p_always_one.  A
     horizon at which the c_1 root edges expect more than
     `dynamics.EVENT_BUDGET` updates, or one replica more than _REPLICA_DRAWS
-    draws (edges and updates), raises InstanceTooLarge.
+    draws (edges and updates), raises InstanceTooLarge.  Levels must be
+    integers (bool is not one) in 1..n_levels; anything else raises
+    InvalidSpec.
     """
     profile = _as_profile(profile)
+    levels = list(levels)
+    for L in levels:
+        if isinstance(L, bool) or not isinstance(L, numbers.Integral):
+            raise InvalidSpec("levels must be integers, got %r" % (L,))
     levels = sorted(set(int(L) for L in levels))
     if not levels:
         raise InvalidSpec("at least one level is required")
@@ -690,6 +698,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     horizon = T if T > 0 else 1.0
     seed0 = _mix64_int(seed)
     level_set = set(levels)
+    _hold_freed_memory()
 
     agg = {L: (np.zeros(replicas, dtype=np.uint8),
                np.zeros(replicas, dtype=np.int64),

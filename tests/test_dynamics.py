@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,8 @@ from boolvol import dynamics as dyn
 from boolvol import functions as bf
 from boolvol import oracle
 from boolvol.errors import InstanceTooLarge
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def inst(text):
@@ -533,3 +538,28 @@ def test_survival_curve_monotone():
     xs = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     vals = dyn.survival_curve(inst("itermaj3:2"), 0.5, xs, 2000, 21)
     assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+# -- allocator -----------------------------------------------------------------
+
+def test_only_the_block_engines_set_the_allocator():
+    # importing the package and running the oracles and recursions leave
+    # the allocator as it is; the first Monte Carlo call sets it
+    code = "\n".join([
+        "import boolvol.cli, boolvol.perctree",
+        "from boolvol import analysis, dynamics, functions, oracle",
+        "held = dynamics._hold_freed_memory.cache_info",
+        "f = functions.make_instance(functions.parse_spec('maj:5'))",
+        "oracle.exact_influence_report(f, 0.3)",
+        "analysis.maj3_a_seq(0.4, 10)",
+        "dynamics.sample_noise_pair(f, 0.5, 0.2, 10, 1)",
+        "assert held().misses == 0",
+        "dynamics.estimate_joint(f, 0.5, 1.0, 10, 1)",
+        "assert held().misses == 1",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

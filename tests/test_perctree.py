@@ -495,6 +495,17 @@ class TestRegimeExperiment:
             regime_experiment(prof, [1], T=-1.0, replicas=10, seed=1)
         with pytest.raises(ValueError, match="horizon"):
             regime_experiment(prof, [1], T=float("nan"), replicas=10, seed=1)
+        for bad in ([2.5], [True], [1, 2.0], [np.float64(2)]):
+            with pytest.raises(InvalidSpec, match="levels must be integers"):
+                regime_experiment(prof, bad, replicas=10, seed=1)
+
+    def test_numpy_integer_levels(self):
+        prof = LevelProfile((2, 2, 2))
+        got = regime_experiment(prof, [np.int64(2)], replicas=200, seed=1)
+        want = regime_experiment(prof, [2], replicas=200, seed=1)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert type(got.levels[0].level) is int
+        assert np.array_equal(got.levels[0].empirical.C, want.levels[0].empirical.C)
 
     def test_horizon_past_event_budget_refused(self):
         # the budget counts the root edges' expected updates, c_1 * T
@@ -778,3 +789,18 @@ def test_level_step_intersects_every_reach_span_pair(p, T):
     assert sum(len(reach) > perctree._PAIR_ALL for *_, reach in verts) == 2
     by_rep = dict(zip(front.rep.tolist(), front.repk.tolist()))
     assert [by_rep[r] for r in child.rep.tolist()] == child.repk.tolist()
+
+
+def test_repeated_runs_do_not_refault_block_memory():
+    # a level step frees tens of MB in arrays of a few MB; once the engine
+    # has set the allocator, later runs reuse that heap instead of taking
+    # fresh pages from the kernel (about 36k minor faults without it)
+    resource = pytest.importorskip("resource")
+    if not perctree._hold_freed_memory():
+        pytest.skip("the C library has no mallopt")
+    prof = build_profile("nalpha:3", 10)
+    regime_experiment(prof, range(4, 11), replicas=12)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        regime_experiment(prof, range(4, 11), replicas=12)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
