@@ -41,12 +41,15 @@ Balanced AND/OR trees (output = root value of the alternating gate tree):
                            sub-fixed-point of the depth recursion
                            G(x) >= (1/2)(1 + x/2) P(X>=x)^2 + (1/2)(1 - x/2) P(X+X'>=x).
 
-Precision policy: plain float64 until a value drops below 1e-280, then exact
-log-space stepping (log a_{k+1} = log 3 + 2 log a_k + log1p(-(2/3) a_k)); mode
-switching is monotone (once in log space a series stays there).  Every engine
-also takes an optional ``digits`` argument selecting arbitrary-precision
-decimal arithmetic (mpmath); mpf exponents never underflow, so digits-mode
-series stay linear.  All functions here are pure and safe to call concurrently.
+Precision policy: maj3_a_seq, maj3_pi_seq and maj3_b_seq run in float64 until
+a value would fall below 1e-280, then step its natural log instead (log a_{k+1}
+= log 3 + 2 log a_k + log1p(-(2/3) a_k)); the switch is monotone, and one
+stepper applies it to all three.  The logs themselves leave the float range
+near depth 1030 (-inf, then NaN in b).  A ``digits`` argument selects mpmath
+arithmetic at that many decimal digits instead; mpf exponents never underflow,
+so those series stay linear.  The cutoff diagnostic and the volatility ratio
+always run in mpmath.  All functions here are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import PrecisionExhausted, ResourceLimit
-from .dynamics import simulate_batch
+from .dynamics import _check_int, simulate_batch
 
 __all__ = [
     "MAJ3_CRITICAL_ALPHA",
@@ -94,6 +97,14 @@ _LOG3 = math.log(3.0)
 _LN10 = math.log(10.0)
 
 
+def _depth(n, t=0.0):
+    """`n` as an int; ValueError unless it is an integer >= 0 and t >= 0."""
+    n = _check_int("depth n", n, 0)
+    if not t >= 0.0:
+        raise ValueError("time t must be >= 0")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # parameters
 
@@ -115,18 +126,17 @@ class Maj3Params:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("depth n must be >= 0")
+        object.__setattr__(self, "n", _depth(self.n, self.t))
         if (self.epsilon is None) == (self.alpha is None):
             raise ValueError("give exactly one of epsilon= or alpha=")
-        if not self.t >= 0.0:
-            raise ValueError("time t must be >= 0")
         if self.alpha is not None:
+            if not math.isfinite(self.alpha):
+                raise ValueError("alpha must be finite")
             if self.n < 1:
                 raise ValueError("scaling mode needs n >= 1")
             if self.log10_epsilon() >= math.log10(0.5):
                 raise ValueError("n^alpha (2/3)^n >= 1/2: p would leave [0, 1/2)")
-            object.__setattr__(self, "epsilon", self._epsilon_float())
+            object.__setattr__(self, "epsilon", math.exp(self.log10_epsilon() * _LN10))
         else:
             if not 0.0 <= self.epsilon < 0.5:
                 raise ValueError("epsilon must lie in [0, 1/2)")
@@ -134,9 +144,6 @@ class Maj3Params:
     @classmethod
     def from_alpha(cls, n, alpha, t=0.0):
         return cls(n=n, alpha=alpha, t=t)
-
-    def _epsilon_float(self):
-        return math.exp(self.log10_epsilon() * _LN10)
 
     def log10_epsilon(self):
         """log10 of the bias, exact in scaling mode even when the float underflows."""
@@ -234,21 +241,86 @@ def _jsonable(v):
 
 
 # ---------------------------------------------------------------------------
+# recursion cores
+
+
+def _float_series(x0, n, step, log_from, log_step):
+    """Float values x_0 .. x_n and their modes, switching to logs below 1e-280.
+
+    ``step(x, k)`` maps x_k to x_{k+1}.  A start in (0, 1e-280) is kept as its
+    log.  When the step of a positive x_k falls below 1e-280, log x_{k+1} =
+    ``log_from(x_k, k)``, and ``log_step(log x_k, k)`` runs from then on.  The
+    test keys on x_k staying positive because squaring can underflow straight
+    past 1e-280 to exact zero.
+    """
+    linear = 0 if 0.0 < x0 < _UNDERFLOW else n + 1  # entries before the switch
+    values = [math.log(x0) if linear == 0 else x0]
+    for k in range(n):
+        x = values[k]
+        if k >= linear:
+            values.append(log_step(x, k))
+            continue
+        nx = step(x, k)
+        if x > 0.0 and nx < _UNDERFLOW:
+            linear, nx = k + 1, log_from(x, k)
+        values.append(nx)
+    return values, ["linear"] * linear + ["log"] * (n + 1 - linear)
+
+
+def _mp_series(x0, n, step):
+    """mpf values x_0 .. x_n, x_{k+1} = step(x_k, k); mpf exponents never underflow."""
+    values = [x0]
+    for k in range(n):
+        values.append(step(values[k], k))
+    return values
+
+
+def _workdps(digits):
+    """mpmath working precision of ``digits`` decimal digits, an integer >= 1."""
+    return mp.workdps(_check_int("digits", digits, 1))
+
+
+def _mp_bias(params, digits):
+    """(epsilon, p = 1/2 - epsilon) as mpfs, or PrecisionExhausted if p rounds to 1/2."""
+    eps = params.epsilon_mpf()
+    half = mp.mpf(1) / 2
+    p = half - eps
+    if eps > 0 and p == half:
+        raise PrecisionExhausted(f"{digits} digits cannot represent p = 1/2 - epsilon")
+    return eps, p
+
+
+def _b0(eps, emt):
+    """Two-time leaf probability b_0 at emt = e^{-t}, for floats and mpfs alike."""
+    return (1 + emt) / 4 - eps + eps * eps * (1 - emt)
+
+
+# ---------------------------------------------------------------------------
 # 3-majority: one-time and gap recursions
 
 
-def _a_step(a):
+def _a_step(a, _k):
     aa = a * a
     return 3.0 * aa - 2.0 * aa * a
 
 
-def _a_log_from_linear(a):
+def _a_log_from(a, _k):
     # log(3a^2 - 2a^3) = log 3 + 2 log a + log(1 - (2/3) a)
     return _LOG3 + 2.0 * math.log(a) + math.log1p(-(2.0 / 3.0) * a)
 
 
-def _a_log_step(la):
+def _a_log_step(la, _k):
+    if la < -800.0:  # exp(la) is 0.0: the log1p term is exactly -0.0, skip it
+        return _LOG3 + 2.0 * la
     return _LOG3 + 2.0 * la + math.log1p(-(2.0 / 3.0) * math.exp(la))
+
+
+def _mp_a_step(a, _k):
+    return 3 * a * a - 2 * a * a * a
+
+
+def _float_a(p0, n):
+    return _float_series(p0, n, _a_step, _a_log_from, _a_log_step)
 
 
 def maj3_a_seq(p0, n, digits=None):
@@ -260,35 +332,21 @@ def maj3_a_seq(p0, n, digits=None):
     """
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    n = _depth(n)
     if digits is not None:
-        with mp.workdps(digits):
-            vals = [mp.mpf(p0)]
-            for _ in range(n):
-                a = vals[-1]
-                vals.append(3 * a * a - 2 * a * a * a)
-            return RecursionSeries(vals, ["linear"] * (n + 1), digits, {"p0": p0})
-    values, modes = [], []
-    a, la, in_log = p0, None, False
-    if 0.0 < p0 < _UNDERFLOW:
-        in_log, la = True, math.log(p0)
-    values.append(la if in_log else a)
-    modes.append("log" if in_log else "linear")
-    for _ in range(n):
-        if in_log:
-            la = _a_log_step(la)
-        else:
-            na = _a_step(a)
-            # squaring can underflow straight past 1e-280 to exact zero, so
-            # the switch keys on the pre-step value staying positive
-            if a > 0.0 and na < _UNDERFLOW:
-                in_log, la = True, _a_log_from_linear(a)
-            else:
-                a = na
-        values.append(la if in_log else a)
-        modes.append("log" if in_log else "linear")
-    return RecursionSeries(values, modes, None, {"p0": p0})
+        with _workdps(digits):
+            vals = _mp_series(mp.mpf(p0), n, _mp_a_step)
+        return RecursionSeries(vals, ["linear"] * (n + 1), digits, {"p0": p0})
+    return RecursionSeries(*_float_a(p0, n), None, {"p0": p0})
+
+
+def _pi_step(q, _k):
+    return 1.5 * q - 0.5 * q * q * q
+
+
+def _pi_log_step(lq, _k):
+    # log((3/2) q (1 - q^2/3)) -- q^2 underflows harmlessly to 0.
+    return math.log(1.5) + lq + math.log1p(-math.exp(2.0 * lq) / 3.0)
 
 
 def maj3_pi_seq(epsilon, n, digits=None):
@@ -300,57 +358,27 @@ def maj3_pi_seq(epsilon, n, digits=None):
     """
     if not 0.0 <= epsilon <= 0.5:
         raise ValueError("epsilon must lie in [0, 1/2]")
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    n = _depth(n)
     if digits is not None:
-        with mp.workdps(digits):
-            vals = [2 * mp.mpf(epsilon)]
-            for _ in range(n):
-                q = vals[-1]
-                vals.append(1.5 * q - 0.5 * q * q * q)
-            return RecursionSeries(
-                vals, ["linear"] * (n + 1), digits, {"epsilon": epsilon}
-            )
-    values, modes = [], []
-    q = 2.0 * epsilon
-    in_log = 0.0 < q < _UNDERFLOW
-    lq = math.log(q) if in_log else None
-    values.append(lq if in_log else q)
-    modes.append("log" if in_log else "linear")
-    for _ in range(n):
-        if in_log:
-            # log((3/2) q (1 - q^2/3)) -- q^2 underflows harmlessly to 0.
-            lq = math.log(1.5) + lq + math.log1p(-math.exp(2.0 * lq) / 3.0)
-        else:
-            q = 1.5 * q - 0.5 * q * q * q
-        values.append(lq if in_log else q)
-        modes.append("log" if in_log else "linear")
-    return RecursionSeries(values, modes, None, {"epsilon": epsilon})
+        with _workdps(digits):
+            vals = _mp_series(2 * mp.mpf(epsilon), n, _pi_step)
+        return RecursionSeries(vals, ["linear"] * (n + 1), digits, {"epsilon": epsilon})
+    # pi_k never falls on [0, 1], so only a start below 1e-280 is kept in logs
+    series = _float_series(2.0 * epsilon, n, _pi_step, None, _pi_log_step)
+    return RecursionSeries(*series, None, {"epsilon": epsilon})
 
 
 # ---------------------------------------------------------------------------
 # 3-majority: joint two-time recursion
 
 
-def _b_step(a, b):
-    bb = b * b
-    d = a - b
-    return 3.0 * bb - 2.0 * bb * b + 6.0 * b * d * d
+def _mp_b_series(a, b0):
+    """mpf b_0 .. b_n along a_0 .. a_n: b_{k+1} = 3 b^2 - 2 b^3 + 6 b (a_k - b)^2."""
+    def step(b, k):
+        d = a[k] - b
+        return 3 * b * b - 2 * b * b * b + 6 * b * d * d
 
-
-def _b_log_arg(a_lin, la, lb):
-    # b_{k+1} = 3 b^2 [1 - (2/3) b + 2 (a-b)^2 / b]; the bracket's tail term in
-    # log form is 2 (a^2/b) (1 - b/a)^2, safe because a^2 <= b <= a keeps the
-    # ratio a^2/b inside [a, 1].
-    b_lin = math.exp(lb)
-    r = math.exp(lb - la)
-    q = math.exp(2.0 * la - lb)
-    return -(2.0 / 3.0) * b_lin + 2.0 * q * (1.0 - r) * (1.0 - r)
-
-
-def _b0_seed(epsilon, t):
-    emt = math.exp(-t)
-    return (1.0 + emt) / 4.0 - epsilon + epsilon * epsilon * (1.0 - emt)
+    return _mp_series(b0, len(a) - 1, step)
 
 
 def maj3_b_seq(params, digits=None):
@@ -363,74 +391,41 @@ def maj3_b_seq(params, digits=None):
     identity (3a^2-2a^3)^2 = 3a^4 - 2a^6 + 6a^4(1-a)^2).
     """
     n = params.n
+    info = {"n": n, "t": params.t, "epsilon": params.epsilon, "alpha": params.alpha}
     if digits is not None:
-        with mp.workdps(digits):
-            eps = params.epsilon_mpf()
-            half = mp.mpf(1) / 2
-            p0 = half - eps
-            if eps > 0 and p0 == half:
-                raise PrecisionExhausted(
-                    f"{digits} digits cannot represent p = 1/2 - epsilon"
-                )
-            emt = mp.e ** (-mp.mpf(params.t))
-            a = p0
-            b = (1 + emt) / 4 - eps + eps * eps * (1 - emt)
-            vals = [b]
-            for _ in range(n):
-                d = a - b
-                b = 3 * b * b - 2 * b * b * b + 6 * b * d * d
-                a = 3 * a * a - 2 * a * a * a
-                vals.append(b)
-            return RecursionSeries(
-                vals,
-                ["linear"] * (n + 1),
-                digits,
-                {"n": n, "t": params.t, "epsilon": float(eps), "alpha": params.alpha},
-            )
+        with _workdps(digits):
+            eps, p = _mp_bias(params, digits)
+            a = _mp_series(p, n, _mp_a_step)
+            vals = _mp_b_series(a, _b0(eps, mp.e ** (-mp.mpf(params.t))))
+            info["epsilon"] = float(eps)
+        return RecursionSeries(vals, ["linear"] * (n + 1), digits, info)
 
-    p0 = params.p
-    b0 = _b0_seed(params.epsilon, params.t)
-    values, modes = [], []
-    a, la, a_log = p0, None, False
-    b, lb, b_log = b0, None, False
-    if 0.0 < a < _UNDERFLOW:
-        a_log, la = True, math.log(a)
-    if 0.0 < b < _UNDERFLOW:
-        b_log, lb = True, math.log(b)
-    values.append(lb if b_log else b)
-    modes.append("log" if b_log else "linear")
-    for _ in range(n):
-        pa, pla, pa_log = a, la, a_log
-        pa_lin = math.exp(pla) if pa_log else pa
-        # advance b from the depth-k pair
-        if not b_log:
-            nb = _b_step(pa_lin, b)
-            if b > 0.0 and nb < _UNDERFLOW:
-                arg = -(2.0 / 3.0) * b + 2.0 * (pa_lin - b) * (pa_lin - b) / b
-                lb = _LOG3 + 2.0 * math.log(b) + math.log1p(arg)
-                b_log = True
-            else:
-                b = nb
-        else:
-            la_old = pla if pa_log else math.log(pa)
-            lb = _LOG3 + 2.0 * lb + math.log1p(_b_log_arg(pa_lin, la_old, lb))
-        # advance a
-        if a_log:
-            la = _a_log_step(la)
-        else:
-            na = _a_step(a)
-            if a > 0.0 and na < _UNDERFLOW:
-                a_log, la = True, _a_log_from_linear(a)
-            else:
-                a = na
-        values.append(lb if b_log else b)
-        modes.append("log" if b_log else "linear")
-    return RecursionSeries(
-        values,
-        modes,
-        None,
-        {"n": n, "t": params.t, "epsilon": params.epsilon, "alpha": params.alpha},
-    )
+    # a_k is read linearly below index `linear` and as a log from there on
+    a, a_modes = _float_a(params.p, n)
+    linear = a_modes.count("linear")
+
+    def step(b, k):
+        bb = b * b
+        d = (a[k] if k < linear else math.exp(a[k])) - b
+        return 3.0 * bb - 2.0 * bb * b + 6.0 * b * d * d
+
+    def log_from(b, k):
+        ak = a[k] if k < linear else math.exp(a[k])
+        arg = -(2.0 / 3.0) * b + 2.0 * (ak - b) * (ak - b) / b
+        return _LOG3 + 2.0 * math.log(b) + math.log1p(arg)
+
+    def log_step(lb, k):
+        # b_{k+1} = 3 b^2 [1 - (2/3) b + 2 (a-b)^2 / b]; the bracket's tail term
+        # in log form is 2 (a^2/b) (1 - b/a)^2, safe because a^2 <= b <= a keeps
+        # the ratio a^2/b inside [a, 1].
+        la = a[k] if k >= linear else math.log(a[k])
+        r = math.exp(lb - la)
+        q = math.exp(2.0 * la - lb)
+        arg = -(2.0 / 3.0) * math.exp(lb) + 2.0 * q * (1.0 - r) * (1.0 - r)
+        return _LOG3 + 2.0 * lb + math.log1p(arg)
+
+    b0 = _b0(params.epsilon, math.exp(-params.t))
+    return RecursionSeries(*_float_series(b0, n, step, log_from, log_step), None, info)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +460,14 @@ def maj3_cutoff_diagnostic(alpha, n, digits=50):
     change of variables that avoids representing 1/2 - epsilon directly, which
     would demand far more digits than the answer needs.
     """
+    params = Maj3Params.from_alpha(n, alpha)
+    n = params.n
     if n < 10:
         raise ValueError("cutoff diagnostic needs n >= 10")
     if digits < 30:
         raise ValueError("cutoff diagnostic needs digits >= 30")
-    with mp.workdps(digits):
-        eps = mp.mpf(n) ** alpha * (mp.mpf(2) / 3) ** n
+    with _workdps(digits):
+        eps = params.epsilon_mpf()
         if eps == 0:
             raise PrecisionExhausted("bias underflowed the working exponent range")
         if eps >= mp.mpf(1) / 2:
@@ -478,11 +475,9 @@ def maj3_cutoff_diagnostic(alpha, n, digits=50):
         q = 2 * eps
         k = 0
         while k < n and q < mp.mpf("0.01"):
-            q = 1.5 * q - 0.5 * q * q * q
+            q = _pi_step(q, k)
             k += 1
-        a = (1 - q) / 2
-        for _ in range(k, n):
-            a = 3 * a * a - 2 * a * a * a
+        a = _mp_series((1 - q) / 2, n - k, _mp_a_step)[-1]
         if a <= 0:
             raise PrecisionExhausted(
                 f"a_n hit zero at {digits} digits; increase digits"
@@ -525,42 +520,24 @@ class VolatilityRatio:
         }
 
 
-@dataclass(frozen=True)
-class _VolPass:
-    rho: float
-    log_rho: float
-    flagged: bool
-    log_a: float
-    log_t: float
-
-
 def _volatility_pass(params, t_scale_by_a, digits):
+    """One evaluation of `maj3_volatility_ratio` at exactly ``digits`` digits."""
     n = params.n
-    with mp.workdps(digits):
-        eps = params.epsilon_mpf()
-        half = mp.mpf(1) / 2
-        p0 = half - eps
-        if eps > 0 and p0 == half:
-            return None
-        a_vals = [p0]
-        for _ in range(n):
-            a = a_vals[-1]
-            a_vals.append(3 * a * a - 2 * a * a * a)
-        a_n = a_vals[n]
+    with _workdps(digits):
+        eps, p = _mp_bias(params, digits)
+        a = _mp_series(p, n, _mp_a_step)
+        a_n = a[n]
         if a_n <= 0:
-            return None
+            raise PrecisionExhausted(f"{digits} digits cannot represent p = 1/2 - epsilon")
         t_eff = mp.mpf(t_scale_by_a) * a_n if t_scale_by_a is not None else mp.mpf(params.t)
-        emt = mp.e ** (-t_eff)
-        b = (1 + emt) / 4 - eps + eps * eps * (1 - emt)
-        for k in range(n):
-            ak = a_vals[k]
-            d = ak - b
-            b = 3 * b * b - 2 * b * b * b + 6 * b * d * d
-        rho = b / (a_n * a_n) - 1
-        return _VolPass(
+        b_n = _mp_b_series(a, _b0(eps, mp.e ** (-t_eff)))[n]
+        rho = b_n / (a_n * a_n) - 1
+        return VolatilityRatio(
             rho=float(rho),
             log_rho=float(mp.log(rho)) if rho > 0 else -math.inf,
             flagged=bool(t_eff <= 100 * eps),
+            digits=digits,
+            n=n,
             log_a=float(mp.log(a_n)),
             log_t=float(mp.log(t_eff)) if t_eff > 0 else -math.inf,
         )
@@ -592,22 +569,15 @@ def maj3_volatility_ratio(params, digits=None, t_scale_by_a=None):
     if t_scale_by_a is not None and not t_scale_by_a > 0:
         raise ValueError("t_scale_by_a must be > 0")
     if digits is not None:
-        res = _volatility_pass(params, t_scale_by_a, digits)
-        if res is None:
-            raise PrecisionExhausted(
-                f"{digits} digits cannot represent p = 1/2 - epsilon"
-            )
-        return VolatilityRatio(
-            rho=res.rho, log_rho=res.log_rho, flagged=res.flagged,
-            digits=digits, n=params.n, log_a=res.log_a, log_t=res.log_t,
-        )
+        return _volatility_pass(params, t_scale_by_a, digits)
     l10_eps = params.log10_epsilon()
     need_eps = max(0, math.ceil(-l10_eps)) if math.isfinite(l10_eps) else 0
     d = max(60, need_eps + 40)
     prev = None
     while d <= 5000:
-        res = _volatility_pass(params, t_scale_by_a, d)
-        if res is None:
+        try:
+            res = _volatility_pass(params, t_scale_by_a, d)
+        except PrecisionExhausted:
             prev, d = None, 2 * d
             continue
         need_t = 0
@@ -618,10 +588,7 @@ def maj3_volatility_ratio(params, digits=None, t_scale_by_a=None):
             prev, d = None, need
             continue
         if prev is not None and _vol_close(prev, res):
-            return VolatilityRatio(
-                rho=res.rho, log_rho=res.log_rho, flagged=res.flagged,
-                digits=d, n=params.n, log_a=res.log_a, log_t=res.log_t,
-            )
+            return res
         prev = res
         d = math.ceil(1.3 * d) + 10
     raise PrecisionExhausted("volatility ratio did not stabilize below 5000 digits")
@@ -725,10 +692,7 @@ def andor_x_seq(t, n):
     The map has a unique fixed point inside [0, 1/2] which is attractive;
     ``info`` carries it with the terminal residual.
     """
-    if not t >= 0.0:
-        raise ValueError("time t must be >= 0")
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    n = _depth(n, t)
     tau = (1.0 - math.exp(-t)) / 2.0
     x = (1.0 - tau) / 2.0
     values = [x]
@@ -756,10 +720,7 @@ def andor_x_seq(t, n):
 
 def andor_beta(n, t):
     """Damping factor: 1 for t < 1/n^2, else 1 - sqrt(t)/24 (exact piecewise form)."""
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
-    if not t >= 0.0:
-        raise ValueError("time t must be >= 0")
+    n = _depth(n, t)
     if n == 0 or t < 1.0 / (n * n):
         return 1.0
     return 1.0 - math.sqrt(t) / 24.0
@@ -800,8 +761,7 @@ class SwitchRate:
 
 def andor_switch_rate(n):
     """Expected 1 -> 0 switch count on [0, 1]: (n+2)/8, i.e. (n+2)/(8 N_n) per update."""
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
+    n = _depth(n)
     big_n = 2 ** (n + 1) - 1
     return SwitchRate(
         n=n,
@@ -833,10 +793,7 @@ def andor_b_bound_seq(n, t):
     ``cap_satisfied`` true, at t = 0 or n < 3, where no cap applies); the
     bound is meaningful for t <= 576 where beta >= 0.
     """
-    if n < 0:
-        raise ValueError("depth n must be >= 0")
-    if not t >= 0.0:
-        raise ValueError("time t must be >= 0")
+    n = _depth(n, t)
     values = [1.0] * (min(n, 2) + 1)
     for k in range(2, n):
         values.append(0.25 * andor_beta(k, t) * values[-1] + (k * k) / 4.0 ** (k + 1))

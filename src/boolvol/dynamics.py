@@ -230,10 +230,15 @@ class DynamicsParams:
             raise ValueError("p must lie in [0, 1], got %r" % (self.p,))
         if not self.T >= 0:
             raise ValueError("horizon must be >= 0, got %r" % (self.T,))
-        if not isinstance(self.replicas, numbers.Integral) or self.replicas < 1:
-            raise ValueError("replicas must be an integer >= 1, got %r" % (self.replicas,))
-        object.__setattr__(self, "replicas", int(self.replicas))
+        object.__setattr__(self, "replicas", _check_int("replicas", self.replicas, 1))
         object.__setattr__(self, "seed", _check_id("seed", self.seed))
+
+
+def _check_int(name, value, low):
+    """`value` as an int, or ValueError unless it is an integer >= `low` (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
+    return int(value)
 
 
 def _check_id(name, value):
@@ -651,6 +656,7 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
     Replica r is a deterministic function of (seed, r), and results land
     in arrays indexed by r, so parallel execution cannot reorder them.
     """
+    threads = _check_int("threads", threads, 1)
     R = dyn_params.replicas
     C = np.zeros(R, dtype=np.int64)
     initial = np.zeros(R, dtype=np.uint8)
@@ -659,7 +665,7 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
         b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed, lo, hi)
         initial[lo:hi], C[lo:hi] = b.initial, b.C
 
-    if threads <= 1 or R < 2 * threads:
+    if threads == 1 or R < 2 * threads:
         run_block(0, R)
     else:
         step = -(-R // threads)

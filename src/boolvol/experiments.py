@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsParams, estimate_C_distribution, sample_noise_pair
+from .dynamics import DynamicsParams, _check_int, estimate_C_distribution, sample_noise_pair
 from .functions import FunctionSpec, make_instance, parse_spec
 from .oracle import (
     ENUM_ARITY_CAP,
@@ -350,6 +350,7 @@ def classify(plan, thresholds=None, threads=1):
     report always carries the raw per-n summaries, every trend series
     with standard errors, and the thresholds used.
     """
+    threads = _check_int("threads", threads, 1)
     th = thresholds if thresholds is not None else Thresholds()
     ns = plan.ns
     if len(ns) < 3:

@@ -630,3 +630,63 @@ class TestRecursionSeries:
     def test_values_float_helper(self):
         s = ana.maj3_a_seq(0.4, 2)
         assert s.values_float() == [s.value(0), s.value(1), s.value(2)]
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by the engines
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, -1, "3", None])
+    def test_depth_must_be_a_nonnegative_integer(self, bad):
+        calls = [
+            lambda: ana.maj3_a_seq(0.4, bad),
+            lambda: ana.maj3_pi_seq(0.1, bad),
+            lambda: ana.Maj3Params(n=bad, epsilon=0.1),
+            lambda: ana.andor_x_seq(0.5, bad),
+            lambda: ana.andor_beta(bad, 0.5),
+            lambda: ana.andor_switch_rate(bad),
+            lambda: ana.andor_b_bound_seq(bad, 0.5),
+            lambda: ana.maj3_cutoff_diagnostic(1.0, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
+    def test_numpy_integer_depths_run_as_ints(self):
+        n = np.int64(12)
+        assert ana.maj3_a_seq(0.4, n).values == ana.maj3_a_seq(0.4, 12).values
+        assert ana.maj3_pi_seq(0.1, n).values == ana.maj3_pi_seq(0.1, 12).values
+        params = ana.Maj3Params(n=np.uint16(12), epsilon=0.1, t=0.5)
+        assert type(params.n) is int
+        assert ana.maj3_b_seq(params).values == ana.maj3_b_seq(
+            ana.Maj3Params(n=12, epsilon=0.1, t=0.5)).values
+        assert ana.andor_x_seq(0.5, n).values == ana.andor_x_seq(0.5, 12).values
+        assert ana.andor_switch_rate(n) == ana.andor_switch_rate(12)
+        assert ana.andor_b_bound_seq(n, 0.5).values == ana.andor_b_bound_seq(12, 0.5).values
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0])
+    def test_time_must_be_nonnegative(self, bad):
+        for call in (lambda: ana.Maj3Params(n=5, epsilon=0.1, t=bad),
+                     lambda: ana.andor_x_seq(bad, 5),
+                     lambda: ana.andor_beta(5, bad),
+                     lambda: ana.andor_b_bound_seq(5, bad)):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="alpha"):
+            ana.Maj3Params(n=10, alpha=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            ana.maj3_cutoff_diagnostic(bad, 10)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    def test_digits_must_be_a_positive_integer(self, bad):
+        params = ana.Maj3Params(n=5, epsilon=0.1, t=0.5)
+        for call in (lambda: ana.maj3_a_seq(0.4, 3, digits=bad),
+                     lambda: ana.maj3_pi_seq(0.1, 3, digits=bad),
+                     lambda: ana.maj3_b_seq(params, digits=bad),
+                     lambda: ana.maj3_volatility_ratio(params, digits=bad)):
+            with pytest.raises(ValueError, match="digits"):
+                call()

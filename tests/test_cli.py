@@ -111,6 +111,15 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("resource limit:")
 
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exit_2(self, capsys, threads):
+        code = cli.main(["simulate", "maj:3", "--replicas", "10",
+                         "--threads", threads])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: threads must be an integer >= 1")
+
     def test_nan_horizon_exit_2(self, capsys):
         code = cli.main(["simulate", "maj:9", "--T", "nan", "--replicas", "10"])
         captured = capsys.readouterr()
@@ -230,6 +239,29 @@ class TestRecursion:
         lines = out.strip().split("\n")
         assert lines[0] == "alpha,n,log_diag,digits"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("maj3-b", "--n", "10", "--alpha", "nan", "--t", "0.5"),
+        ("maj3-cutoff", "--alpha", "nan", "--n", "10"),
+    ])
+    def test_non_finite_alpha_exit_2(self, capsys, argv):
+        code = cli.main(["recursion", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha must be finite")
+
+    @pytest.mark.parametrize("argv", [
+        ("maj3-a", "--p0", "0.4", "--n", "3", "--precision", "0"),
+        ("maj3-a", "--p0", "0.4", "--n", "3", "--precision", "-3"),
+        ("maj3-b", "--n", "3", "--epsilon", "0.1", "--precision", "0"),
+    ])
+    def test_precision_below_one_exit_2(self, capsys, argv):
+        code = cli.main(["recursion", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: digits must be an integer >= 1")
 
     def test_andor_x_converges(self, capsys):
         code, out = run_cli(capsys, "recursion", "andor-x", "--t", "0.5",

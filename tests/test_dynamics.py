@@ -44,6 +44,7 @@ def binom_se(q, n):
         dict(seed=0.5),
         dict(seed=3.0),
         dict(replicas=2.5),
+        dict(replicas=True),
     ],
 )
 def test_params_validation(kwargs):
@@ -60,6 +61,18 @@ def test_params_accept_numpy_integers():
     a = dyn.estimate_C_distribution(inst("maj:3"), pr)
     b = dyn.estimate_C_distribution(inst("maj:3"), params(seed=7, replicas=40))
     assert np.array_equal(a.C, b.C)
+
+
+@pytest.mark.parametrize("bad", [0, -5, 1.5, 2.0, True, None])
+def test_estimate_rejects_bad_thread_counts(bad):
+    with pytest.raises(ValueError, match="threads"):
+        dyn.estimate_C_distribution(inst("maj:3"), params(replicas=4), threads=bad)
+
+
+def test_estimate_accepts_numpy_thread_counts():
+    pr = params(replicas=40)
+    a = dyn.estimate_C_distribution(inst("maj:3"), pr, threads=np.int64(2))
+    assert np.array_equal(a.C, dyn.estimate_C_distribution(inst("maj:3"), pr).C)
 
 
 # -- single trajectories ------------------------------------------------------
