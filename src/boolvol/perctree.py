@@ -21,6 +21,17 @@ A replica expected to draw more than _REPLICA_DRAWS edges and updates in
 its descent is refused too.  Blocks of replicas are sized separately, by
 _BLOCK_DRAWS expected draws, which bounds one level's arrays.
 
+Before the descent, a lookahead settles the replicas that stay connected
+throughout.  An edge open at time 0 that every update redraws open is open
+on all of [0, T], with probability q = p e^{-(1-p) T}; such edges form
+static percolation.  The lookahead follows only them, from the keys and
+draws of the descent.  A replica it brings to the deepest requested level
+has the union [0, T) at every level: output 1 at time 0, no switch.  It
+skips the descent, and the rest descend as before.  The lookahead runs
+only when the tree expects at least one such path, prod_k c_k q >= 1 down
+to that level, since otherwise its per-level calls cost more than the
+replicas it settles save.
+
 The exploration descends lazily: a vertex is visited only while some time
 interval keeps its whole root path open.  Interval endpoints are derived
 arithmetically from event times by max/min alone — never by float
@@ -56,6 +67,7 @@ from .dynamics import (
     EmpiricalC,
     _below,
     _check_id,
+    _check_int,
     _draw,
     _edge_keys,
     _finish,
@@ -230,16 +242,25 @@ def build_profile(target, n_levels, max_ratio=4.0):
     `max_ratio` of the target or UnreachableTarget is raised.  Smaller
     targets sit below the coarse low-level weight grid (w_1 is a multiple
     of 1/2), so they only guide the choice and are reported unenforced.
+    `max_ratio` must be a finite number >= 1.  A target whose evaluation
+    fails arithmetically (a zero to a negative power, an overflow) or
+    yields a non-finite weight raises InvalidSpec.
     """
     if n_levels < 2:
         raise InvalidSpec("profile needs at least 2 levels, got %d" % n_levels)
+    if (isinstance(max_ratio, bool) or not isinstance(max_ratio, numbers.Real)
+            or not 1.0 <= max_ratio < math.inf):
+        raise InvalidSpec("max_ratio must be a finite number >= 1, got %r" % (max_ratio,))
     fn, label = _resolve_target(target)
     log_cap = math.log(max_ratio)
     children = []
     rows = []
     v = 1
     for k in range(1, n_levels + 1):
-        t = float(fn(k))
+        try:
+            t = float(fn(k))
+        except ArithmeticError as exc:
+            raise InvalidSpec("target(%d) cannot be evaluated: %s" % (k, exc)) from None
         if not math.isfinite(t):
             raise InvalidSpec("target(%d) is not finite: %r" % (k, t))
         guide = max(t, 2.0 ** -k)
@@ -354,6 +375,26 @@ class _Frontier:
         self.rc = rc        # intervals per vertex (int64, >= 1)
 
 
+def _child_keys(vidx, repk, c, offset):
+    """Keys of the c child edges of every vertex, vertex by vertex.
+
+    Edge e = vidx*c + offset + col of the replica keyed repk is keyed
+    mix(repk + (e+1)*step); distributing the multiply over the three terms
+    keeps each edge's stream.
+    """
+    base = vidx * _U64(c)
+    base *= _U64(_KEY_EDGE)
+    base += repk
+    base += _offset((int(offset) + 1) * _KEY_EDGE)
+    return _finish(np.add.outer(base, np.arange(c, dtype=np.uint64) * _U64(_KEY_EDGE)).ravel())
+
+
+def _child_vertices(vidx, eidx, c):
+    """Parent position and level index of entries `eidx` of `_child_keys(vidx, ...)`."""
+    kpar = eidx // c
+    return kpar, vidx[kpar] * _U64(c) + (eidx - kpar * c).astype(np.uint64)
+
+
 def _level_step(front, c, offset, p, slots, horizon):
     """Descend one level: sample child edges, intersect reach with open sets.
 
@@ -370,15 +411,8 @@ def _level_step(front, c, offset, p, slots, horizon):
     the spans and reach intervals, not with their product.  The child
     frontier lists its vertices in edge order.
     """
-    F = front.rep.size
-    # key of edge e is mix(rep_key + (e+1)*step) with e = vidx*c + offset + col;
-    # distributing the multiply over the three terms keeps each edge's stream
-    first = front.vidx * _U64(c)
-    base = first * _U64(_KEY_EDGE)
-    base += front.repk
-    base += _offset((int(offset) + 1) * _KEY_EDGE)
-    keys = _finish(np.add.outer(base, np.arange(c, dtype=np.uint64) * _U64(_KEY_EDGE)).ravel())
-    E = F * c
+    keys = _child_keys(front.vidx, front.repk, c, offset)
+    E = keys.size
 
     n_slots, slot_len, cdf = slots
     s0 = _below(_draw(keys, 1), p)
@@ -431,9 +465,8 @@ def _level_step(front, c, offset, p, slots, horizon):
 
     eidx = np.flatnonzero(rc > 0)
     rc = rc[eidx]
-    kpar = eidx // c
-    return _Frontier(rep=front.rep[kpar], repk=front.repk[kpar],
-                     vidx=first[kpar] + (eidx - kpar * c).astype(np.uint64),
+    kpar, vidx = _child_vertices(front.vidx, eidx, c)
+    return _Frontier(rep=front.rep[kpar], repk=front.repk[kpar], vidx=vidx,
                      rs=cs[keep], re=ce[keep], rc=rc)
 
 
@@ -501,29 +534,73 @@ def _union_stats(front, base_rep, nrep, horizon, init, C, S):
                      minlength=nrep).astype(np.int64)
 
 
+def _open_throughout(children, offsets, depth, p, slots, repk):
+    """Which replicas keyed `repk` have a root path to level `depth` whose
+    edges are all open throughout: open at time 0, and redrawn open by
+    every update.
+
+    The walk follows only such edges, from the keys and draws of
+    `_level_step`, so each edge it meets has the same history there.
+    """
+    n_slots, _, cdf = slots
+    rid = np.arange(repk.size)
+    vidx = np.zeros(repk.size, dtype=np.uint64)
+    for k in range(1, depth + 1):
+        c = children[k - 1]
+        keys = _child_keys(vidx, repk[rid], c, offsets[k])
+        eidx = np.flatnonzero(_below(_draw(keys, 1), p))
+        edge, _, _, value = _skeleton(keys[eidx], p, cdf, 0, n_slots)
+        kept = np.ones(eidx.size, dtype=bool)
+        kept[edge[~value]] = False
+        kpar, vidx = _child_vertices(vidx, eidx[kept], c)
+        rid = rid[kpar]
+        if rid.size == 0:
+            break
+    done = np.zeros(repk.size, dtype=bool)
+    done[rid] = True
+    return done
+
+
 def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
                    rep_hi, seed0):
-    """All requested levels for replicas [rep_lo, rep_hi) in one descent."""
+    """All requested levels for replicas [rep_lo, rep_hi) in one descent.
+
+    A replica with a root path open throughout down to the deepest level
+    is settled before the descent, when such paths are expected: every
+    vertex on that path keeps the reach [0, horizon), so at every level
+    the union is [0, horizon), which starts at one and never switches.
+    """
     nrep = rep_hi - rep_lo
+    depth = max(level_set)
     out = {L: (np.zeros(nrep, dtype=np.uint8), np.zeros(nrep, dtype=np.int64),
                np.zeros(nrep, dtype=np.int64)) for L in level_set}
     rep = np.arange(rep_lo, rep_hi, dtype=np.int64)
+    repk = _mix64(_U64(seed0) + rep.astype(np.uint64) * _U64(_KEY_REPLICA))
+    # an edge is open throughout with probability q = p e^{-(1-p) T}; look
+    # ahead only when the tree expects at least one such path to `depth`
+    n_slots, slot_len, _ = slots
+    q = p * math.exp(-(1.0 - p) * n_slots * slot_len)
+    if math.prod(c * q for c in children[:depth]) >= 1.0:
+        done = _open_throughout(children, offsets, depth, p, slots, repk)
+        for init, _, _ in out.values():
+            init[done] = 1
+        rep, repk = rep[~done], repk[~done]
     front = _Frontier(
         rep=rep,
-        repk=_mix64(_U64(seed0) + rep.astype(np.uint64) * _U64(_KEY_REPLICA)),
-        vidx=np.zeros(nrep, dtype=np.uint64),
-        rs=np.zeros(nrep),
-        re=np.full(nrep, horizon),
-        rc=np.ones(nrep, dtype=np.int64),
+        repk=repk,
+        vidx=np.zeros(rep.size, dtype=np.uint64),
+        rs=np.zeros(rep.size),
+        re=np.full(rep.size, horizon),
+        rc=np.ones(rep.size, dtype=np.int64),
     )
-    for k in range(1, max(level_set) + 1):
+    for k in range(1, depth + 1):
+        if front.rep.size == 0:
+            break
         front = _level_step(front, children[k - 1], offsets[k], p,
                             slots, horizon)
         if k in level_set:
             init, C, S = out[k]
             _union_stats(front, rep_lo, nrep, horizon, init, C, S)
-        if front.rep.size == 0:
-            break
     return out
 
 
@@ -665,7 +742,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     `dynamics.EVENT_BUDGET` updates, or one replica more than _REPLICA_DRAWS
     draws (edges and updates), raises InstanceTooLarge.  Levels must be
     integers (bool is not one) in 1..n_levels; anything else raises
-    InvalidSpec.
+    InvalidSpec.  `edge_cap` must be an integer >= 1 (ValueError otherwise).
     """
     profile = _as_profile(profile)
     levels = list(levels)
@@ -678,6 +755,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     if levels[0] < 1 or levels[-1] > profile.n_levels:
         raise InvalidSpec("levels %r outside 1..%d" % (levels, profile.n_levels))
     DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
+    edge_cap = _check_int("edge_cap", edge_cap, 1)
     slots = _slots(profile.children[0], T)
     need = profile.edge_count(levels[-1])
     if need > edge_cap:

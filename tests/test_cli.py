@@ -462,3 +462,30 @@ class TestParser:
             body = json.loads(root.joinpath(name).read_text())
             stem = name[: -len(".v1.json")]
             assert body["properties"]["schema"]["const"] == "boolvol/%s/v1" % stem
+
+
+class TestPercArguments:
+    """Malformed perc arguments exit 2 with empty stdout and no traceback."""
+
+    @staticmethod
+    def _exit_2(capsys, *argv):
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("target", ["nlogn:-1", "logn1p:-2", "nalpha:1e308"])
+    def test_build_target_arithmetic_error_exit_2(self, capsys, target):
+        self._exit_2(capsys, "perc", "build", "--target", target, "--levels", "5")
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "0", "-1"])
+    def test_build_max_ratio_exit_2(self, capsys, ratio):
+        self._exit_2(capsys, "perc", "build", "--target", "nalpha:3", "--levels", "5",
+                     "--max-ratio", ratio)
+
+    @pytest.mark.parametrize("cap", ["-1", "0"])
+    def test_run_malformed_edge_cap_exit_2(self, capsys, cap):
+        self._exit_2(capsys, "perc", "run", "--profile", "2,2", "--levels", "2",
+                     "--replicas", "5", "--edge-cap", cap)

@@ -804,3 +804,197 @@ def test_repeated_runs_do_not_refault_block_memory():
     for _ in range(5):
         regime_experiment(prof, range(4, 11), replicas=12)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 1000
+
+
+# ---------------------------------------------------------------------------
+# the lookahead along edges open throughout the horizon
+
+
+@pytest.mark.parametrize("target", ["nlogn:-1", "logn1p:-2", "nalpha:1e308"])
+def test_target_arithmetic_errors_are_invalid_spec(target):
+    # log 1 = 0 raised to a negative power; 2^1e308 overflows
+    with pytest.raises(InvalidSpec, match="cannot be evaluated"):
+        build_profile(target, 5)
+
+
+@pytest.mark.parametrize("max_ratio", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                       0.5, True, "4", None])
+def test_max_ratio_must_be_finite_and_at_least_one(max_ratio):
+    with pytest.raises(InvalidSpec, match="max_ratio"):
+        build_profile("nalpha:3", 5, max_ratio=max_ratio)
+
+
+def test_max_ratio_of_one_is_accepted():
+    assert build_profile("constant", 4, max_ratio=1).children == (2,) * 4
+    assert build_profile("nalpha:3", 5, max_ratio=np.float64(4.0)).children == \
+        NALPHA3_CHILDREN[:5]
+
+
+@pytest.mark.parametrize("edge_cap", [-1, 0, 2.5, True, None, "10"])
+def test_edge_cap_must_be_a_positive_integer(edge_cap):
+    with pytest.raises(ValueError, match="edge_cap"):
+        regime_experiment(LevelProfile((2, 2)), [2], replicas=10, seed=1,
+                          edge_cap=edge_cap)
+
+
+def _lookahead_spy(monkeypatch):
+    """Records how many replicas each lookahead call settles."""
+    settled = []
+    look = perctree._open_throughout
+
+    def spy(*args):
+        done = look(*args)
+        settled.append((int(done.sum()), done.size))
+        return done
+
+    monkeypatch.setattr(perctree, "_open_throughout", spy)
+    return settled
+
+
+def _without_lookahead(monkeypatch):
+    """Make every lookahead settle nothing, so each replica is descended."""
+    monkeypatch.setattr(perctree, "_open_throughout",
+                        lambda *args: np.zeros(args[-1].size, dtype=bool))
+
+
+# each case expects at least one always-open path to its deepest level
+LOOKAHEAD_CASES = [
+    ((2, 3, 2), [1, 2, 3], 0.8, 1.0, 43),
+    ((3, 3, 3), [1, 2, 3], 0.6, 0.0, 44),
+    ((2, 3, 2), [1, 3], 1.0, 1.0, 45),
+]
+
+
+@pytest.mark.parametrize("children,levels,p,T,seed", LOOKAHEAD_CASES)
+def test_lookahead_matches_reference_and_eager_engines(monkeypatch, children,
+                                                       levels, p, T, seed):
+    settled = _lookahead_spy(monkeypatch)
+    rep = regime_experiment(LevelProfile(children), levels, p=p, T=T,
+                            replicas=300, seed=seed)
+    done = sum(d for d, _ in settled)
+    assert sum(n for _, n in settled) == 300
+    assert done == 300 if p == 1.0 else 0 < done < 300
+
+    deepest = rep.levels[-1].empirical
+    inst = make_instance(FunctionSpec.perc(children, levels[-1]))
+    eager = estimate_C_distribution(
+        inst, DynamicsParams(p=p, T=T, seed=seed, replicas=300))
+    assert np.array_equal(deepest.initial, eager.initial)
+    assert np.array_equal(deepest.C, eager.C)
+    assert np.array_equal(deepest.S, eager.S)
+    # the reference evaluator has no zero horizon (its reach [0, T) is empty)
+    if T > 0:
+        ref = reference_regime(children, levels, p, T, 300, seed)
+        for lv in rep.levels:
+            want = ref[lv.level]
+            assert np.array_equal(lv.empirical.initial, want["init"]), lv.level
+            assert np.array_equal(lv.empirical.C, want["C"]), lv.level
+            assert np.array_equal(lv.empirical.S, want["S"]), lv.level
+
+
+@pytest.mark.parametrize("children,levels,kw", [
+    (NALPHA3_CHILDREN, list(range(4, 11)), dict(replicas=40, seed=12)),
+    ((2, 3, 2), [1, 2, 3], dict(p=0.8, T=1.0, replicas=300, seed=46)),
+    ((2,) * 6, [1, 3, 6], dict(p=0.9, T=3.0, replicas=200, seed=47, _block=13)),
+    ((3, 3, 3), [2, 3], dict(p=0.6, T=0.0, replicas=300, seed=48)),
+    ((4, 4), [1, 2], dict(p=0.97, T=40.0, replicas=100, seed=49)),
+])
+def test_lookahead_changes_no_output(monkeypatch, children, levels, kw):
+    settled = _lookahead_spy(monkeypatch)
+    fast = regime_experiment(LevelProfile(children), levels, **kw)
+    assert sum(d for d, _ in settled) > 0
+    _without_lookahead(monkeypatch)
+    slow = regime_experiment(LevelProfile(children), levels, **kw)
+    for a, b in zip(fast.levels, slow.levels):
+        assert np.array_equal(a.empirical.initial, b.empirical.initial), a.level
+        assert np.array_equal(a.empirical.C, b.empirical.C), a.level
+        assert np.array_equal(a.empirical.S, b.empirical.S), a.level
+
+
+def _open_throughout_by_walk(children, depth, p, T, seed, replicas):
+    """Replicas with a root path to `depth` of edges open throughout [0, T],
+    by a depth-first walk over the public edge skeletons."""
+    offsets = perctree._edge_offsets(children)
+
+    def walk(r, k, vidx):
+        if k > depth:
+            return True
+        c = children[k - 1]
+        for col in range(c):
+            sk = edge_skeleton(seed, r, offsets[k] + vidx * c + col, p=p, T=T)
+            if sk.initial and all(sk.states) and walk(r, k + 1, vidx * c + col):
+                return True
+        return False
+
+    return np.array([walk(r, 1, 0) for r in range(replicas)])
+
+
+@pytest.mark.parametrize("children,p,T", [
+    ((2, 3, 2), 0.8, 1.0),
+    ((3, 3, 3), 0.6, 0.0),
+    ((2, 4, 3), 0.9, 2.5),
+    # three horizon slots: updates come from every slot's key
+    ((3, 3), 0.97, 40.0),
+])
+def test_open_throughout_matches_a_walk_over_edge_skeletons(children, p, T):
+    seed, replicas = 51, 200
+    slots = perctree._slots(children[0], T)
+    offsets = perctree._edge_offsets(children)
+    rep = np.arange(replicas, dtype=np.uint64)
+    repk = perctree._mix64(np.uint64(perctree._mix64_int(seed))
+                           + rep * np.uint64(perctree._KEY_REPLICA))
+    for depth in range(1, len(children) + 1):
+        got = perctree._open_throughout(children, offsets, depth, p, slots, repk)
+        want = _open_throughout_by_walk(children, depth, p, T, seed, replicas)
+        assert np.array_equal(got, want), depth
+        assert 0 < want.sum() < replicas, depth
+    # a path open at time 0 that an update closes is not open throughout
+    if T > 0:
+        at_zero = _open_throughout_by_walk(children, len(children), p, 0.0, seed,
+                                           replicas)
+        assert np.any(at_zero & ~want)
+
+
+def test_lookahead_work_counters(monkeypatch):
+    # deterministic work counts, no timing: on the criterion-10 profile
+    # the lookahead settles 18 of 40 replicas before the first level step;
+    # on binary-12 at T = 1 it is gated off (about 0.0025 always-open
+    # paths expected) and every draw happens inside a level step
+    entered, outside = [], []
+    depth = [0]
+    step, draw, skeleton = perctree._level_step, perctree._draw, perctree._skeleton
+
+    def step_spy(front, c, offset, *args):
+        if offset == 0:
+            entered.append(front.rep.size)
+        depth[0] += 1
+        try:
+            return step(front, c, offset, *args)
+        finally:
+            depth[0] -= 1
+
+    def draw_spy(*args):
+        if not depth[0]:
+            outside.append("_draw")
+        return draw(*args)
+
+    def skeleton_spy(*args):
+        if not depth[0]:
+            outside.append("_skeleton")
+        return skeleton(*args)
+
+    monkeypatch.setattr(perctree, "_level_step", step_spy)
+    monkeypatch.setattr(perctree, "_draw", draw_spy)
+    monkeypatch.setattr(perctree, "_skeleton", skeleton_spy)
+
+    regime_experiment(LevelProfile(NALPHA3_CHILDREN), range(4, 11), replicas=40,
+                      seed=12)
+    assert sum(entered) == 22
+    assert outside
+
+    entered.clear()
+    outside.clear()
+    regime_experiment(LevelProfile((2,) * 12), [4, 8, 12], T=1.0, replicas=400,
+                      seed=12)
+    assert sum(entered) == 400
+    assert outside == []
