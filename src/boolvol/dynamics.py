@@ -16,12 +16,19 @@ initial value, counters 2+2k and 3+2k the k-th exponential spacing and
 redrawn value; normalised partial sums of the k+1 spacings give the
 slot's sorted update times.  Within a slot a time is kept as a 40-bit
 tick, so one argsort of a packed uint64 key orders a whole block of
-events by (replica, time).
+events by (replica, time).  That argsort is numpy's default, unstable
+one; events of equal key, which need the same replica, slot and tick,
+keep their draw order because a block whose sorted keys hold a tie is
+sorted again stably (`_time_order`).
 
 A draw u is read as the uniform (u >> 11) * 2^-53, but never converted:
 "uniform < p" is the integer test u < ceil(p * 2^53) << 11 (`_below`),
 and a count is the number of `_poisson_cdf` thresholds ceil(cdf_k *
 2^53) << 11 at or below u, which picks the same outcome bit for bit.
+The count is read from a guide table (`CountTable`, built once per slot
+length): u's top 12 bits index 4096 buckets, each holding the count of
+all its draws, or -1 where a threshold lies inside it, and only the draws
+in such buckets (under 1% of them) bisect the thresholds (`_counts`).
 splitmix64 adds its gamma before mixing; since uint64 addition wraps and
 is associative, the gamma is folded with the counter offset into one
 constant (`_offset`), so a draw is one add and the in-place finalizer
@@ -44,16 +51,19 @@ larger blocks amortise them, while its arrays of a few tens of bytes per
 draw should stay near a per-core cache: 2^15 expected draws
 (`_BLOCK_DRAWS`) measured faster than 2^14 and 2^16.  Draws are keyed by
 replica, so the block size moves no output.  Both family classes replay
-through one grouped cumsum, `_grouped_replay`, with no Python loop over
-events:
+through one grouped cumsum of input sums, `_grouped_sums`, with no Python
+loop over events:
 
 * counter families (dictator, parity, dap, type2, maj, bigtame, table):
   the output is a function of a few weighted bit sums
-  (`counter_weights`); one group per replica;
+  (`counter_weights`), read off the sums by `counter_output`; one group
+  per replica;
 * tree families (itermaj3, andor, perc): read-once trees of threshold
   nodes (`TreeStep`), replayed level by level (`_level_replay`): one
   group per (replica, node) and one sort and grouped cumsum per tree
-  step, whose output switches are the next step's events.
+  step, whose output switches are the next step's events.  A unit step
+  switches a threshold node exactly when the count after it sits at the
+  threshold (`_threshold_switches`), so no output is evaluated.
 
 Every clock-driven entry point reads its statistic off `_replicas`.  A
 replica expecting more than EVENT_BUDGET events (arity*T here, c_1*T
@@ -209,6 +219,50 @@ def _poisson_cdf(mean):
     return thr[thr < 2.0 ** 53].astype(np.uint64) << _U64(11)
 
 
+_GUIDE_SHIFT = _U64(52)  # a draw's guide bucket is its top 12 bits
+_GUIDE_SPAN = _U64((1 << 52) - 1)
+
+
+class CountTable(NamedTuple):
+    """A slot's `_poisson_cdf` thresholds and their guide table.
+
+    guide[b] is the count of every draw u with u >> 52 == b, or -1 where a
+    threshold lies inside that bucket (Chen & Asau, AIIE Trans. 6(2), 1974).
+    """
+
+    thresholds: np.ndarray
+    guide: np.ndarray  # int8: counts stay far below 127 for slot means <= 16
+
+
+def _count_guide(thresholds):
+    """The guide table of sorted uint64 count thresholds."""
+    assert thresholds.size < 128, "counts must fit the int8 guide"
+    starts = np.arange(1 << 12, dtype=np.uint64) << _GUIDE_SHIFT
+    first = np.searchsorted(thresholds, starts, side="right")
+    last = np.searchsorted(thresholds, starts | _GUIDE_SPAN, side="right")
+    return np.where(first == last, first, -1).astype(np.int8)
+
+
+@functools.lru_cache(maxsize=64)
+def _count_table(mean):
+    """CountTable of a Poisson(mean) slot count, built once per slot mean."""
+    thr = _poisson_cdf(mean)
+    table = CountTable(thr, _count_guide(thr))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _counts(table, u):
+    """Per draw u, the number of `table` thresholds at or below it: the
+    guide's entry, or a bisection where the guide has none."""
+    c = table.guide[(u >> _GUIDE_SHIFT).view(np.int64)]
+    miss = np.flatnonzero(c < 0)
+    if miss.size:
+        c[miss] = np.searchsorted(table.thresholds, u[miss], side="right")
+    return c
+
+
 # ---------------------------------------------------------------------------
 # replica skeletons and the replay kernel
 
@@ -291,8 +345,8 @@ def _slot_ticks(keys, counts, p):
 
 
 def _slots(clocks, T):
-    """(n, length, thresholds): horizon T cut into n = ceil(T / _SLOT) equal
-    slots and the `_poisson_cdf` thresholds of one slot's update count.
+    """(n, length, table): horizon T cut into n = ceil(T / _SLOT) equal
+    slots and the `CountTable` of one slot's update count.
 
     A replica with `clocks` update clocks expecting more than EVENT_BUDGET
     events (clocks * T) is refused here, before any draw.
@@ -302,14 +356,14 @@ def _slots(clocks, T):
                                "events per replica" % (clocks, T, EVENT_BUDGET))
     n = math.ceil(T / _SLOT)
     length = T / n if n else 0.0
-    return n, length, _poisson_cdf(length)
+    return n, length, _count_table(length)
 
 
-def _skeleton(keys, p, cdf, j0, j1):
+def _skeleton(keys, p, table, j0, j1):
     """Update events over slots j0..j1-1 of the clocks keyed `keys`.
 
     Slot j of a clock is keyed key + j * _KEY_SLOT; counter 0 draws its
-    update count from the `_poisson_cdf` thresholds `cdf` and `_slot_ticks`
+    update count from the `CountTable` `table` and `_slot_ticks`
     its ticks and redrawn values.  Returns (clock, slot, tick, value) per
     event in (clock, time) order: clock indexes `keys`, slot counts from j0.
     """
@@ -322,7 +376,7 @@ def _skeleton(keys, p, cdf, j0, j1):
     else:
         slots = np.arange(j0, j1, dtype=np.uint64) * _U64(_KEY_SLOT)
         gkeys = (keys[:, None] + slots).ravel()
-    counts = np.searchsorted(cdf, _draw(gkeys, 0), side="right")
+    counts = _counts(table, _draw(gkeys, 0))
     nz = np.flatnonzero(counts)
     owner, tick, value = _slot_ticks(gkeys[nz], counts[nz], p)
     if nsl == 1:
@@ -336,10 +390,10 @@ def _tick_time(slot, tick, slot_len):
     return (slot + (tick + 0.5) * 2.0 ** -_TICK_BITS) * slot_len
 
 
-def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
+def _replica_draws(instance, p, table, seed, lo, hi, j0, j1, config=None):
     """Skeleton of replicas lo..hi-1 over horizon slots j0..j1-1.
 
-    `cdf` holds the `_poisson_cdf` thresholds of one slot's update count.  Returns
+    `table` is the `CountTable` of one slot's update count.  Returns
     (config, cell, value, key).  `config` holds the (hi-lo, arity) bits at
     the start of slot j0: drawn when not given (slot 0).  The other three
     hold one entry per drawn event, in generation order (replica, bit,
@@ -353,7 +407,7 @@ def _replica_draws(instance, p, cdf, seed, lo, hi, j0, j1, config=None):
                       np.arange(m, dtype=np.uint64)).ravel()
     if config is None:
         config = _below(_draw(keys, 1), p).astype(np.uint8).reshape(hi - lo, m)
-    cell, slot, tick, value = _skeleton(keys, p, cdf, j0, j1)
+    cell, slot, tick, value = _skeleton(keys, p, table, j0, j1)
     place = (cell // m * (j1 - j0) + slot).astype(np.uint64) << _U64(_TICK_BITS)
     return config, cell, value.astype(np.uint8), place | tick
 
@@ -362,7 +416,8 @@ def _effective_events(config, cell, value, key):
     """Events that change their bit, ordered by (replica, time).
 
     Returns (rep, bit, value, key) of each effective event, its replica
-    counted from the block's first.
+    counted from the block's first.  Events of equal key (same replica,
+    slot and tick) keep their draw order (`_time_order`).
     """
     first = np.ones(cell.size, dtype=bool)
     first[1:] = cell[1:] != cell[:-1]
@@ -370,9 +425,25 @@ def _effective_events(config, cell, value, key):
     prev[1:] = value[:-1]
     old = np.where(first, config.reshape(-1)[cell], prev)
     idx = np.flatnonzero(value != old)
-    idx = idx[np.argsort(key[idx], kind="stable")]
+    order, key = _time_order(key[idx])
+    idx = idx[order]
     rep, bit = np.divmod(cell[idx], config.shape[1])
-    return rep, bit, value[idx], key[idx]
+    return rep, bit, value[idx], key
+
+
+def _time_order(key):
+    """(order, key[order]) with order the stable argsort of `key`.
+
+    The default sort is several times faster than the stable one on
+    uint64 keys; it can only differ from it on equal keys, which need the
+    same replica, slot and 40-bit tick, so the stable sort reruns only when
+    the sorted keys hold a tie.
+    """
+    order = np.argsort(key)
+    ordered = key[order]
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(key, kind="stable")
+    return order, ordered
 
 
 def _advance(config, cell, value):
@@ -390,24 +461,33 @@ def _event_times(key, j0, nsl, slot_len):
     return _tick_time(slot, key & _TICK_MASK, slot_len)
 
 
-def _grouped_replay(group, step, init, output):
-    """Output after every event and the mask of the events that switch it.
+def _grouped_sums(group, step, init):
+    """Input sums after every event, and the mask of each group's first event.
 
     Events come sorted by group, then by time.  A group's input sums start
     at init[group] and every event adds its step to them, so one cumsum
     restarted at each group's first event gives the sums after every
-    event; `output` maps sums to the group's output.
+    event.
     """
     head = np.ones(group.size, dtype=bool)
     head[1:] = group[1:] != group[:-1]
     run = np.cumsum(step, axis=0)
-    first = init[group[head]]
-    after = run + (first - run[head] + step[head])[np.cumsum(head) - 1]
-    out = output(after)
-    before = np.empty_like(out)
-    before[1:] = out[:-1]
-    before[head] = output(first)
-    return out, out != before
+    after = run + (init[group[head]] - run[head] + step[head])[np.cumsum(head) - 1]
+    return after, head
+
+
+def _threshold_switches(group, value, init, t):
+    """Mask of the events that switch the output of a threshold-t node.
+
+    Events are grouped as in `_grouped_sums`; each moves its node's input
+    count by s = 2 * value - 1.  A node outputs count >= t, so an event
+    switches it exactly when the count c after it has 2c - s = 2t - 1
+    (c = t after a rise, t - 1 after a fall), and the node's new output
+    is then the event's value.
+    """
+    after, _ = _grouped_sums(group, 2 * value - 1, init)
+    after -= value
+    return after == t - 1
 
 
 def _counter_replay(instance, weights, start, rep, bit, value):
@@ -415,12 +495,17 @@ def _counter_replay(instance, weights, start, rep, bit, value):
 
     The output is a function of the weighted bit sums `start @ weights`,
     and every effective event moves its bit by +-1; each replica is one
-    group of `_grouped_replay`.
+    group of `_grouped_sums`.
     """
     sums = start.astype(np.int64) @ weights
     step = weights[bit] * (2 * value.astype(np.int64) - 1)[:, None]
-    _, switch = _grouped_replay(rep, step, sums, instance.counter_output)
-    return instance.counter_output(sums), switch
+    after, head = _grouped_sums(rep, step, sums)
+    out0 = instance.counter_output(sums)
+    out = instance.counter_output(after)
+    before = np.empty_like(out)
+    before[1:] = out[:-1]
+    before[head] = out0[rep[head]]
+    return out0, out != before
 
 
 def _level_replay(instance, start, rep, bit, value):
@@ -434,8 +519,10 @@ def _level_replay(instance, start, rep, bit, value):
     unique within a step).  A step sorts its events by (replica and node,
     rank) as packed int64 keys, each carrying its new input value in the
     lowest bit, and keeps the events that switch their node's output: one
-    `_grouped_replay` of input counts per step.  Ties in time resolve in
-    draw order, as in a replay event by event.
+    grouped cumsum of input counts per step, read by `_threshold_switches`.
+    A kept event's value bit is its node's new output, so its key moves up
+    a step with only its node replaced.  Ties in time resolve in draw
+    order, as in a replay event by event.
     """
     steps = instance.steps
     if not steps:
@@ -444,7 +531,7 @@ def _level_replay(instance, start, rep, bit, value):
     # a key packs (replica, node) above the rank above the value; a block
     # holds under 2^31 nodes per step and far fewer events, so keys fit int64
     b = max(1, int(rep.size).bit_length()) + 1  # rank and value bits
-    low = (1 << b) - 2                           # mask of the rank bits
+    low = (1 << b) - 1                           # mask of the rank and value bits
     step, node = instance.bit_inputs(bit)
     nodes = np.array([st.nodes for st in steps])
     keys = ((rep * nodes[step] + node) << b) | (np.arange(rep.size) << 1) | value
@@ -453,12 +540,10 @@ def _level_replay(instance, start, rep, bit, value):
     carry = keys[:0]
     for s, st in enumerate(steps):
         keys = np.sort(np.concatenate((carry, entering[s])))
-        out, switch = _grouped_replay(keys >> b, 2 * (keys & 1) - 1, counts[s].ravel(),
-                                      lambda c, t=st.threshold: c >= t)
-        keys = keys[switch]
+        keys = keys[_threshold_switches(keys >> b, keys & 1, counts[s].ravel(), st.threshold)]
         if s + 1 < len(steps):
             fan = st.nodes // steps[s + 1].nodes
-            carry = (keys >> b) // fan << b | keys & low | out[switch]
+            carry = (keys >> b) // fan << b | keys & low
     out0 = counts[-1][:, 0] >= steps[-1].threshold
     return out0.astype(np.uint8), (keys & low) >> 1
 
@@ -513,13 +598,13 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
     the kernel's memory is set by one block, whatever the replica count.
     """
     m = instance.arity
-    n_slots, slot_len, cdf = _slots(m, T)
+    n_slots, slot_len, table = _slots(m, T)
     _hold_freed_memory()
     weights = instance.counter_weights()
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
         config = None
         for j0, j1 in spans:
-            start, cell, value, key = _replica_draws(instance, p, cdf, seed, a, b,
+            start, cell, value, key = _replica_draws(instance, p, table, seed, a, b,
                                                      j0, j1, config)
             if len(spans) > 1:
                 config = _advance(start, cell, value)

@@ -42,6 +42,7 @@ k is (number of edges above level k) + j.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -490,11 +491,17 @@ class _TreeInstance(FunctionInstance):
             return rows[:, 0].copy()
         return (self.input_counts(rows)[-1][:, 0] >= self.steps[-1].threshold).astype(np.uint8)
 
-    def bit_inputs(self, bits):
-        """(step, node) fed by each bit of an int64 array."""
-        pos = bits if self.bit_position is None else self.bit_position[bits]
+    @functools.cached_property
+    def _bit_inputs(self):
+        # (step, node) of every bit, found once per instance
+        pos = np.arange(self.arity) if self.bit_position is None else self.bit_position
         lo, step, fan = self._slices[np.searchsorted(self._slices[:, 0], pos, side="right") - 1].T
         return step, (pos - lo) // fan
+
+    def bit_inputs(self, bits):
+        """(step, node) fed by each bit of an int64 array."""
+        step, node = self._bit_inputs
+        return step[bits], node[bits]
 
 
 class IterMaj3Instance(_TreeInstance):

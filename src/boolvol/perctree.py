@@ -314,11 +314,11 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     DynamicsParams(p=p, T=T, seed=seed, replicas=1)
     replica = _check_id("replica", replica)
     edge_id = _check_id("edge id", edge_id)
-    n_slots, slot_len, cdf = _slots(1, T)
+    n_slots, slot_len, table = _slots(1, T)
     keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
     initial = int(_below(_draw(keys, 1), p)[0])
-    _, slot, tick, states = _skeleton(keys, p, cdf, 0, n_slots)
+    _, slot, tick, states = _skeleton(keys, p, table, 0, n_slots)
     times = _tick_time(slot, tick, slot_len)
     return EdgeSkeleton(initial=initial,
                         times=tuple(float(t) for t in times),
@@ -414,9 +414,9 @@ def _level_step(front, c, offset, p, slots, horizon):
     keys = _child_keys(front.vidx, front.repk, c, offset)
     E = keys.size
 
-    n_slots, slot_len, cdf = slots
+    n_slots, slot_len, table = slots
     s0 = _below(_draw(keys, 1), p)
-    edge, slot, tick, st_ev = _skeleton(keys, p, cdf, 0, n_slots)
+    edge, slot, tick, st_ev = _skeleton(keys, p, table, 0, n_slots)
     m = np.bincount(edge, minlength=E)
 
     # every edge's timeline in edge order: head, updates, tail.  A span of
@@ -542,14 +542,14 @@ def _open_throughout(children, offsets, depth, p, slots, repk):
     The walk follows only such edges, from the keys and draws of
     `_level_step`, so each edge it meets has the same history there.
     """
-    n_slots, _, cdf = slots
+    n_slots, _, table = slots
     rid = np.arange(repk.size)
     vidx = np.zeros(repk.size, dtype=np.uint64)
     for k in range(1, depth + 1):
         c = children[k - 1]
         keys = _child_keys(vidx, repk[rid], c, offsets[k])
         eidx = np.flatnonzero(_below(_draw(keys, 1), p))
-        edge, _, _, value = _skeleton(keys[eidx], p, cdf, 0, n_slots)
+        edge, _, _, value = _skeleton(keys[eidx], p, table, 0, n_slots)
         kept = np.ones(eidx.size, dtype=bool)
         kept[edge[~value]] = False
         kpar, vidx = _child_vertices(vidx, eidx[kept], c)
@@ -580,7 +580,7 @@ def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
     # ahead only when the tree expects at least one such path to `depth`
     n_slots, slot_len, _ = slots
     q = p * math.exp(-(1.0 - p) * n_slots * slot_len)
-    if math.prod(c * q for c in children[:depth]) >= 1.0:
+    if math.prod(c * q for c in children[:depth]) >= _LOOKAHEAD_PATHS:
         done = _open_throughout(children, offsets, depth, p, slots, repk)
         for init, _, _ in out.values():
             init[done] = 1
@@ -613,6 +613,10 @@ def _edge_offsets(children):
         offsets.append(offsets[-1] + v)
     return offsets
 
+
+# expected always-open root paths to the deepest level (prod c_k q) from
+# which a block looks ahead
+_LOOKAHEAD_PATHS = 1.0
 
 # expected edges and updates drawn by one replica (more is refused) and by
 # one block of replicas.  A level step peaks near 80 bytes per draw; blocks

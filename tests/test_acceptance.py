@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from boolvol.analysis import (
     Maj3Params,
@@ -203,6 +204,7 @@ def test_criterion_09_taxonomy_verdicts():
            ", ".join("%s=%s" % kv for kv in sorted(got.items())))
 
 
+@pytest.mark.slow
 def test_criterion_10_percolation_regimes():
     rep = regime_experiment((2,) * 12, [4, 8, 12], p=0.5, T=1.0,
                             replicas=10_000, seed=SEED)

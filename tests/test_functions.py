@@ -330,6 +330,19 @@ def test_tree_evaluation_matches_definition(text):
         assert out == _tree_by_definition(spec, config)
 
 
+@pytest.mark.parametrize("text", ["itermaj3:1", "itermaj3:4", "andor:1", "andor:5",
+                                  "perc:1:1", "perc:3,1,2:3", "perc:2,3,2:2"])
+def test_bit_inputs_match_slice_bisection(text):
+    # the per-instance table of (step, node) against the bisection over the
+    # declared slices it replaces, for bits in any order and repeated
+    inst = bf.make_instance(bf.parse_spec(text))
+    bits = np.random.default_rng(12).integers(0, inst.arity, 500)
+    pos = bits if inst.bit_position is None else inst.bit_position[bits]
+    lo, step, fan = inst._slices[np.searchsorted(inst._slices[:, 0], pos, side="right") - 1].T
+    got = inst.bit_inputs(bits)
+    assert np.array_equal(got[0], step) and np.array_equal(got[1], (pos - lo) // fan)
+
+
 @pytest.mark.parametrize("text", ["maj:257", "parity:257", "dap:258", "type2:259", "bigtame:6"])
 def test_bit_sums_exact_past_255_ones(text):
     # a uint8 row sum would wrap at 256 ones; every sum must stay exact

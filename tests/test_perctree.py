@@ -397,6 +397,7 @@ class TestRegimeExperiment:
             assert np.array_equal(la.empirical.S, lb.empirical.S)
             assert np.array_equal(la.empirical.initial, lb.empirical.initial)
 
+    @pytest.mark.slow
     def test_matches_reference_engine_exactly(self):
         cases = [
             ((2, 2, 2, 2), [1, 2, 3, 4], 0.5, 1.0, 13),
