@@ -151,6 +151,8 @@ def _series_payload(op, params, series):
 def cmd_recursion(cfg, args):
     op = args.op
     if op == "maj3-a":
+        if args.p0 is None:
+            raise InvalidSpec("maj3-a needs --p0")
         series = maj3_a_seq(args.p0, args.n, digits=cfg.precision)
         return _series_payload(op, {"p0": args.p0, "n": args.n}, series)
     if op == "maj3-b":
@@ -160,6 +162,8 @@ def cmd_recursion(cfg, args):
         return _series_payload(op, {"n": args.n, "epsilon": args.epsilon,
                                     "alpha": args.alpha, "t": args.t}, series)
     if op == "maj3-cutoff":
+        if args.alpha is None:
+            raise InvalidSpec("maj3-cutoff needs --alpha")
         digits = cfg.precision if cfg.precision is not None else 50
         diag = maj3_cutoff_diagnostic(args.alpha, args.n, digits=digits)
         payload = {"schema": _schema("recursion-cutoff"), **diag.to_json_dict()}
@@ -180,6 +184,9 @@ def cmd_recursion(cfg, args):
 
 def cmd_perc(cfg, args):
     if args.op == "build":
+        if args.target is None or args.levels is None:
+            raise InvalidSpec("perc build needs --target and --levels")
+        args.levels = int(args.levels)
         profile = build_profile(args.target, args.levels, max_ratio=args.max_ratio)
         if args.profile_out:
             profile.write(args.profile_out)
@@ -197,6 +204,10 @@ def cmd_perc(cfg, args):
         return payload, ("level", "children", "log_w", "target", "log_error",
                          "enforced"), rows
     if args.op == "weights":
+        if args.target is not None:
+            if args.levels is None:
+                raise InvalidSpec("perc weights with --target needs --levels")
+            args.levels = int(args.levels)
         if (args.profile is None) == (args.target is None):
             raise InvalidSpec("give exactly one of --profile or --target")
         if args.profile is not None:
@@ -207,6 +218,8 @@ def cmd_perc(cfg, args):
         payload = {"schema": _schema("perc-weights"), **ws.to_json_dict()}
         return payload, ("k", "children", "log_w", "w"), ws.to_csv_rows()
     # run
+    if args.profile is None or args.levels is None:
+        raise InvalidSpec("perc run needs --profile and --levels")
     profile = LevelProfile(parse_profile(args.profile))
     report = regime_experiment(
         profile, _parse_levels(args.levels), p=args.p, T=args.T,
@@ -221,10 +234,13 @@ def cmd_classify(cfg, args):
     with open(args.planfile) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not all(
-            isinstance(e, (list, tuple)) and len(e) == 2 for e in raw):
-        raise InvalidSpec("plan file must be a JSON list of [spec, p] pairs")
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], (int, float)) and not isinstance(e[1], bool)
+            for e in raw):
+        raise InvalidSpec("plan file must be a JSON list of [spec, p] pairs, "
+                          "each a string and a number")
     plan = SequencePlan.from_pairs(
-        [(str(s), float(p)) for s, p in raw],
+        [(s, float(p)) for s, p in raw],
         T=args.T, replicas=cfg.resolve_replicas(4000), seed=cfg.seed)
     report = classify(plan, threads=cfg.threads)
     payload = {"schema": _schema("classify"), **report.to_json_dict()}
@@ -331,7 +347,7 @@ def _build_parser():
                    help="x-grid resolution (andor-gfloor)")
     p.add_argument("--conv-points", type=int, default=200_000,
                    help="convolution atoms (andor-gfloor)")
-    p.set_defaults(handler=_dispatch_recursion)
+    p.set_defaults(handler=cmd_recursion)
 
     p = sub.add_parser(
         "perc", parents=[common], formatter_class=raw,
@@ -362,7 +378,7 @@ def _build_parser():
                    help="time horizon (run; default 1.0)")
     p.add_argument("--edge-cap", type=int, default=10_000_000,
                    help="edge budget for run (default: 10000000)")
-    p.set_defaults(handler=_dispatch_perc)
+    p.set_defaults(handler=cmd_perc)
 
     p = sub.add_parser(
         "classify", parents=[common], formatter_class=raw,
@@ -375,31 +391,6 @@ def _build_parser():
                    help="time horizon (default: 1.0)")
     p.set_defaults(handler=cmd_classify)
     return parser
-
-
-def _dispatch_recursion(cfg, args):
-    if args.op == "maj3-a":
-        if args.p0 is None:
-            raise InvalidSpec("maj3-a needs --p0")
-    if args.op in ("maj3-cutoff",) and args.alpha is None:
-        raise InvalidSpec("maj3-cutoff needs --alpha")
-    return cmd_recursion(cfg, args)
-
-
-def _dispatch_perc(cfg, args):
-    if args.op == "build":
-        if args.target is None or args.levels is None:
-            raise InvalidSpec("perc build needs --target and --levels")
-        args.levels = int(args.levels)
-    elif args.op == "weights":
-        if args.target is not None:
-            if args.levels is None:
-                raise InvalidSpec("perc weights with --target needs --levels")
-            args.levels = int(args.levels)
-    else:
-        if args.profile is None or args.levels is None:
-            raise InvalidSpec("perc run needs --profile and --levels")
-    return cmd_perc(cfg, args)
 
 
 def main(argv=None):

@@ -1,4 +1,4 @@
-"""Sequence-level switch-count taxonomy heuristics and canned probes.
+"""Sequence-level switch-count taxonomy heuristics.
 
 A sequence of Boolean functions is classified by the shape of its
 switch-count distributions across n: mass at zero (lame), mass escaping
@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsParams, _check_int, estimate_C_distribution, sample_noise_pair
+from .dynamics import DynamicsParams, _check_int, estimate_C_distribution
 from .functions import FunctionSpec, make_instance, parse_spec
-from .oracle import (
-    ENUM_ARITY_CAP,
-    PAIR_ARITY_CAP,
-    exact_influence_report,
-    exact_noise_covariance,
-    exact_prob_one,
-)
 
 VERDICTS = (
     "lame-consistent",
@@ -120,21 +113,21 @@ class Thresholds:
     k_grid: tuple = (1, 2, 5)
 
     def __post_init__(self):
-        for name in ("to_zero", "to_one", "away", "tail_cap"):
+        for name in ("to_zero", "to_one", "away", "tail_cap", "vanish_ratio",
+                     "retain_ratio"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError("%s must lie strictly in (0, 1), got %r" % (name, v))
-        for name in ("vanish_ratio", "retain_ratio"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError("%s must lie strictly in (0, 1), got %r" % (name, v))
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth_factor must exceed 1")
-        if self.second_moment_cap <= 0.0:
-            raise ValueError("second_moment_cap must be positive")
+        # chained comparisons are false for NaN, so these also reject it
+        if not 1.0 < self.growth_factor < math.inf:
+            raise ValueError("growth_factor must be a finite number > 1, got %r"
+                             % (self.growth_factor,))
+        if not 0.0 < self.second_moment_cap < math.inf:
+            raise ValueError("second_moment_cap must be a finite number > 0, got %r"
+                             % (self.second_moment_cap,))
         for name in ("M_grid", "k_grid"):
-            grid = tuple(int(v) for v in getattr(self, name))
-            if not grid or any(v < 1 for v in grid) or list(grid) != sorted(set(grid)):
+            grid = tuple(_check_int(name, v, 1) for v in getattr(self, name))
+            if not grid or list(grid) != sorted(set(grid)):
                 raise ValueError("%s must be strictly increasing positive ints" % name)
             object.__setattr__(self, name, grid)
 
@@ -381,199 +374,3 @@ def classify(plan, thresholds=None, threads=1):
         verdict=verdict,
         notes=tuple(notes),
     )
-
-
-# ---------------------------------------------------------------------------
-# noise probe
-
-
-@dataclass(frozen=True)
-class NoiseProbeReport:
-    """Per-(n, epsilon) noise-pair statistics with exact overlays."""
-
-    epsilons: tuple
-    replicas: int
-    seed: int
-    rows: tuple  # dicts per (n, epsilon)
-
-    def to_json_dict(self):
-        return {
-            "epsilons": list(self.epsilons),
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "rows": [dict(r) for r in self.rows],
-        }
-
-    def to_csv_rows(self):
-        """Rows (n, epsilon, disagree, se_disagree, covariance, sum_I_sq)."""
-        return [(r["n"], r["epsilon"], r["disagree"], r["se_disagree"],
-                 r["covariance"], r["sum_I_sq"]) for r in self.rows]
-
-
-def noise_probe(plan, epsilons):
-    """Noise-pair decorrelation for every plan entry and epsilon.
-
-    Each row pairs the Monte Carlo joint statistics with a covariance
-    estimate against the marginal (exact when the arity is enumerable),
-    the exact pair covariance when the arity admits the kernel
-    contraction, and the squared-influence diagnostic whose decay is the
-    sensitivity signature.
-    """
-    epsilons = [float(e) for e in epsilons]
-    if not epsilons:
-        raise ValueError("need at least one epsilon")
-    for e in epsilons:
-        if not 0.0 < e <= 1.0:
-            raise ValueError("epsilon must lie in (0, 1], got %r" % (e,))
-
-    rows = []
-    for spec, p in plan.entries:
-        inst = make_instance(spec)
-        if inst.arity <= ENUM_ARITY_CAP:
-            marginal = exact_prob_one(inst, p)
-            sum_i_sq = exact_influence_report(inst, p).sum_squared_influence
-        else:
-            # at epsilon = 0 the pair is (X, X), so E[f(X)f(Y)] = P(f=1)
-            marginal = sample_noise_pair(inst, p, 0.0, plan.replicas,
-                                         plan.seed).mean_product
-            sum_i_sq = None
-        for eps in epsilons:
-            je = sample_noise_pair(inst, p, eps, plan.replicas, plan.seed)
-            exact_cov = None
-            if inst.arity <= PAIR_ARITY_CAP:
-                exact_cov = exact_noise_covariance(inst, p, eps).covariance
-            rows.append({
-                "n": inst.arity,
-                "spec": spec.spec_string(),
-                "p": p,
-                "epsilon": eps,
-                "mean_product": je.mean_product,
-                "disagree": je.disagree,
-                "se_product": je.se_product,
-                "se_disagree": je.se_disagree,
-                "covariance": je.mean_product - marginal * marginal,
-                "marginal": marginal,
-                "exact_covariance": exact_cov,
-                "sum_I_sq": sum_i_sq,
-            })
-    return NoiseProbeReport(epsilons=tuple(epsilons), replicas=plan.replicas,
-                            seed=plan.seed, rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# majority tameness probe
-
-
-@dataclass(frozen=True)
-class TamenessReport:
-    """P(C > M) and P(C = 0) trends for the majority sequence at p=1/2."""
-
-    M: int
-    replicas: int
-    seed: int
-    rows: tuple
-
-    def to_json_dict(self):
-        return {
-            "M": self.M,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "rows": [dict(r) for r in self.rows],
-        }
-
-    def to_csv_rows(self):
-        """Rows (n, p_zero, se_zero, p_greater, se_greater)."""
-        return [(r["n"], r["p_zero"], r["se_zero"], r["p_greater"],
-                 r["se_greater"]) for r in self.rows]
-
-
-def majority_tameness_probe(n_list, M=5, replicas=2000, seed=1):
-    """Tail and zero-mass trends for majority: high tail grows with n
-    while the mass at zero stays put — the semi-volatility signature of
-    a noise-stable but non-tame sequence."""
-    n_list = [int(n) for n in n_list]
-    if not n_list:
-        raise ValueError("need at least one majority size")
-    if any(n < 1 or n % 2 == 0 for n in n_list):
-        raise ValueError("majority sizes must be odd and positive: %r" % (n_list,))
-    if int(M) < 0:
-        raise ValueError("tail cutoff M must be >= 0, got %r" % (M,))
-    M = int(M)
-
-    rows = []
-    for n in n_list:
-        inst = make_instance(FunctionSpec.majority(n))
-        est = estimate_C_distribution(
-            inst, DynamicsParams(p=0.5, T=1.0, seed=seed, replicas=replicas))
-        pz = est.p_zero
-        pg = est.prob_greater(M)
-        rows.append({
-            "n": n,
-            "p_zero": pz,
-            "se_zero": _binom_se(pz, replicas),
-            "p_greater": pg,
-            "se_greater": _binom_se(pg, replicas),
-        })
-    return TamenessReport(M=M, replicas=replicas, seed=seed, rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# lameness probe
-
-
-@dataclass(frozen=True)
-class LamenessReport:
-    """P(C=0) per n with the exact mean switch count overlaid when enumerable."""
-
-    T: float
-    replicas: int
-    seed: int
-    rows: tuple
-
-    def to_json_dict(self):
-        return {
-            "T": self.T,
-            "replicas": self.replicas,
-            "seed": self.seed,
-            "rows": [dict(r) for r in self.rows],
-        }
-
-    def to_csv_rows(self):
-        """Rows (n, p_zero, se_zero, exact_EC, markov_floor, flagged)."""
-        return [(r["n"], r["p_zero"], r["se_zero"], r["exact_EC"],
-                 r["markov_floor"], r["flagged"]) for r in self.rows]
-
-
-def lameness_probe(plan):
-    """P(C=0) per entry, sanity-checked against the first-moment bound.
-
-    When the arity is enumerable the exact E[C] gives the Markov floor
-    P(C=0) >= 1 - E[C]; a row is flagged when the estimate undercuts the
-    floor by more than four standard errors, which honest sampling
-    should never do.
-    """
-    rows = []
-    for spec, p in plan.entries:
-        inst = make_instance(spec)
-        est = estimate_C_distribution(inst, plan.dyn_params(p))
-        pz = est.p_zero
-        se = _binom_se(pz, plan.replicas)
-        if inst.arity <= ENUM_ARITY_CAP:
-            ec = exact_influence_report(inst, p).total_influence * plan.T
-            floor = 1.0 - ec
-            flagged = pz < floor - 4.0 * se
-        else:
-            ec = None
-            floor = None
-            flagged = False
-        rows.append({
-            "n": inst.arity,
-            "spec": spec.spec_string(),
-            "p_zero": pz,
-            "se_zero": se,
-            "exact_EC": ec,
-            "markov_floor": floor,
-            "flagged": flagged,
-        })
-    return LamenessReport(T=plan.T, replicas=plan.replicas, seed=plan.seed,
-                          rows=tuple(rows))

@@ -431,6 +431,17 @@ class TestClassify:
         path.write_text('{"not": "a list"}')
         code, _ = run_cli(capsys, "classify", str(path))
         assert code == 2
+        # each pair is a JSON string and a JSON number; a bool or a numeric
+        # string is not read as p
+        for p in (True, "0.5"):
+            plan = self.write_plan(tmp_path, [["parity:%d" % n, p]
+                                              for n in (4, 8, 16)])
+            code, _ = run_cli(capsys, "classify", plan, "--replicas", "50")
+            assert code == 2
+        plan = self.write_plan(tmp_path, [[spec, 0.5] for spec in
+                                          ("parity:4", ["parity:8"], "parity:16")])
+        code, _ = run_cli(capsys, "classify", plan, "--replicas", "50")
+        assert code == 2
 
     def test_missing_plan_file_exit_2(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "classify", str(tmp_path / "nope.json"))

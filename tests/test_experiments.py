@@ -1,4 +1,7 @@
-"""Sequence classification heuristics and taxonomy/noise/tameness probes."""
+"""Sequence classification heuristics, and the paper's noise-sensitivity,
+tameness and lameness claims checked on the primitives that measure them:
+`classify`'s trends, `estimate_C_distribution`, `sample_noise_pair` and the
+enumeration oracles."""
 
 import json
 import math
@@ -6,10 +9,21 @@ import math
 import pytest
 
 from boolvol import experiments as exp
-from boolvol.dynamics import EmpiricalC
+from boolvol.dynamics import (
+    DynamicsParams,
+    EmpiricalC,
+    estimate_C_distribution,
+    sample_noise_pair,
+)
 from boolvol.errors import InvalidSpec
 from boolvol.functions import FunctionSpec, make_instance, parse_spec
-from boolvol.oracle import exact_noise_covariance
+from boolvol.oracle import (
+    PAIR_ARITY_CAP,
+    exact_influence_report,
+    exact_noise_covariance,
+    exact_prob_one,
+    exact_total_influence,
+)
 
 
 def binom_se(q, n):
@@ -88,6 +102,15 @@ class TestThresholds:
             exp.Thresholds(M_grid=())
         with pytest.raises(ValueError):
             exp.Thresholds(k_grid=(2, 1))
+        for bad in ({"vanish_ratio": 1.0}, {"retain_ratio": math.nan},
+                    {"growth_factor": 1.0}, {"growth_factor": math.nan},
+                    {"growth_factor": math.inf}, {"second_moment_cap": 0.0},
+                    {"second_moment_cap": math.nan},
+                    {"second_moment_cap": math.inf}, {"M_grid": (1.5, 2)},
+                    {"k_grid": (True, 2)}, {"M_grid": ("3",)}, {"k_grid": (0, 1)}):
+            with pytest.raises(ValueError):
+                exp.Thresholds(**bad)
+        assert exp.Thresholds(M_grid=(2, 3)).M_grid == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -314,145 +337,96 @@ class TestClassify:
 
 
 # ---------------------------------------------------------------------------
-# noise probe
+# noise sensitivity: `sample_noise_pair` against the enumeration oracles
 
 
 class TestNoiseProbe:
-    def test_epsilon_validation(self):
-        plan = exp.SequencePlan.from_pairs([("dictator:4", 0.5)], replicas=100)
-        with pytest.raises(ValueError):
-            exp.noise_probe(plan, [0.0])
-        with pytest.raises(ValueError):
-            exp.noise_probe(plan, [1.5])
-        with pytest.raises(ValueError):
-            exp.noise_probe(plan, [])
-
     def test_dictator_disagree_is_half_epsilon_for_every_n(self):
-        plan = exp.SequencePlan.from_pairs(
-            [("dictator:4", 0.5), ("dictator:8", 0.5)], replicas=20000)
-        report = exp.noise_probe(plan, [0.2, 0.6])
-        for row in report.rows:
-            want = row["epsilon"] / 2.0
-            assert abs(row["disagree"] - want) <= 4 * binom_se(want, 20000)
+        dis = {}
+        for n in (4, 8):
+            inst = make_instance(FunctionSpec.dictator(n))
+            for eps in (0.2, 0.6):
+                dis[n, eps] = sample_noise_pair(inst, 0.5, eps, 20000, 1).disagree
+        for (n, eps), d in dis.items():
+            assert abs(d - eps / 2.0) <= 4 * binom_se(eps / 2.0, 20000)
         # independence of n: the two arities agree within noise
-        by_eps = {}
-        for row in report.rows:
-            by_eps.setdefault(row["epsilon"], []).append(row["disagree"])
-        for eps, pair in by_eps.items():
-            gap = abs(pair[0] - pair[1])
-            assert gap <= 6 * binom_se(eps / 2.0, 20000)
+        for eps in (0.2, 0.6):
+            assert abs(dis[4, eps] - dis[8, eps]) <= 6 * binom_se(eps / 2.0, 20000)
 
     def test_itermaj3_covariance_decreases_with_depth(self):
-        plan = exp.SequencePlan.from_pairs(
-            [("itermaj3:%d" % d, 0.5) for d in (1, 2, 3)], replicas=20000)
-        report = exp.noise_probe(plan, [0.2])
-        rows = report.rows
-        assert [r["n"] for r in rows] == [3, 9, 27]
         se = binom_se(0.5, 20000)
-        assert rows[1]["covariance"] < rows[0]["covariance"] + 4 * se
-        assert rows[2]["covariance"] < rows[1]["covariance"] + 4 * se
-        # exact overlays exist up to the pair cap and agree with the oracle
-        for row in rows[:2]:
-            inst = make_instance(parse_spec(row["spec"]))
-            want = exact_noise_covariance(inst, 0.5, 0.2).covariance
-            assert row["exact_covariance"] == pytest.approx(want, abs=1e-12)
-            assert abs(row["covariance"] - want) <= 4 * se
-        assert rows[2]["exact_covariance"] is None
+        covs, exact = [], []
+        for d in (1, 2, 3):
+            inst = make_instance(parse_spec("itermaj3:%d" % d))
+            # itermaj3 is self-dual, so P(f=1) = 1/2 at p = 1/2
+            covs.append(sample_noise_pair(inst, 0.5, 0.2, 20000, 1).mean_product - 0.25)
+            if inst.arity <= PAIR_ARITY_CAP:
+                assert exact_prob_one(inst, 0.5) == pytest.approx(0.5, abs=1e-12)
+                exact.append(exact_noise_covariance(inst, 0.5, 0.2).covariance)
+                assert abs(covs[-1] - exact[-1]) <= 4 * se
+        assert len(exact) == 2  # 27 bits exceeds the pair-enumeration cap
+        assert exact[1] < exact[0]
+        assert covs[1] < covs[0] + 4 * se
+        assert covs[2] < covs[1] + 4 * se
 
     def test_sum_squared_influence_diagnostic(self):
         # leaf influence at depth d is (1/2)^{d+1}, so the squared sum is
         # 3^d/4^{d+1}, vanishing in depth: the sensitivity signature
-        plan = exp.SequencePlan.from_pairs(
-            [("itermaj3:%d" % d, 0.5) for d in (1, 2, 3)], replicas=200)
-        report = exp.noise_probe(plan, [0.5])
-        rows = report.rows
-        assert rows[0]["sum_I_sq"] == pytest.approx(3.0 / 16.0, abs=1e-12)
-        assert rows[1]["sum_I_sq"] == pytest.approx(9.0 / 64.0, abs=1e-12)
-        assert rows[2]["sum_I_sq"] is None  # 27 bits exceeds the enumeration cap
+        for d, want in ((1, 3.0 / 16.0), (2, 9.0 / 64.0)):
+            inst = make_instance(parse_spec("itermaj3:%d" % d))
+            got = exact_influence_report(inst, 0.5).sum_squared_influence
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_majority_stability_signature(self):
-        plan = exp.SequencePlan.from_pairs(
-            [("maj:%d" % n, 0.5) for n in (9, 101, 1001)], replicas=20000)
-        report = exp.noise_probe(plan, [0.01, 0.05, 0.1])
-        by_n = {}
-        for row in report.rows:
-            by_n.setdefault(row["n"], []).append((row["epsilon"], row["disagree"]))
-        for n, pairs in by_n.items():
-            pairs.sort()
-            dis = [d for _, d in pairs]
-            se = binom_se(0.2, 20000)
-            assert dis[0] < dis[1] + 4 * se < dis[2] + 8 * se
-        # uniformly small disagreement at the smallest epsilon
-        worst = max(d for r in report.rows if r["epsilon"] == 0.01
-                    for d in [r["disagree"]])
-        assert worst < 0.12
-
-    def test_json_and_csv_shapes(self):
-        plan = exp.SequencePlan.from_pairs([("dictator:4", 0.5)], replicas=500)
-        report = exp.noise_probe(plan, [0.3])
-        data = json.loads(json.dumps(report.to_json_dict()))
-        assert data["epsilons"] == [0.3]
-        assert len(data["rows"]) == 1
-        row = data["rows"][0]
-        for key in ("n", "spec", "p", "epsilon", "mean_product", "disagree",
-                    "se_product", "se_disagree", "covariance", "marginal",
-                    "exact_covariance", "sum_I_sq"):
-            assert key in row
-        rows = report.to_csv_rows()
-        assert all(len(r) == 6 for r in rows)
+        for n in (9, 101, 1001):
+            inst = make_instance(FunctionSpec.majority(n))
+            dis = [sample_noise_pair(inst, 0.5, eps, 20000, 1).disagree
+                   for eps in (0.01, 0.05, 0.1)]
+            assert dis[0] < dis[1] < dis[2]
+            # uniformly small disagreement at the smallest epsilon
+            assert dis[0] < 0.12
 
 
 # ---------------------------------------------------------------------------
-# majority tameness probe
+# majority tameness: `classify`'s p_zero and tail_gt_M trends
 
 
 class TestMajorityTamenessProbe:
-    def test_rejects_even_n(self):
-        with pytest.raises(ValueError):
-            exp.majority_tameness_probe([9, 10], M=5, replicas=100, seed=1)
-        with pytest.raises(ValueError):
-            exp.majority_tameness_probe([], M=5, replicas=100, seed=1)
-        with pytest.raises(ValueError):
-            exp.majority_tameness_probe([9], M=-1, replicas=100, seed=1)
-
     def test_tail_grows_and_zero_mass_stays(self):
-        report = exp.majority_tameness_probe([9, 101, 1001], M=5,
-                                             replicas=1500, seed=1)
-        rows = report.rows
-        assert [r["n"] for r in rows] == [9, 101, 1001]
-        tails = [r["p_greater"] for r in rows]
+        plan = exp.SequencePlan.from_pairs(
+            [("maj:%d" % n, 0.5) for n in (9, 101, 1001)], replicas=1500)
+        report = exp.classify(plan)
+        assert report.ns == (9, 101, 1001)
+        tails = report.trends["tail_gt_5"].values
         assert tails[0] < tails[1] < tails[2]
         assert tails[2] > 0.4
-        for row in rows:
-            assert row["p_zero"] > 0.1
-            assert row["se_zero"] == pytest.approx(
-                binom_se(row["p_zero"], 1500), abs=1e-12)
+        zeros = report.trends["p_zero"]
+        for q, se in zip(zeros.values, zeros.stderrs):
+            assert q > 0.1
+            assert se == pytest.approx(binom_se(q, 1500), abs=1e-12)
 
     def test_M_zero_identity(self):
-        report = exp.majority_tameness_probe([9], M=0, replicas=800, seed=3)
-        row = report.rows[0]
-        assert row["p_greater"] == pytest.approx(1.0 - row["p_zero"], abs=1e-12)
+        est = estimate_C_distribution(make_instance(FunctionSpec.majority(9)),
+                                      DynamicsParams(p=0.5, T=1.0, seed=3, replicas=800))
+        assert est.prob_greater(0) == pytest.approx(1.0 - est.p_zero, abs=1e-12)
 
     def test_dictator_matches_thinned_poisson_tail(self):
         # a single bit switches at thinned Poisson(1/2) rate
-        want = 1.0 - math.exp(-0.5) * sum(0.5**j / math.factorial(j)
-                                          for j in range(6))
-        report = exp.majority_tameness_probe([1], M=5, replicas=50000, seed=1)
-        got = report.rows[0]["p_greater"]
-        assert abs(got - want) <= 4 * binom_se(want, 50000)
-
-    def test_json_and_csv(self):
-        report = exp.majority_tameness_probe([9, 11, 13], M=2,
-                                             replicas=200, seed=1)
-        data = json.loads(json.dumps(report.to_json_dict()))
-        assert data["M"] == 2
-        assert len(data["rows"]) == 3
-        rows = report.to_csv_rows()
-        assert all(len(r) == 5 for r in rows)
+        est = estimate_C_distribution(make_instance(FunctionSpec.dictator(1)),
+                                      DynamicsParams(p=0.5, T=1.0, seed=1, replicas=50000))
+        for M in range(6):
+            want = 1.0 - math.exp(-0.5) * sum(0.5**j / math.factorial(j)
+                                              for j in range(M + 1))
+            assert abs(est.prob_greater(M) - want) <= 4 * binom_se(want, 50000)
 
 
 # ---------------------------------------------------------------------------
-# lameness probe
+# lameness: P(C=0) against the exact first moment E[C] = T * total influence
+
+
+def markov_floor(spec, p, T):
+    """1 - E[C], the first-moment lower bound on P(C=0)."""
+    return 1.0 - T * exact_total_influence(make_instance(spec), p)
 
 
 class TestLamenessProbe:
@@ -461,38 +435,23 @@ class TestLamenessProbe:
             entries=tuple((FunctionSpec.truth_table([0] * (1 << m)), 0.5)
                           for m in (1, 2, 3)),
             replicas=400)
-        report = exp.lameness_probe(plan)
-        for row in report.rows:
-            assert row["p_zero"] == 1.0
-            assert row["exact_EC"] == 0.0
-            assert row["flagged"] is False
+        report = exp.classify(plan)
+        assert report.trends["p_zero"].values == (1.0, 1.0, 1.0)
+        assert report.verdict == "lame-consistent"
+        for spec, p in plan.entries:
+            assert markov_floor(spec, p, plan.T) == 1.0
 
     def test_bigtame_overlay(self):
-        plan = exp.SequencePlan.from_pairs([("bigtame:2", 0.5)], replicas=4000)
-        report = exp.lameness_probe(plan)
-        row = report.rows[0]
-        assert row["exact_EC"] == pytest.approx(1.75, abs=1e-12)
-        assert 0.2 < row["p_zero"] < 0.6
-        assert row["markov_floor"] == pytest.approx(1.0 - 1.75, abs=1e-12)
-        assert row["flagged"] is False
+        spec = parse_spec("bigtame:2")
+        assert markov_floor(spec, 0.5, 1.0) == pytest.approx(1.0 - 1.75, abs=1e-12)
+        est = estimate_C_distribution(make_instance(spec),
+                                      DynamicsParams(p=0.5, T=1.0, seed=1, replicas=4000))
+        assert 0.2 < est.p_zero < 0.6
 
     def test_markov_bound_never_flags_honest_runs(self):
-        plan = exp.SequencePlan.from_pairs(
-            [("parity:4", 0.5), ("andor:3", 0.5), ("itermaj3:2", 0.5)],
-            replicas=3000)
-        report = exp.lameness_probe(plan)
-        assert not any(row["flagged"] for row in report.rows)
-
-    def test_exact_overlay_absent_above_enumeration_cap(self):
-        plan = exp.SequencePlan.from_pairs([("parity:32", 0.5)], replicas=200)
-        report = exp.lameness_probe(plan)
-        assert report.rows[0]["exact_EC"] is None
-        assert report.rows[0]["markov_floor"] is None
-
-    def test_json_and_csv(self):
-        plan = exp.SequencePlan.from_pairs([("parity:4", 0.5)], replicas=200)
-        report = exp.lameness_probe(plan)
-        data = json.loads(json.dumps(report.to_json_dict()))
-        assert len(data["rows"]) == 1
-        rows = report.to_csv_rows()
-        assert all(len(r) == 6 for r in rows)
+        for text in ("parity:4", "andor:3", "itermaj3:2"):
+            spec = parse_spec(text)
+            est = estimate_C_distribution(make_instance(spec),
+                                          DynamicsParams(p=0.5, T=1.0, seed=1, replicas=3000))
+            se = binom_se(est.p_zero, 3000)
+            assert est.p_zero >= markov_floor(spec, 0.5, 1.0) - 4.0 * se
