@@ -1,9 +1,9 @@
 """Command-line surface: reproducible runs of every module, JSON or CSV out.
 
 Exit codes: 0 success; 2 malformed input (unknown function family, bad flag
-values, unreadable plan or profile files); 3 a configured resource cap
-(enumeration arity, pair-enumeration arity, edge budget, replica event
-budget).
+values, unreadable plan or profile files, an unwritable --out file); 3 a
+fixed resource cap (enumeration arity, pair-enumeration arity, replica
+event or draw budget, edge ids past 2^64).
 
 Every command is deterministic given its flags: the seed defaults to the
 fixed constant 1, never the clock, and --threads only controls the replica
@@ -204,16 +204,17 @@ def cmd_perc(cfg, args):
         return payload, ("level", "children", "log_w", "target", "log_error",
                          "enforced"), rows
     if args.op == "weights":
-        if args.target is not None:
-            if args.levels is None:
-                raise InvalidSpec("perc weights with --target needs --levels")
-            args.levels = int(args.levels)
         if (args.profile is None) == (args.target is None):
             raise InvalidSpec("give exactly one of --profile or --target")
         if args.profile is not None:
+            if args.levels is not None:
+                raise InvalidSpec("perc weights with --profile takes no --levels")
             profile = LevelProfile(parse_profile(args.profile))
         else:
-            profile = build_profile(args.target, args.levels)
+            if args.levels is None:
+                raise InvalidSpec("perc weights with --target needs --levels")
+            profile = build_profile(args.target, int(args.levels),
+                                    max_ratio=args.max_ratio)
         ws = weight_sequence(profile)
         payload = {"schema": _schema("perc-weights"), **ws.to_json_dict()}
         return payload, ("k", "children", "log_w", "w"), ws.to_csv_rows()
@@ -223,8 +224,7 @@ def cmd_perc(cfg, args):
     profile = LevelProfile(parse_profile(args.profile))
     report = regime_experiment(
         profile, _parse_levels(args.levels), p=args.p, T=args.T,
-        replicas=cfg.resolve_replicas(1000), seed=cfg.seed,
-        edge_cap=args.edge_cap)
+        replicas=cfg.resolve_replicas(1000), seed=cfg.seed)
     payload = {"schema": _schema("perc-run"), **report.to_json_dict()}
     return payload, ("level", "p_one", "p_ever_one", "p_always_one",
                      "p_always_zero", "mean_C", "var_C", "mean_S"), report.to_csv_rows()
@@ -362,11 +362,11 @@ def _build_parser():
                    help="weight growth law: constant, logn, logn1p:D, "
                         "nlogn:A, nalpha:A")
     p.add_argument("--levels", default=None,
-                   help="build/weights: level count; run: comma-separated "
-                        "levels, e.g. 4,8,12")
+                   help="build, weights --target: level count; run: "
+                        "comma-separated levels, e.g. 4,8,12")
     p.add_argument("--max-ratio", type=float, default=4.0,
-                   help="allowed weight/target factor when building "
-                        "(default: 4)")
+                   help="allowed weight/target factor when building from "
+                        "--target (default: 4)")
     p.add_argument("--profile", default=None,
                    help="child counts, inline (2,16,7) or a file "
                         "(one per line)")
@@ -376,8 +376,6 @@ def _build_parser():
                    help="edge-open probability (run; default 0.5)")
     p.add_argument("--T", type=float, default=1.0,
                    help="time horizon (run; default 1.0)")
-    p.add_argument("--edge-cap", type=int, default=10_000_000,
-                   help="edge budget for run (default: 10000000)")
     p.set_defaults(handler=cmd_perc)
 
     p = sub.add_parser(
@@ -399,14 +397,13 @@ def main(argv=None):
                     out=args.out, precision=args.precision,
                     threads=args.threads)
     try:
-        payload, header, rows = args.handler(cfg, args)
+        _emit(cfg, *args.handler(cfg, args))
     except ResourceLimit as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return 3
     except (BoolvolError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _emit(cfg, payload, header, rows)
     return 0
 
 

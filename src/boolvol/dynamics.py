@@ -94,8 +94,7 @@ from .errors import InstanceTooLarge
 
 _PAIR_CHUNK = 4096
 
-# expected events per replica (arity * T) above which a run is refused;
-# the same order as perctree's default edge budget
+# expected events per replica (arity * T) above which a run is refused
 EVENT_BUDGET = 10_000_000
 
 
@@ -670,6 +669,10 @@ def simulate_trajectory(instance, dyn_params, replica_index):
                       C=int(b.C[0]), S=int(b.S[0]))
 
 
+# the M of every P(C > M) a serialized EmpiricalC reports
+_TAIL_GRID = (1, 2, 5, 10, 20)
+
+
 @dataclass
 class EmpiricalC:
     """Per-replica switch counts plus derived summary statistics."""
@@ -720,7 +723,7 @@ class EmpiricalC:
         counts = np.bincount(self.C)
         return [[int(c), int(k)] for c, k in enumerate(counts) if k]
 
-    def to_json_dict(self, tail_grid=(1, 2, 5, 10, 20)):
+    def to_json_dict(self):
         return {
             "spec": self.spec,
             "p": self.p,
@@ -731,7 +734,7 @@ class EmpiricalC:
             "mean_C": self.mean_C,
             "var_C": self.var_C,
             "p_zero": self.p_zero,
-            "tail": [[int(M), self.prob_greater(M)] for M in tail_grid],
+            "tail": [[M, self.prob_greater(M)] for M in _TAIL_GRID],
         }
 
 

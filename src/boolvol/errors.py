@@ -51,4 +51,4 @@ class DepthTooLarge(ResourceLimit):
 
 
 class InstanceTooLarge(ResourceLimit):
-    """Instance exceeds the configured memory/edge budget."""
+    """Instance exceeds a fixed size, event or draw budget."""

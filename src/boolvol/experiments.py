@@ -6,9 +6,9 @@ every window (volatile), uniformly small tails (tame), or mass at zero
 and near infinity simultaneously (semi-volatile, split by whether the
 middle bands P(1 <= C <= k) vanish or persist).  Finite-n Monte Carlo
 cannot prove membership in any of these asymptotic classes, so every
-verdict is a "-consistent" label computed from documented trend
-conventions, and every report carries the raw trend numbers and the
-thresholds that produced it.
+verdict is a "-consistent" label computed from fixed, documented trend
+conventions (the constants below), and every report carries the raw
+trend numbers and the thresholds that produced it.
 """
 
 from __future__ import annotations
@@ -82,130 +82,102 @@ class SequencePlan:
 # ---------------------------------------------------------------------------
 # trend conventions
 
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Finite-n trend conventions behind every verdict.
-
-    "-> 0" means the last value sits below `to_zero` and the sequence
-    decreases at every step (ties allowed only at exactly 0); "-> 1" is
-    the mirror image with `to_one`; "bounded away" means the last value
-    exceeds `away`.  Two desk-scale refinements: a middle band also
-    counts as vanishing when it decreases strictly to at most
-    `vanish_ratio` of its first value (heading to 0 but not there yet),
-    and bounded-away persistence additionally requires the last value to
-    keep at least `retain_ratio` of the first (a stabilized level, not a
-    slow decay).  Tameness demands every P(C > max M_grid) stay below
-    `tail_cap`.  The second-moment rule fires when the mean switch count
-    grows by `growth_factor` while E[C^2]/E[C]^2 stays below
-    `second_moment_cap`.
-    """
-
-    to_zero: float = 0.05
-    to_one: float = 0.95
-    away: float = 0.1
-    tail_cap: float = 0.05
-    vanish_ratio: float = 0.25
-    retain_ratio: float = 0.4
-    growth_factor: float = 2.0
-    second_moment_cap: float = 10.0
-    M_grid: tuple = (1, 2, 5)
-    k_grid: tuple = (1, 2, 5)
-
-    def __post_init__(self):
-        for name in ("to_zero", "to_one", "away", "tail_cap", "vanish_ratio",
-                     "retain_ratio"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError("%s must lie strictly in (0, 1), got %r" % (name, v))
-        # chained comparisons are false for NaN, so these also reject it
-        if not 1.0 < self.growth_factor < math.inf:
-            raise ValueError("growth_factor must be a finite number > 1, got %r"
-                             % (self.growth_factor,))
-        if not 0.0 < self.second_moment_cap < math.inf:
-            raise ValueError("second_moment_cap must be a finite number > 0, got %r"
-                             % (self.second_moment_cap,))
-        for name in ("M_grid", "k_grid"):
-            grid = tuple(_check_int(name, v, 1) for v in getattr(self, name))
-            if not grid or list(grid) != sorted(set(grid)):
-                raise ValueError("%s must be strictly increasing positive ints" % name)
-            object.__setattr__(self, name, grid)
-
-    def to_json_dict(self):
-        return {
-            "to_zero": self.to_zero,
-            "to_one": self.to_one,
-            "away": self.away,
-            "tail_cap": self.tail_cap,
-            "vanish_ratio": self.vanish_ratio,
-            "retain_ratio": self.retain_ratio,
-            "growth_factor": self.growth_factor,
-            "second_moment_cap": self.second_moment_cap,
-            "M_grid": list(self.M_grid),
-            "k_grid": list(self.k_grid),
-        }
+# Finite-n trend conventions behind every verdict, recorded in every report.
+# "-> 0" means the last value sits below TO_ZERO and the sequence decreases
+# at every step (ties allowed only at exactly 0); "-> 1" is the mirror image
+# with TO_ONE; "bounded away" means the last value exceeds AWAY.  Two
+# desk-scale refinements: a middle band also counts as vanishing when it
+# decreases strictly to at most VANISH_RATIO of its first value (heading to 0
+# but not there yet), and bounded-away persistence additionally requires the
+# last value to keep at least RETAIN_RATIO of the first (a stabilized level,
+# not a slow decay).  Tameness demands every P(C > max M_GRID) stay below
+# TAIL_CAP.  The second-moment rule fires when the mean switch count grows
+# by GROWTH_FACTOR while E[C^2]/E[C]^2 stays below SECOND_MOMENT_CAP.
+TO_ZERO = 0.05
+TO_ONE = 0.95
+AWAY = 0.1
+TAIL_CAP = 0.05
+VANISH_RATIO = 0.25
+RETAIN_RATIO = 0.4
+GROWTH_FACTOR = 2.0
+SECOND_MOMENT_CAP = 10.0
+M_GRID = (1, 2, 5)
+K_GRID = (1, 2, 5)
 
 
-def _heads_to_zero(xs, thr):
+def _thresholds_json():
+    return {
+        "to_zero": TO_ZERO,
+        "to_one": TO_ONE,
+        "away": AWAY,
+        "tail_cap": TAIL_CAP,
+        "vanish_ratio": VANISH_RATIO,
+        "retain_ratio": RETAIN_RATIO,
+        "growth_factor": GROWTH_FACTOR,
+        "second_moment_cap": SECOND_MOMENT_CAP,
+        "M_grid": list(M_GRID),
+        "k_grid": list(K_GRID),
+    }
+
+
+def _heads_to_zero(xs):
     ok_steps = all(b < a or b == a == 0.0 for a, b in zip(xs, xs[1:]))
-    return xs[-1] < thr and ok_steps
+    return xs[-1] < TO_ZERO and ok_steps
 
 
-def _heads_to_one(xs, thr):
+def _heads_to_one(xs):
     ok_steps = all(b > a or b == a == 1.0 for a, b in zip(xs, xs[1:]))
-    return xs[-1] > thr and ok_steps
+    return xs[-1] > TO_ONE and ok_steps
 
 
-def _vanishing(xs, th):
-    if _heads_to_zero(xs, th.to_zero):
+def _vanishing(xs):
+    if _heads_to_zero(xs):
         return True
     strict = all(b < a for a, b in zip(xs, xs[1:]))
-    return strict and xs[-1] <= th.vanish_ratio * xs[0]
+    return strict and xs[-1] <= VANISH_RATIO * xs[0]
 
 
-def _retained(xs, th):
-    return xs[-1] > th.away and xs[-1] >= th.retain_ratio * xs[0]
+def _retained(xs):
+    return xs[-1] > AWAY and xs[-1] >= RETAIN_RATIO * xs[0]
 
 
 def _fmt(xs):
     return "->".join("%.4g" % x for x in xs)
 
 
-def verdict_from_trends(trends, thresholds=None):
+def verdict_from_trends(trends):
     """Applies the documented verdict rules to per-n trend sequences.
 
     `trends` maps stat names to equal-length lists over n: p_zero,
     p_initial_one, p_ever_one, mean_C, second_moment_ratio (None where
     the mean vanishes), and cum_le_M / tail_gt_M / middle_le_k for every
-    M and k in the threshold grids.  Rules fire in a fixed order:
+    M in M_GRID and k in K_GRID.  Rules fire in a fixed order:
     volatility certificate, volatile, lame (demoted if the marginal
     P(f=1) is not heading degenerate), tame (demoted under the
     second-moment growth rule), then the semi-volatile gate with Type 2
     checked before Type 1.  Returns (verdict, notes).
     """
-    th = thresholds if thresholds is not None else Thresholds()
     p_zero = list(trends["p_zero"])
     p_one = list(trends["p_initial_one"])
     ever = list(trends["p_ever_one"])
-    cum = {M: list(trends["cum_le_%d" % M]) for M in th.M_grid}
-    tail = {M: list(trends["tail_gt_%d" % M]) for M in th.M_grid}
-    mid = {k: list(trends["middle_le_%d" % k]) for k in th.k_grid}
-    M_max = max(th.M_grid)
+    cum = {M: list(trends["cum_le_%d" % M]) for M in M_GRID}
+    tail = {M: list(trends["tail_gt_%d" % M]) for M in M_GRID}
+    mid = {k: list(trends["middle_le_%d" % k]) for k in K_GRID}
+    M_max = max(M_GRID)
 
-    if _heads_to_zero(p_one, th.to_zero) and _heads_to_one(ever, th.to_one):
+    if _heads_to_zero(p_one) and _heads_to_one(ever):
         return "volatile-consistent", [
             "volatility certificate: P(f=1) %s heads to 0 while "
             "P(exists t: f=1) %s heads to 1" % (_fmt(p_one), _fmt(ever))]
 
-    if _heads_to_zero(p_zero, th.to_zero) and all(
-            _heads_to_zero(cum[M], th.to_zero) for M in th.M_grid):
+    if _heads_to_zero(p_zero) and all(_heads_to_zero(cum[M]) for M in M_GRID):
         return "volatile-consistent", [
             "volatile signature: P(C=0) %s and every P(C<=M), M in %s, "
-            "head to 0" % (_fmt(p_zero), list(th.M_grid))]
+            "head to 0" % (_fmt(p_zero), list(M_GRID))]
 
-    if _heads_to_one(p_zero, th.to_one):
+    if _heads_to_one(p_zero):
         degeneracy = [q * (1.0 - q) for q in p_one]
-        if _vanishing(degeneracy, th):
+        if _vanishing(degeneracy):
             return "lame-consistent", [
                 "lame signature: P(C=0) %s heads to 1; degenerate marginal "
                 "confirmed, P(f=1)P(f=0) %s" % (_fmt(p_zero), _fmt(degeneracy))]
@@ -214,13 +186,13 @@ def verdict_from_trends(trends, thresholds=None):
             "(P(f=1)P(f=0) %s); lameness implies a degenerate marginal, so "
             "the lame verdict is withheld" % (_fmt(p_zero), _fmt(degeneracy))]
 
-    if max(tail[M_max]) < th.tail_cap:
+    if max(tail[M_max]) < TAIL_CAP:
         means = list(trends["mean_C"])
         ratios = [r for r in trends["second_moment_ratio"] if r is not None]
         growing = (all(b > a for a, b in zip(means, means[1:]))
-                   and means[-1] >= th.growth_factor * means[0] > 0.0)
+                   and means[-1] >= GROWTH_FACTOR * means[0] > 0.0)
         bounded = (len(ratios) == len(means)
-                   and max(ratios) <= th.second_moment_cap)
+                   and max(ratios) <= SECOND_MOMENT_CAP)
         if growing and bounded:
             return "inconclusive", [
                 "tails are uniformly small but E[C] grows %s with "
@@ -229,23 +201,23 @@ def verdict_from_trends(trends, thresholds=None):
                 "excluded" % (_fmt(means), max(ratios))]
         return "tame-consistent", [
             "tame signature: every P(C>%d) stays below %.3g "
-            "(max %.4g)" % (M_max, th.tail_cap, max(tail[M_max]))]
+            "(max %.4g)" % (M_max, TAIL_CAP, max(tail[M_max]))]
 
-    if _retained(p_zero, th) and any(_retained(tail[M], th) for M in th.M_grid):
+    if _retained(p_zero) and any(_retained(tail[M]) for M in M_GRID):
         gate = ("semi-volatile gate: P(C=0) %s stays bounded away from 0 and "
                 "some tail mass persists" % _fmt(p_zero))
-        kept = [k for k in th.k_grid if _retained(mid[k], th)]
+        kept = [k for k in K_GRID if _retained(mid[k])]
         if kept:
             k = kept[0]
             return "semivolatile-type2-consistent", [
                 gate,
                 "middle band P(1<=C<=%d) %s stays bounded away from 0"
                 % (k, _fmt(mid[k]))]
-        if all(_vanishing(mid[k], th) for k in th.k_grid):
+        if all(_vanishing(mid[k]) for k in K_GRID):
             return "semivolatile-type1-consistent", [
                 gate,
                 "every middle band P(1<=C<=k), k in %s, vanishes"
-                % (list(th.k_grid),)]
+                % (list(K_GRID),)]
         return "inconclusive", [
             gate + ", but the middle-band trends are mixed (neither all "
             "vanishing nor any persisting)"]
@@ -273,7 +245,6 @@ class ClassificationReport:
     T: float
     replicas: int
     seed: int
-    thresholds: Thresholds
     per_n: tuple         # EmpiricalC per n
     trends: dict         # stat name -> TrendSeries
     verdict: str
@@ -286,7 +257,7 @@ class ClassificationReport:
             "T": self.T,
             "replicas": self.replicas,
             "seed": self.seed,
-            "thresholds": self.thresholds.to_json_dict(),
+            "thresholds": _thresholds_json(),
             "trends": {
                 name: {"values": list(ts.values), "stderr": list(ts.stderrs)}
                 for name, ts in sorted(self.trends.items())
@@ -305,7 +276,7 @@ class ClassificationReport:
         return rows
 
 
-def _trend_table(estimates, thresholds, replicas):
+def _trend_table(estimates, replicas):
     """All per-n trend statistics, each paired with its standard error."""
     table = {}
 
@@ -327,24 +298,23 @@ def _trend_table(estimates, thresholds, replicas):
         else:
             ratios.append(None)
     add("second_moment_ratio", ratios, [None] * len(estimates))
-    for M in thresholds.M_grid:
+    for M in M_GRID:
         add_prob("cum_le_%d" % M, [e.prob_between(0, M) for e in estimates])
         add_prob("tail_gt_%d" % M, [e.prob_greater(M) for e in estimates])
-    for k in thresholds.k_grid:
+    for k in K_GRID:
         add_prob("middle_le_%d" % k, [e.prob_between(1, k) for e in estimates])
     return table
 
 
-def classify(plan, thresholds=None, threads=1):
+def classify(plan, threads=1):
     """Runs the plan and labels the sequence by its switch-count trends.
 
     Requires at least three entries in strictly increasing arity order.
     The verdict is a finite-n heuristic from `verdict_from_trends`; the
     report always carries the raw per-n summaries, every trend series
-    with standard errors, and the thresholds used.
+    with standard errors, and the fixed thresholds.
     """
     threads = _check_int("threads", threads, 1)
-    th = thresholds if thresholds is not None else Thresholds()
     ns = plan.ns
     if len(ns) < 3:
         raise ValueError("classification needs at least 3 sequence entries, got %d" % len(ns))
@@ -356,9 +326,9 @@ def classify(plan, thresholds=None, threads=1):
         inst = make_instance(spec)
         estimates.append(estimate_C_distribution(inst, plan.dyn_params(p), threads=threads))
 
-    trends = _trend_table(estimates, th, plan.replicas)
+    trends = _trend_table(estimates, plan.replicas)
     flat = {name: list(ts.values) for name, ts in trends.items()}
-    verdict, notes = verdict_from_trends(flat, th)
+    verdict, notes = verdict_from_trends(flat)
     notes = list(notes)
     notes.append("verdicts are finite-n heuristic labels (thresholds recorded "
                  "in this report), not proofs of the asymptotic class")
@@ -368,7 +338,6 @@ def classify(plan, thresholds=None, threads=1):
         T=plan.T,
         replicas=plan.replicas,
         seed=plan.seed,
-        thresholds=th,
         per_n=tuple(estimates),
         trends=trends,
         verdict=verdict,

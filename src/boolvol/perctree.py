@@ -18,7 +18,8 @@ history here and in `dynamics`, and the two engines agree replica by
 replica.  A replica whose c_1 root edges expect more than
 `dynamics.EVENT_BUDGET` updates (c_1 * T) is refused before any draw.
 A replica expected to draw more than _REPLICA_DRAWS edges and updates in
-its descent is refused too.  Blocks of replicas are sized separately, by
+its descent is refused too, and so is a level of more than _REPLICA_DRAWS
+children per vertex, since a reached vertex draws them all at once.  Blocks of replicas are sized separately, by
 _BLOCK_DRAWS expected draws, which bounds one level's arrays.
 
 Before the descent, a lookahead settles the replicas that stay connected
@@ -67,7 +68,6 @@ from .dynamics import (
     EmpiricalC,
     _below,
     _check_id,
-    _check_int,
     _draw,
     _edge_keys,
     _finish,
@@ -730,23 +730,24 @@ class RegimeReport:
 
 
 def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
-                      edge_cap=10_000_000, _block=None):
+                      _block=None):
     """Root-connectivity statistics per level on shared edge trajectories.
 
     Every requested level is evaluated on the same per-replica edge
     process, so the per-level events {output 1 at time 0}, {ever 1} and
     {always 1} are nested across levels and the reported probabilities are
-    exactly nonincreasing in the level.  The tree truncated at the deepest
-    requested level must have at most `edge_cap` edges; the exploration
-    itself only ever touches edges on some momentarily-open root path.
+    exactly nonincreasing in the level.  A zero horizon degenerates to
+    static percolation of the initial edge states: switch counts are zero
+    and p_one equals p_always_one.
 
-    A zero horizon degenerates to static percolation of the initial edge
-    states: switch counts are zero and p_one equals p_always_one.  A
-    horizon at which the c_1 root edges expect more than
-    `dynamics.EVENT_BUDGET` updates, or one replica more than _REPLICA_DRAWS
-    draws (edges and updates), raises InstanceTooLarge.  Levels must be
-    integers (bool is not one) in 1..n_levels; anything else raises
-    InvalidSpec.  `edge_cap` must be an integer >= 1 (ValueError otherwise).
+    InstanceTooLarge is raised before any draw when the c_1 root edges
+    expect more than `dynamics.EVENT_BUDGET` updates, when one replica
+    expects more than _REPLICA_DRAWS draws (edges and updates) or a level
+    has more than _REPLICA_DRAWS children per vertex (a reached vertex
+    draws them all at once), or when the tree truncated at the deepest
+    requested level has more than 2^64 edges, past its 64-bit edge ids.
+    Levels must be integers (bool is not one) in 1..n_levels; anything
+    else raises InvalidSpec.
     """
     profile = _as_profile(profile)
     levels = list(levels)
@@ -759,14 +760,14 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     if levels[0] < 1 or levels[-1] > profile.n_levels:
         raise InvalidSpec("levels %r outside 1..%d" % (levels, profile.n_levels))
     DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
-    edge_cap = _check_int("edge_cap", edge_cap, 1)
     slots = _slots(profile.children[0], T)
-    need = profile.edge_count(levels[-1])
-    if need > edge_cap:
-        raise InstanceTooLarge(
-            "level-%d tree needs %d edges, budget is %d"
-            % (levels[-1], need, edge_cap))
     children = profile.children
+    need, widest = profile.edge_count(levels[-1]), max(children[:levels[-1]])
+    if need > 2**64 or widest > _REPLICA_DRAWS:
+        raise InstanceTooLarge(
+            "level-%d tree has %d edges and up to %d children per vertex; "
+            "limits are 2^64 edge ids and %d children drawn at once"
+            % (levels[-1], need, widest, _REPLICA_DRAWS))
     draws = _draws_per_replica(children[:levels[-1]], p, T)
     if not draws <= _REPLICA_DRAWS:
         raise InstanceTooLarge(

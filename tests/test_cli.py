@@ -68,6 +68,15 @@ class TestSimulate:
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert sum(counts) == 300
 
+    def test_unwritable_out_file_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "run.json"
+        code = cli.main(["simulate", "maj:3", "--replicas", "10", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not target.exists()
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "run.json"
         code, out = run_cli(capsys, "simulate", "parity:8", "--replicas",
@@ -335,6 +344,12 @@ class TestPerc:
         code, _ = run_cli(capsys, "perc", "weights", "--profile", "2,2",
                           "--target", "constant", "--levels", "4")
         assert code == 2
+        # --levels belongs to --target; a profile fixes its own depth
+        for levels in ("x", "2"):
+            code, out = run_cli(capsys, "perc", "weights", "--profile", "2,3",
+                                "--levels", levels)
+            assert code == 2
+            assert out == ""
 
     def test_run_nested_levels(self, capsys):
         code, out = run_cli(capsys, "perc", "run", "--profile", "2,2,2,2",
@@ -353,10 +368,33 @@ class TestPerc:
         _, second = run_cli(capsys, *argv)
         assert first == second
 
-    def test_run_edge_cap_exit_3(self, capsys):
+    def test_run_draw_budget_exit_3(self, capsys):
         code, out = run_cli(capsys, "perc", "run", "--profile",
                             "10,10,10,10,10,10,10,10", "--levels", "8",
-                            "--edge-cap", "1000", "--replicas", "10")
+                            "--replicas", "10")
+        assert code == 3
+        assert out == ""
+
+    def test_run_past_ten_million_edges(self, capsys):
+        # binary-26 has 134M edges; at p = 0.3 a replica draws about 20
+        code, out = run_cli(capsys, "perc", "run", "--profile", ",".join(["2"] * 26),
+                            "--levels", "26", "--p", "0.3")
+        assert code == 0
+        assert validated(out)["levels"][0]["level"] == 26
+
+    def test_run_edge_ids_past_2_64_exit_3(self, capsys):
+        code = cli.main(["perc", "run", "--profile", ",".join(["2"] * 64),
+                         "--levels", "64", "--replicas", "10"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "2^64 edge ids" in captured.err
+
+    def test_run_rarely_reached_wide_level_exit_3(self, capsys):
+        # a replica expects about 8e5 draws, but one whose root edge opens
+        # would draw all 10^9 child edges of its level-1 vertex at once
+        code, out = run_cli(capsys, "perc", "run", "--profile", "2,1000000000",
+                            "--levels", "2", "--p", "0.0001", "--replicas", "10000")
         assert code == 3
         assert out == ""
 
@@ -379,9 +417,8 @@ class TestPerc:
         bad = tmp_path / "bad.txt"
         bad.write_text("2\nx\n")
         for profile in (str(tmp_path / "missing.txt"), "2,,3", str(bad)):
-            for op in ("weights", "run"):
-                code, out = run_cli(capsys, "perc", op, "--profile", profile,
-                                    "--levels", "1")
+            for argv in (("weights",), ("run", "--levels", "1")):
+                code, out = run_cli(capsys, "perc", *argv, "--profile", profile)
                 assert code == 2
                 assert out == ""
 
@@ -496,7 +533,8 @@ class TestPercArguments:
         self._exit_2(capsys, "perc", "build", "--target", "nalpha:3", "--levels", "5",
                      "--max-ratio", ratio)
 
-    @pytest.mark.parametrize("cap", ["-1", "0"])
-    def test_run_malformed_edge_cap_exit_2(self, capsys, cap):
-        self._exit_2(capsys, "perc", "run", "--profile", "2,2", "--levels", "2",
-                     "--replicas", "5", "--edge-cap", cap)
+    @pytest.mark.parametrize("op", ["build", "weights"])
+    def test_unreachable_max_ratio_exit_2(self, capsys, op):
+        # no integer child count keeps nalpha:3 within a factor 1 of n^3
+        self._exit_2(capsys, "perc", op, "--target", "nalpha:3", "--levels", "6",
+                     "--max-ratio", "1.0")

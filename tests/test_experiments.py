@@ -85,32 +85,12 @@ class TestSequencePlan:
 
 class TestThresholds:
     def test_documented_defaults(self):
-        th = exp.Thresholds()
-        assert th.to_zero == 0.05
-        assert th.to_one == 0.95
-        assert th.away == 0.1
-        assert th.tail_cap == 0.05
-        assert th.M_grid == (1, 2, 5)
-        assert th.k_grid == (1, 2, 5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            exp.Thresholds(to_zero=0.0)
-        with pytest.raises(ValueError):
-            exp.Thresholds(away=1.5)
-        with pytest.raises(ValueError):
-            exp.Thresholds(M_grid=())
-        with pytest.raises(ValueError):
-            exp.Thresholds(k_grid=(2, 1))
-        for bad in ({"vanish_ratio": 1.0}, {"retain_ratio": math.nan},
-                    {"growth_factor": 1.0}, {"growth_factor": math.nan},
-                    {"growth_factor": math.inf}, {"second_moment_cap": 0.0},
-                    {"second_moment_cap": math.nan},
-                    {"second_moment_cap": math.inf}, {"M_grid": (1.5, 2)},
-                    {"k_grid": (True, 2)}, {"M_grid": ("3",)}, {"k_grid": (0, 1)}):
-            with pytest.raises(ValueError):
-                exp.Thresholds(**bad)
-        assert exp.Thresholds(M_grid=(2, 3)).M_grid == (2, 3)
+        assert exp.TO_ZERO == 0.05
+        assert exp.TO_ONE == 0.95
+        assert exp.AWAY == 0.1
+        assert exp.TAIL_CAP == 0.05
+        assert exp.M_GRID == (1, 2, 5)
+        assert exp.K_GRID == (1, 2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +202,15 @@ class TestVerdictRules:
         assert verdict == "inconclusive"
         assert notes
 
-    def test_custom_thresholds_change_outcome(self):
-        tr = base_trends(tail_gt_5=[0.06, 0.07, 0.08])
-        assert exp.verdict_from_trends(tr)[0] == "inconclusive"
-        loose = exp.Thresholds(tail_cap=0.2)
-        assert exp.verdict_from_trends(tr, loose)[0] == "tame-consistent"
+    def test_tail_cap_separates_tame_from_inconclusive(self):
+        # the largest P(C > max M_GRID) decides tameness against TAIL_CAP
+        cap = exp.TAIL_CAP
+        for tail, want in (([0.06, 0.07, 0.08], "inconclusive"),
+                           ([cap - 0.03, cap - 0.02, cap - 0.01], "tame-consistent"),
+                           ([cap - 0.02, cap - 0.01, cap], "inconclusive"),
+                           ([cap - 0.02, cap, cap + 0.01], "inconclusive")):
+            tr = base_trends(tail_gt_5=tail)
+            assert exp.verdict_from_trends(tr)[0] == want, tail
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,13 @@ import pytest
 
 from boolvol import oracle, perctree
 from boolvol.dynamics import (
+    _KEY_REPLICA,
+    _U64,
     EVENT_BUDGET,
     DynamicsParams,
+    _mix64,
+    _mix64_int,
+    _slots,
     estimate_C_distribution,
     simulate_trajectory,
 )
@@ -569,12 +574,71 @@ class TestRegimeExperiment:
                                   seed=3, _block=7).levels[0].empirical
         assert np.array_equal(rep.levels[0].empirical.C, small.C)
 
-    def test_edge_cap(self):
-        prof = LevelProfile(NALPHA3_CHILDREN)
-        with pytest.raises(InstanceTooLarge):
-            regime_experiment(prof, [10], replicas=10, seed=1, edge_cap=100000)
-        with pytest.raises(InstanceTooLarge):
+    def test_edge_cap(self, monkeypatch):
+        # a tree's size is bounded only by its 64-bit edge ids: binary-63
+        # has 2^64 - 2 edges, binary-64 twice that.  Slightly supercritical,
+        # some replicas reach level 63, whose edge ids pass 2^63
+        rep = regime_experiment(LevelProfile((2,) * 63), [63], p=0.55, T=0.05,
+                                replicas=20, seed=1)
+        assert rep.levels[0].p_one > 0.0
+        # 10.24M edges: the draw budget refuses it, not the size
+        with pytest.raises(InstanceTooLarge, match="draws"):
             regime_experiment(LevelProfile((3200, 3200)), [2], replicas=10, seed=1)
+
+        def no_draws(*args):
+            raise AssertionError("drew edges")
+
+        # a reached vertex draws all its children at once: 2^20 of them is
+        # the widest level accepted, even when few replicas reach it
+        regime_experiment(LevelProfile((1, 2**20)), [2], p=1e-4, replicas=10, seed=1)
+
+        monkeypatch.setattr(perctree, "_explore_block", no_draws)
+        with pytest.raises(InstanceTooLarge, match="2\\^64 edge ids"):
+            regime_experiment(LevelProfile((2,) * 64), [10, 64], replicas=10, seed=1)
+        with pytest.raises(InstanceTooLarge, match="children drawn at once"):
+            regime_experiment(LevelProfile((1, 2**20 + 1)), [2], p=1e-4,
+                              replicas=10, seed=1)
+
+    def test_deepest_binary_63_edges_keep_their_streams(self):
+        # the last level-63 edges of binary-63 have ids 2^64 - 4 and
+        # 2^64 - 3; a level step from their parent, reached throughout,
+        # passes on exactly the open spans of their edge skeletons
+        p, T, seed, nrep = 0.5, 2.0, 4, 16
+        offset = perctree._edge_offsets((2,) * 63)[63]
+        parent = 2**62 - 1
+        rep = np.arange(nrep, dtype=np.int64)
+        repk = _mix64(_U64(_mix64_int(seed)) + rep.astype(np.uint64) * _U64(_KEY_REPLICA))
+        front = perctree._Frontier(
+            rep=rep, repk=repk, vidx=np.full(nrep, parent, dtype=np.uint64),
+            rs=np.zeros(nrep), re=np.full(nrep, T), rc=np.ones(nrep, dtype=np.int64))
+        child = perctree._level_step(front, 2, offset, p, _slots(2, T), T)
+        ends = np.cumsum(child.rc)
+        got = {(int(r), int(v)): list(zip(child.rs[e - n:e], child.re[e - n:e]))
+               for r, v, n, e in zip(child.rep, child.vidx, child.rc, ends)}
+        assert offset + 2 * parent + 1 == 2**64 - 3
+        for r in range(nrep):
+            for col in (0, 1):
+                sk = edge_skeleton(seed, r, offset + 2 * parent + col, p=p, T=T)
+                spans, start = [], 0.0 if sk.initial else None
+                for t, s in zip(sk.times, sk.states):
+                    if s and start is None:
+                        start = t
+                    elif not s and start is not None:
+                        spans.append((start, t))
+                        start = None
+                if start is not None:
+                    spans.append((start, T))
+                assert got.pop((r, 2 * parent + col), []) == spans
+        assert not got
+
+    def test_level_list_does_not_change_trajectories_past_ten_million_edges(self):
+        # binary-40 has 2^41 - 2 edges; requesting its deepest level does
+        # not move the draws of level 10
+        prof = LevelProfile((2,) * 40)
+        solo = regime_experiment(prof, [10], replicas=300, seed=23).levels[0]
+        full = regime_experiment(prof, [10, 40], replicas=300, seed=23).level(10)
+        assert np.array_equal(full.empirical.C, solo.empirical.C)
+        assert np.array_equal(full.empirical.initial, solo.empirical.initial)
 
     def test_deterministic_and_seed_sensitive(self):
         prof = LevelProfile((2,) * 5)
@@ -829,13 +893,6 @@ def test_max_ratio_of_one_is_accepted():
     assert build_profile("constant", 4, max_ratio=1).children == (2,) * 4
     assert build_profile("nalpha:3", 5, max_ratio=np.float64(4.0)).children == \
         NALPHA3_CHILDREN[:5]
-
-
-@pytest.mark.parametrize("edge_cap", [-1, 0, 2.5, True, None, "10"])
-def test_edge_cap_must_be_a_positive_integer(edge_cap):
-    with pytest.raises(ValueError, match="edge_cap"):
-        regime_experiment(LevelProfile((2, 2)), [2], replicas=10, seed=1,
-                          edge_cap=edge_cap)
 
 
 def _lookahead_spy(monkeypatch):
