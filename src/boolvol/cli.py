@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -182,6 +183,9 @@ def cmd_recursion(cfg, args):
     return payload, ("x", "floor", "rhs", "margin"), report.to_csv_rows()
 
 
+_MAX_RATIO = 4.0  # the --max-ratio of perc build and weights --target
+
+
 def cmd_perc(cfg, args):
     if args.op == "build":
         if args.target is None or args.levels is None:
@@ -207,14 +211,15 @@ def cmd_perc(cfg, args):
         if (args.profile is None) == (args.target is None):
             raise InvalidSpec("give exactly one of --profile or --target")
         if args.profile is not None:
-            if args.levels is not None:
-                raise InvalidSpec("perc weights with --profile takes no --levels")
+            if args.levels is not None or args.max_ratio is not None:
+                raise InvalidSpec("perc weights with --profile takes no --levels "
+                                  "or --max-ratio")
             profile = LevelProfile(parse_profile(args.profile))
         else:
             if args.levels is None:
                 raise InvalidSpec("perc weights with --target needs --levels")
-            profile = build_profile(args.target, int(args.levels),
-                                    max_ratio=args.max_ratio)
+            max_ratio = _MAX_RATIO if args.max_ratio is None else args.max_ratio
+            profile = build_profile(args.target, int(args.levels), max_ratio=max_ratio)
         ws = weight_sequence(profile)
         payload = {"schema": _schema("perc-weights"), **ws.to_json_dict()}
         return payload, ("k", "children", "log_w", "w"), ws.to_csv_rows()
@@ -251,6 +256,7 @@ def cmd_classify(cfg, args):
 # parser
 
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     g = common.add_argument_group("global flags")
@@ -349,33 +355,54 @@ def _build_parser():
                    help="convolution atoms (andor-gfloor)")
     p.set_defaults(handler=cmd_recursion)
 
+    # each op reads its own flags, so a flag another op reads is an error
     p = sub.add_parser(
-        "perc", parents=[common], formatter_class=raw,
+        "perc", formatter_class=raw,
         help="spherically symmetric tree percolation",
         description="Build weight-tracking profiles and run the regime "
-                    "experiment.\nCSV columns: build level,children,log_w,"
-                    "target,log_error,enforced;\nweights k,children,log_w,w;"
-                    "\nrun level,p_one,p_ever_one,p_always_one,"
-                    "p_always_zero,mean_C,var_C,mean_S.")
-    p.add_argument("op", choices=["build", "weights", "run"])
-    p.add_argument("--target", default=None,
-                   help="weight growth law: constant, logn, logn1p:D, "
-                        "nlogn:A, nalpha:A")
-    p.add_argument("--levels", default=None,
-                   help="build, weights --target: level count; run: "
-                        "comma-separated levels, e.g. 4,8,12")
-    p.add_argument("--max-ratio", type=float, default=4.0,
-                   help="allowed weight/target factor when building from "
-                        "--target (default: 4)")
-    p.add_argument("--profile", default=None,
-                   help="child counts, inline (2,16,7) or a file "
-                        "(one per line)")
-    p.add_argument("--profile-out", default=None, metavar="FILE",
-                   help="build: also write the profile to FILE")
-    p.add_argument("--p", type=float, default=0.5,
-                   help="edge-open probability (run; default 0.5)")
-    p.add_argument("--T", type=float, default=1.0,
-                   help="time horizon (run; default 1.0)")
+                    "experiment.")
+    ops = p.add_subparsers(dest="op", required=True, metavar="OP")
+    target = ("weight growth law: constant, logn, logn1p:D, nlogn:A, "
+              "nalpha:A")
+    max_ratio = ("allowed weight/target factor when building from --target "
+                 "(default: 4)")
+    profile = "child counts, inline (2,16,7) or a file (one per line)"
+
+    o = ops.add_parser(
+        "build", parents=[common], formatter_class=raw,
+        help="child counts whose weights track a growth law",
+        description="Build a weight-tracking profile.\nCSV columns: level,"
+                    "children,log_w,target,log_error,enforced.")
+    o.add_argument("--target", default=None, help=target)
+    o.add_argument("--levels", default=None, help="level count")
+    o.add_argument("--max-ratio", type=float, default=_MAX_RATIO, help=max_ratio)
+    o.add_argument("--profile-out", default=None, metavar="FILE",
+                   help="also write the profile to FILE")
+
+    o = ops.add_parser(
+        "weights", parents=[common], formatter_class=raw,
+        help="level weights of a profile or a growth law",
+        description="Level weights of --profile, or of the profile built "
+                    "from --target.\nCSV columns: k,children,log_w,w.")
+    o.add_argument("--target", default=None, help=target)
+    o.add_argument("--levels", default=None, help="level count (with --target)")
+    o.add_argument("--max-ratio", type=float, default=None,
+                   help=max_ratio + " (with --target)")
+    o.add_argument("--profile", default=None, help=profile)
+
+    o = ops.add_parser(
+        "run", parents=[common], formatter_class=raw,
+        help="the regime experiment on one profile",
+        description="Root-connectivity statistics per level.\nCSV columns: "
+                    "level,p_one,p_ever_one,p_always_one,p_always_zero,"
+                    "mean_C,var_C,mean_S.")
+    o.add_argument("--profile", default=None, help=profile)
+    o.add_argument("--levels", default=None,
+                   help="comma-separated levels, e.g. 4,8,12")
+    o.add_argument("--p", type=float, default=0.5,
+                   help="edge-open probability (default: 0.5)")
+    o.add_argument("--T", type=float, default=1.0,
+                   help="time horizon (default: 1.0)")
     p.set_defaults(handler=cmd_perc)
 
     p = sub.add_parser(

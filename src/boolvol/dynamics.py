@@ -1,7 +1,13 @@
 """Event-driven simulation of i.i.d. bit rerandomization over a time window.
 
-Every bit carries an exponential rate-1 update clock; an update redraws
-the bit to 1 with probability p.
+Every bit is a two-state chain that jumps 0 -> 1 at rate p and 1 -> 0 at
+rate q = 1 - p: the paper's rate-1 clock that redraws the bit to 1 with
+probability p.  The chain is simulated uniformized at its smallest valid
+rate r = max(p, q) (Jensen, 1953): a clock rings at rate r, and each ring
+is a *flip* (probability min(p, q) / r), which toggles the bit, or a
+*push* (probability |p - q| / r), which sets it to the favoured value F
+(1 if p > 1/2, else 0).  At p = 1/2 every ring flips, so no ring is
+wasted on a redraw that leaves the bit as it was.
 
 Randomness is counter based: every draw is splitmix64(key + counter *
 step) (Steele et al., OOPSLA 2014; Salmon et al., "Parallel random numbers:
@@ -10,16 +16,19 @@ counter).  Replica r is therefore the same whichever block or thread
 replays it.  Bit b of replica r has the key K of `_edge_keys`; the
 horizon is cut into ceil(T / 16) equal slots (`_slots`) and slot j of the
 bit is keyed K + j * _KEY_SLOT.  On a slot key, counter 0 draws the
-slot's Poisson update count by inverse CDF (slot means stay <= 16, far
-from the underflow of exp(-mean)), counter 1 (slot 0 only) the bit's
-initial value, counters 2+2k and 3+2k the k-th exponential spacing and
-redrawn value; normalised partial sums of the k+1 spacings give the
-slot's sorted update times.  Within a slot a time is kept as a 40-bit
-tick, so one argsort of a packed uint64 key orders a whole block of
-events by (replica, time).  That argsort is numpy's default, unstable
-one; events of equal key, which need the same replica, slot and tick,
-keep their draw order because a block whose sorted keys hold a tie is
-sorted again stably (`_time_order`).
+slot's Poisson(r * length) ring count by inverse CDF (slot means stay
+<= 16, far from the underflow of exp(-mean)), counter 1 (slot 0 only) the
+bit's initial value, counter 2+2k the k-th exponential spacing and,
+unless p = 1/2, counter 3+2k whether the k-th ring flips; normalised
+partial sums of the k+1 spacings give the slot's sorted ring times.  The
+type of a ring does not depend on the state, so the bits' states after
+every ring follow from running flip parities restarted at each push
+(`_ring_states`), and the skeleton hands on only the rings that change a
+bit.  Within a slot a time is kept as a 40-bit tick, so one argsort of a
+packed uint64 key orders a whole block of events by (replica, time).
+That argsort is numpy's default, unstable one; events of equal key, which
+need the same replica, slot and tick, keep their draw order because a
+block whose sorted keys hold a tie is sorted again stably (`_time_order`).
 
 A draw u is read as the uniform (u >> 11) * 2^-53, but never converted:
 "uniform < p" is the integer test u < ceil(p * 2^53) << 11 (`_below`),
@@ -32,14 +41,14 @@ in such buckets (under 1% of them) bisect the thresholds (`_counts`).
 splitmix64 adds its gamma before mixing; since uint64 addition wraps and
 is associative, the gamma is folded with the counter offset into one
 constant (`_offset`), so a draw is one add and the in-place finalizer
-(`_finish`), and a slot's spacing and value keys are one gather of the
+(`_finish`), and a slot's spacing and type keys are one gather of the
 slot key plus a multiple of the counter step.
 
-`_skeleton` is this recipe for any array of clock keys, and `_tick_time`
-turns a (slot, tick) into a time.  `perctree` keys the edges of its lazy
-engine as the bits of `perc:children:L` are keyed here and draws them
-through the same two functions, so both percolation engines replay the
-same edge histories and agree replica by replica.
+`_skeleton` is this recipe for any array of clock keys and start states,
+and `_tick_time` turns a (slot, tick) into a time.  `perctree` keys the
+edges of its lazy engine as the bits of `perc:children:L` are keyed here
+and draws them through the same two functions, so both percolation
+engines replay the same edge histories and agree replica by replica.
 
 One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
 its expected number of draws (a replica too long for one block is
@@ -67,7 +76,9 @@ loop over events:
 
 Every clock-driven entry point reads its statistic off `_replicas`.  A
 replica expecting more than EVENT_BUDGET events (arity*T here, c_1*T
-root-edge updates in `perctree`) is refused by `_slots`, before any draw.
+root-edge updates in `perctree`) is refused by `_slots`, before any draw;
+the budget, like the block sizes of `_blocks`, counts rate-1 updates, an
+upper bound on the rate-r rings drawn.
 
 Each block allocates and frees tens of MB of temporaries in arrays of a
 few MB.  By default glibc maps such arrays fresh and returns freed heap
@@ -309,26 +320,28 @@ class Trajectory:
     S: int  # switches landing on 0 (the 1->0 direction)
 
 
-def _slot_ticks(keys, counts, p):
-    """Sorted update ticks and redrawn values of slots holding counts >= 1.
+def _slot_ticks(keys, counts, flip):
+    """Sorted ring ticks of slots holding counts >= 1, and which rings flip.
 
-    Slot i's events are owner == i.  Tick k of a slot is the partial sum
+    Slot i's rings are owner == i.  Tick k of a slot is the partial sum
     of spacings 0..k over the sum of all counts+1 spacings (the uniform
     order statistics up to equality in law), scaled to 2^40.  Spacings are
     summed as 2^-40 fixed-point integers, so every tick is exact and
-    independent of which other slots share the block.
+    independent of which other slots share the block.  A ring flips with
+    probability `flip` and pushes otherwise; with `flip` None every ring
+    flips and no type is drawn (flips is None).
     """
     cm = np.cumsum(counts)
     head = cm - counts
     owner = np.repeat(np.arange(counts.size), counts)
-    # event i, the (i - head)-th of its slot, draws its spacing at counter
-    # 2 + 2 (i - head) and its value one counter above, so each key is the
+    # ring i, the (i - head)-th of its slot, draws its spacing at counter
+    # 2 + 2 (i - head) and its type one counter above, so each key is the
     # slot's key shifted back by head counter pairs plus i counter pairs
     pair = _U64(2 * _KEY_DRAW & _MASK64)
     base = keys + _offset(2 * _KEY_DRAW)
     skey = (base - head.astype(np.uint64) * pair)[owner]
     skey += np.arange(owner.size, dtype=np.uint64) * pair
-    vkey = skey + _U64(_KEY_DRAW)
+    flips = None if flip is None else _below(_finish(skey + _U64(_KEY_DRAW)), flip)
 
     def spacings(u):
         u >>= _U64(11)
@@ -340,31 +353,68 @@ def _slot_ticks(keys, counts, p):
     base += counts.astype(np.uint64) * pair  # the slot's last spacing, counter 2 + 2 counts
     totals = partial[cm - 1] + spacings(_finish(base))
     ticks = partial / totals[owner] * 2.0 ** _TICK_BITS
-    return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), _below(_finish(vkey), p)
+    return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), flips
 
 
-def _slots(clocks, T):
+def _slots(clocks, T, p):
     """(n, length, table): horizon T cut into n = ceil(T / _SLOT) equal
-    slots and the `CountTable` of one slot's update count.
+    slots and the `CountTable` of one slot's ring count, Poisson with mean
+    max(p, 1 - p) * length.
 
-    A replica with `clocks` update clocks expecting more than EVENT_BUDGET
-    events (clocks * T) is refused here, before any draw.
+    A replica with `clocks` clocks expecting more than EVENT_BUDGET
+    rate-1 updates (clocks * T) is refused here, before any draw.
     """
     if clocks * T > EVENT_BUDGET:
         raise InstanceTooLarge("%d clocks x horizon %g expect more than %d "
                                "events per replica" % (clocks, T, EVENT_BUDGET))
     n = math.ceil(T / _SLOT)
     length = T / n if n else 0.0
-    return n, length, _count_table(length)
+    return n, length, _count_table(max(p, 1.0 - p) * length)
 
 
-def _skeleton(keys, p, table, j0, j1):
-    """Update events over slots j0..j1-1 of the clocks keyed `keys`.
+def _ring_states(clock, state, flips, favoured):
+    """Each ring's new state, and the mask of the rings that change it.
 
+    Rings come in (clock, time) order, and `state` holds each clock's
+    state before its first ring.  After a restart, a clock's first ring
+    or a push, the state is known: `favoured` after a push, else the
+    flipped start state.  After any other ring it is the state at the
+    last restart xored with the parity of the flips since; with par the
+    running parity of all flips, that is par xored with (state xor par)
+    at the last restart.  With `flips` None every ring flips, so every
+    ring changes its clock's state (the mask is None).
+    """
+    n = clock.size
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(clock[1:], clock[:-1], out=first[1:])
+    start = state[clock]
+    if flips is None:
+        rank = np.arange(n)
+        rank -= np.maximum.accumulate(np.where(first, rank, 0))
+        return start ^ (rank & 1 == 0), None
+    par = np.logical_xor.accumulate(flips)
+    restart = np.where(first >= flips, np.arange(n), 0)  # first, or a push
+    np.maximum.accumulate(restart, out=restart)
+    at = np.where(flips, ~start, favoured)
+    at ^= par
+    value = at[restart]
+    value ^= par
+    before = np.empty_like(value)
+    before[1:] = value[:-1]
+    np.copyto(before, start, where=first)
+    return value, value != before
+
+
+def _skeleton(keys, state, p, table, j0, j1):
+    """State changes over slots j0..j1-1 of the clocks keyed `keys`.
+
+    `state` holds each clock's state (bool) at the start of slot j0.
     Slot j of a clock is keyed key + j * _KEY_SLOT; counter 0 draws its
-    update count from the `CountTable` `table` and `_slot_ticks`
-    its ticks and redrawn values.  Returns (clock, slot, tick, value) per
-    event in (clock, time) order: clock indexes `keys`, slot counts from j0.
+    ring count from the `CountTable` `table` and `_slot_ticks` its ticks
+    and ring types.  Returns (clock, slot, tick, value) per ring that
+    changes its clock's state, value the state it enters, in (clock, time)
+    order: clock indexes `keys`, slot counts from j0.
     """
     nsl = j1 - j0
     if nsl == 0:
@@ -377,11 +427,16 @@ def _skeleton(keys, p, table, j0, j1):
         gkeys = (keys[:, None] + slots).ravel()
     counts = _counts(table, _draw(gkeys, 0))
     nz = np.flatnonzero(counts)
-    owner, tick, value = _slot_ticks(gkeys[nz], counts[nz], p)
-    if nsl == 1:
-        return nz[owner], np.zeros(owner.size, dtype=np.int64), tick, value
-    clock, slot = np.divmod(nz, nsl)
-    return clock[owner], slot[owner], tick, value
+    flip = None if p == 0.5 else min(p, 1.0 - p) / max(p, 1.0 - p)
+    owner, tick, flips = _slot_ticks(gkeys[nz], counts[nz], flip)
+    clock, slot = (nz, None) if nsl == 1 else np.divmod(nz, nsl)
+    clock = clock[owner]
+    value, change = _ring_states(clock, state, flips, p > 0.5)
+    if change is not None:
+        kept = np.flatnonzero(change)
+        owner, clock, tick, value = owner[kept], clock[kept], tick[kept], value[kept]
+    slot = np.zeros(owner.size, dtype=np.int64) if nsl == 1 else slot[owner]
+    return clock, slot, tick, value
 
 
 def _tick_time(slot, tick, slot_len):
@@ -392,42 +447,36 @@ def _tick_time(slot, tick, slot_len):
 def _replica_draws(instance, p, table, seed, lo, hi, j0, j1, config=None):
     """Skeleton of replicas lo..hi-1 over horizon slots j0..j1-1.
 
-    `table` is the `CountTable` of one slot's update count.  Returns
+    `table` is the `CountTable` of one slot's ring count.  Returns
     (config, cell, value, key).  `config` holds the (hi-lo, arity) bits at
     the start of slot j0: drawn when not given (slot 0).  The other three
-    hold one entry per drawn event, in generation order (replica, bit,
-    slot, time): cell = (replica - lo) * arity + bit, and key packs
-    (replica - lo) * (j1 - j0) + (slot - j0) above a 40-bit tick, so
-    sorting it orders events by (replica, time).  `_blocks` keeps that
-    packed index below 2^24.
+    hold one entry per event that changes a bit, in generation order
+    (replica, bit, slot, time): cell = (replica - lo) * arity + bit, value
+    the bit's new value, and key packs (replica - lo) * (j1 - j0) +
+    (slot - j0) above a 40-bit tick, so sorting it orders events by
+    (replica, time).  `_blocks` keeps that packed index below 2^24.
     """
     m = instance.arity
     keys = _edge_keys(_mix64_int(seed), np.arange(lo, hi, dtype=np.uint64)[:, None],
                       np.arange(m, dtype=np.uint64)).ravel()
     if config is None:
         config = _below(_draw(keys, 1), p).astype(np.uint8).reshape(hi - lo, m)
-    cell, slot, tick, value = _skeleton(keys, p, table, j0, j1)
+    cell, slot, tick, value = _skeleton(keys, config.reshape(-1).view(bool), p, table,
+                                        j0, j1)
     place = (cell // m * (j1 - j0) + slot).astype(np.uint64) << _U64(_TICK_BITS)
     return config, cell, value.astype(np.uint8), place | tick
 
 
-def _effective_events(config, cell, value, key):
-    """Events that change their bit, ordered by (replica, time).
+def _effective_events(m, cell, value, key):
+    """Events of an m-bit skeleton ordered by (replica, time).
 
-    Returns (rep, bit, value, key) of each effective event, its replica
-    counted from the block's first.  Events of equal key (same replica,
-    slot and tick) keep their draw order (`_time_order`).
+    Returns (rep, bit, value, key) of each event, its replica counted
+    from the block's first.  Events of equal key (same replica, slot and
+    tick) keep their draw order (`_time_order`).
     """
-    first = np.ones(cell.size, dtype=bool)
-    first[1:] = cell[1:] != cell[:-1]
-    prev = np.empty_like(value)
-    prev[1:] = value[:-1]
-    old = np.where(first, config.reshape(-1)[cell], prev)
-    idx = np.flatnonzero(value != old)
-    order, key = _time_order(key[idx])
-    idx = idx[order]
-    rep, bit = np.divmod(cell[idx], config.shape[1])
-    return rep, bit, value[idx], key
+    order, key = _time_order(key)
+    rep, bit = np.divmod(cell[order], m)
+    return rep, bit, value[order], key
 
 
 def _time_order(key):
@@ -597,7 +646,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
     the kernel's memory is set by one block, whatever the replica count.
     """
     m = instance.arity
-    n_slots, slot_len, table = _slots(m, T)
+    n_slots, slot_len, table = _slots(m, T, p)
     _hold_freed_memory()
     weights = instance.counter_weights()
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
@@ -607,7 +656,7 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times):
                                                      j0, j1, config)
             if len(spans) > 1:
                 config = _advance(start, cell, value)
-            rep, bit, value, key = _effective_events(start, cell, value, key)
+            rep, bit, value, key = _effective_events(m, cell, value, key)
             if weights is not None:
                 out0, switch = _counter_replay(instance, weights, start, rep, bit, value)
             else:

@@ -315,16 +315,15 @@ def classify(plan, threads=1):
     with standard errors, and the fixed thresholds.
     """
     threads = _check_int("threads", threads, 1)
-    ns = plan.ns
+    insts = [make_instance(spec) for spec, _ in plan.entries]
+    ns = tuple(inst.arity for inst in insts)
     if len(ns) < 3:
         raise ValueError("classification needs at least 3 sequence entries, got %d" % len(ns))
     if list(ns) != sorted(set(ns)):
         raise ValueError("plan entries must be in strictly increasing arity order: %r" % (ns,))
 
-    estimates = []
-    for spec, p in plan.entries:
-        inst = make_instance(spec)
-        estimates.append(estimate_C_distribution(inst, plan.dyn_params(p), threads=threads))
+    estimates = [estimate_C_distribution(inst, plan.dyn_params(p), threads=threads)
+                 for inst, (_, p) in zip(insts, plan.entries)]
 
     trends = _trend_table(estimates, plan.replicas)
     flat = {name: list(ts.values) for name, ts in trends.items()}

@@ -6,26 +6,31 @@ w_k = v_k / 2^k, the expected number of level-k vertices whose path to the
 root is fully open under i.i.d. fair edge states.  The profile builder
 searches integer child counts whose weights track a requested growth law;
 the regime experiment measures, per level, how often and how persistently
-the root stays connected while every edge flips at rate 1.
+the root stays connected while every edge is rerandomized at rate 1: it
+opens at rate p and closes at rate 1 - p.
 
-The experiment never materializes the tree.  Each edge's update skeleton
-(initial state, Poisson update times, resampled states) is a pure function
-of (seed, replica, edge id), drawn by `dynamics._skeleton`, the recipe
-that also draws the bits of the eager engine: the horizon is cut into
-ceil(T / 16) equal slots, and each slot's update times are exact 2^-40
-fixed-point ticks.  Edge e of `perc:children:L` therefore has the same
-history here and in `dynamics`, and the two engines agree replica by
-replica.  A replica whose c_1 root edges expect more than
-`dynamics.EVENT_BUDGET` updates (c_1 * T) is refused before any draw.
-A replica expected to draw more than _REPLICA_DRAWS edges and updates in
-its descent is refused too, and so is a level of more than _REPLICA_DRAWS
-children per vertex, since a reached vertex draws them all at once.  Blocks of replicas are sized separately, by
-_BLOCK_DRAWS expected draws, which bounds one level's arrays.
+The experiment never materializes the tree.  Each edge's skeleton (initial
+state, and the times at which its state changes) is a pure function of
+(seed, replica, edge id), drawn by `dynamics._skeleton`, the recipe that
+also draws the bits of the eager engine: the edge's clock rings at rate
+max(p, 1 - p), each ring flips the edge or pushes it to the likelier state,
+the horizon is cut into ceil(T / 16) equal slots, and each slot's ring
+times are exact 2^-40 fixed-point ticks.  Edge e of `perc:children:L`
+therefore has the same history here and in `dynamics`, and the two
+engines agree replica by replica.  A replica whose c_1 root edges expect
+more than `dynamics.EVENT_BUDGET` rate-1 updates (c_1 * T) is refused
+before any draw.  A replica expected to draw more than _REPLICA_DRAWS
+edges and rate-1 updates in its descent is refused too, and so is a level
+of more than _REPLICA_DRAWS children per vertex, since a reached vertex
+draws them all at once.  Blocks of replicas are sized separately, by
+_BLOCK_DRAWS expected draws, which bounds one level's arrays.  Rate-1
+updates bound the rings drawn at rate max(p, 1 - p), so these are upper
+bounds.
 
 Before the descent, a lookahead settles the replicas that stay connected
-throughout.  An edge open at time 0 that every update redraws open is open
-on all of [0, T], with probability q = p e^{-(1-p) T}; such edges form
-static percolation.  The lookahead follows only them, from the keys and
+throughout.  An edge open at time 0 whose state never changes is open on
+all of [0, T], with probability q = p e^{-(1-p) T}; such edges form static
+percolation.  The lookahead follows only them, from the keys and
 draws of the descent.  A replica it brings to the deepest requested level
 has the union [0, T) at every level: output 1 at time 0, no switch.  It
 skips the descent, and the rest descend as before.  The lookahead runs
@@ -48,7 +53,7 @@ intervals, not with their product.  Both lists are disjoint and in time
 order, so the pieces come out in time order without a sort.  A level's
 frontier lists its vertices in edge order; each vertex keeps its
 intervals contiguous and in time order, and the union statistics sort by
-replica themselves, whatever the vertex order.  An edge's update times
+replica themselves, whatever the vertex order.  An edge's change times
 come from its own key alone, so results are independent, bit for bit, of
 the block size, of the order of the frontier and of which levels are
 requested.
@@ -291,7 +296,8 @@ def build_profile(target, n_levels, max_ratio=4.0):
 
 @dataclass(frozen=True)
 class EdgeSkeleton:
-    """One edge's update history: initial state, times, resampled states."""
+    """One edge's history: initial state, then the times at which its state
+    changes and the state entered at each (so the states alternate)."""
 
     initial: int
     times: tuple
@@ -299,11 +305,13 @@ class EdgeSkeleton:
 
 
 def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
-    """The deterministic update skeleton of one edge in one replica.
+    """The deterministic skeleton of one edge in one replica.
 
-    The edge starts open with probability p, receives Poisson(T) updates
-    at i.i.d. uniform times on [0, T), and each update resamples the state
-    to open with probability p.  This is, bit for bit, the edge's history
+    The edge starts open with probability p, then opens at rate p and
+    closes at rate 1 - p on [0, T): its clock rings Poisson(max(p, 1 - p)
+    T) times at i.i.d. uniform times, and each ring flips the state or
+    pushes it to the likelier one; only the rings that change the state
+    are listed.  This is, bit for bit, the edge's history
     in both percolation engines (`dynamics._skeleton` over ceil(T / 16)
     slots).  p and T are checked as in `regime_experiment`; T above
     `dynamics.EVENT_BUDGET` raises InstanceTooLarge.  `replica` and
@@ -314,13 +322,13 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     DynamicsParams(p=p, T=T, seed=seed, replicas=1)
     replica = _check_id("replica", replica)
     edge_id = _check_id("edge id", edge_id)
-    n_slots, slot_len, table = _slots(1, T)
+    n_slots, slot_len, table = _slots(1, T, p)
     keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
-    initial = int(_below(_draw(keys, 1), p)[0])
-    _, slot, tick, states = _skeleton(keys, p, table, 0, n_slots)
+    initial = _below(_draw(keys, 1), p)
+    _, slot, tick, states = _skeleton(keys, initial, p, table, 0, n_slots)
     times = _tick_time(slot, tick, slot_len)
-    return EdgeSkeleton(initial=initial,
+    return EdgeSkeleton(initial=int(initial[0]),
                         times=tuple(float(t) for t in times),
                         states=tuple(int(s) for s in states))
 
@@ -400,8 +408,8 @@ def _level_step(front, c, offset, p, slots, horizon):
 
     An edge's open spans run from each rise to the next fall of its state,
     read along a timeline of a head at time 0 (its initial state), its
-    updates and a closed tail at the horizon; an edge with no update that
-    starts open has the one span [0, horizon).  A child's reach is the
+    state changes and a closed tail at the horizon; an edge with no change
+    that starts open has the one span [0, horizon).  A child's reach is the
     nonempty intersections of its edge's open spans with its parent's
     reach, listed span by span and, within a span, in reach order.  Both
     lists are disjoint and in time order, and every piece lies inside its
@@ -416,11 +424,12 @@ def _level_step(front, c, offset, p, slots, horizon):
 
     n_slots, slot_len, table = slots
     s0 = _below(_draw(keys, 1), p)
-    edge, slot, tick, st_ev = _skeleton(keys, p, table, 0, n_slots)
+    edge, slot, tick, _ = _skeleton(keys, s0, p, table, 0, n_slots)
     m = np.bincount(edge, minlength=E)
 
-    # every edge's timeline in edge order: head, updates, tail.  A span of
-    # zero length (colliding update times) intersects to nothing below
+    # every edge's timeline in edge order: head, state changes, tail.  A
+    # span of zero length (colliding change times) intersects to nothing
+    # below
     tail = np.cumsum(m + 2) - 1
     head = tail - m - 1
     at = edge * 2 + np.arange(1, edge.size + 1)
@@ -428,15 +437,13 @@ def _level_step(front, c, offset, p, slots, horizon):
     t[head] = 0.0
     t[at] = _tick_time(slot, tick, slot_len)
     t[tail] = horizon
-    state = np.zeros(t.size, dtype=bool)
-    state[head] = s0
-    state[at] = st_ev
-    # each timeline starts after a closed tail and ends closed, so its
-    # state flips alternate rise, fall, rise, ...; n_open counts the spans
-    # up to each edge's end
-    prev = np.zeros(t.size, dtype=bool)
-    prev[1:] = state[:-1]
-    flip = state != prev
+    # a timeline rises at its head if the edge starts open, flips at every
+    # change and falls at its tail if the edge ends open, so its flips
+    # alternate rise, fall, rise, ...; n_open counts the spans up to each
+    # edge's end
+    flip = np.ones(t.size, dtype=bool)
+    flip[head] = s0
+    flip[tail] = s0 ^ (m & 1).astype(bool)
     flips = np.flatnonzero(flip)
     open_s, open_e = t[flips[0::2]], t[flips[1::2]]
     n_open = np.cumsum(flip)[tail] // 2
@@ -536,8 +543,7 @@ def _union_stats(front, base_rep, nrep, horizon, init, C, S):
 
 def _open_throughout(children, offsets, depth, p, slots, repk):
     """Which replicas keyed `repk` have a root path to level `depth` whose
-    edges are all open throughout: open at time 0, and redrawn open by
-    every update.
+    edges are all open throughout: open at time 0, and never changed.
 
     The walk follows only such edges, from the keys and draws of
     `_level_step`, so each edge it meets has the same history there.
@@ -549,9 +555,10 @@ def _open_throughout(children, offsets, depth, p, slots, repk):
         c = children[k - 1]
         keys = _child_keys(vidx, repk[rid], c, offsets[k])
         eidx = np.flatnonzero(_below(_draw(keys, 1), p))
-        edge, _, _, value = _skeleton(keys[eidx], p, table, 0, n_slots)
+        edge, _, _, _ = _skeleton(keys[eidx], np.ones(eidx.size, dtype=bool), p,
+                                  table, 0, n_slots)
         kept = np.ones(eidx.size, dtype=bool)
-        kept[edge[~value]] = False
+        kept[edge] = False
         kpar, vidx = _child_vertices(vidx, eidx[kept], c)
         rid = rid[kpar]
         if rid.size == 0:
@@ -760,7 +767,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     if levels[0] < 1 or levels[-1] > profile.n_levels:
         raise InvalidSpec("levels %r outside 1..%d" % (levels, profile.n_levels))
     DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
-    slots = _slots(profile.children[0], T)
+    slots = _slots(profile.children[0], T, p)
     children = profile.children
     need, widest = profile.edge_count(levels[-1]), max(children[:levels[-1]])
     if need > 2**64 or widest > _REPLICA_DRAWS:

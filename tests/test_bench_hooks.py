@@ -49,8 +49,9 @@ def test_bench_tracer_reads_every_level_step():
 
 def test_bench_tracer_counts_every_drawn_event(monkeypatch):
     # `dynamics.events` adds len(cell) of every `_replica_draws` call (small
-    # blocks make many calls), so `_replica_draws` must hand on every event
-    # the skeleton of the run's bit clocks draws, not only effective ones
+    # blocks make many calls, and cut replicas into slot spans), so
+    # `_replica_draws` must hand on every bit change that one skeleton of
+    # the whole run's bit clocks hands on
     from boolvol import dynamics, functions
 
     f = functions.make_instance(functions.parse_spec("andor:3"))
@@ -62,10 +63,11 @@ def test_bench_tracer_counts_every_drawn_event(monkeypatch):
         dynamics.estimate_C_distribution(f, pr)
     finally:
         tracer.uninstall()
-    n_slots, _, cdf = dynamics._slots(f.arity, pr.T)
+    n_slots, _, cdf = dynamics._slots(f.arity, pr.T, pr.p)
     keys = dynamics._edge_keys(dynamics._mix64_int(pr.seed),
                                np.arange(pr.replicas, dtype=np.uint64)[:, None],
                                np.arange(f.arity, dtype=np.uint64)).ravel()
-    clock, _, _, _ = dynamics._skeleton(keys, pr.p, cdf, 0, n_slots)
+    start = dynamics._below(dynamics._draw(keys, 1), pr.p)
+    clock, _, _, _ = dynamics._skeleton(keys, start, pr.p, cdf, 0, n_slots)
     assert clock.size > 0
     assert tracer.counts["dynamics.events"] == clock.size

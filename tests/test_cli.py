@@ -502,6 +502,42 @@ class TestParser:
             cli.main([])
         assert exc.value.code == 2
 
+    def test_one_parser_prints_what_fresh_parsers_print(self, capsys, tmp_path):
+        # main builds its parser once per process; a sequence of different
+        # calls, one of them refused, prints what calls that each build a
+        # fresh parser print
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps([["parity:%d" % n, 0.5] for n in (2, 3, 4)]))
+        calls = [
+            ("simulate", "maj:3", "--replicas", "50", "--seed", "3"),
+            ("perc", "run", "--profile", "2,2", "--levels", "1,2", "--replicas", "40",
+             "--csv"),
+            ("perc", "build", "--target", "constant", "--levels", "3"),
+            ("perc", "weights", "--profile", "2,3", "--levels", "2"),
+            ("perc", "weights", "--target", "constant", "--levels", "3"),
+            ("influence", "maj:3", "--p", "0.3"),
+            ("joint", "parity:3", "--t", "0.5", "--replicas", "50"),
+            ("noise", "maj:3", "--epsilon", "0.2", "--replicas", "50", "--csv"),
+            ("recursion", "maj3-a", "--p0", "0.4", "--n", "4"),
+            ("classify", str(plan), "--replicas", "50", "--T", "0.5"),
+            ("simulate", "maj:3", "--replicas", "50"),
+        ]
+
+        def run_all(fresh):
+            out = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code = cli.main(list(argv))
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        cached = run_all(False)
+        assert cli._build_parser() is cli._build_parser()
+        assert cached == run_all(True)
+        assert [code for code, _, _ in cached] == [0] * 3 + [2] + [0] * 7
+
     def test_every_schema_file_has_a_const_id(self):
         root = files("boolvol").joinpath("schemas")
         names = sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
@@ -532,6 +568,27 @@ class TestPercArguments:
     def test_build_max_ratio_exit_2(self, capsys, ratio):
         self._exit_2(capsys, "perc", "build", "--target", "nalpha:3", "--levels", "5",
                      "--max-ratio", ratio)
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--profile", "2,2", "--levels", "2", "--target", "bogus",
+         "--profile-out", "MISSING/x"),
+        ("weights", "--profile", "2,3", "--max-ratio", "-5"),
+        ("build", "--target", "constant", "--levels", "3", "--p", "7", "--T", "-1",
+         "--profile", "1,x"),
+    ])
+    def test_flag_the_op_does_not_read_exit_2(self, capsys, tmp_path, argv):
+        # each op takes only the flags it reads: argparse refuses a flag of
+        # another op, and weights --profile refuses the --target flags
+        argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+        try:
+            code = cli.main(["perc", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("op", ["build", "weights"])
     def test_unreachable_max_ratio_exit_2(self, capsys, op):

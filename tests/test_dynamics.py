@@ -162,18 +162,17 @@ def test_event_budget_applies_to_every_entry_point():
 
 
 def oracle_replay(f, p, T, seed, R):
-    """Replays every drawn event of replicas 0..R-1 through apply_update.
+    """Replays every bit change of replicas 0..R-1 through apply_update.
 
-    The events come from one skeleton of the whole run, ordered per
+    The changes come from one skeleton of the whole run, ordered per
     replica by time (ties keep draw order), so neither the kernel's
-    blocks nor its effective-event filter is involved.
+    blocks nor its time sort is involved.
     """
-    n_slots = math.ceil(T / dyn._SLOT)
+    n_slots, length, table = dyn._slots(f.arity, T, p)
     nsl = max(1, n_slots)
-    config, cell, value, key = dyn._replica_draws(
-        f, p, dyn._count_table(T / nsl), seed, 0, R, 0, n_slots)
+    config, cell, value, key = dyn._replica_draws(f, p, table, seed, 0, R, 0, n_slots)
     rep, bit = np.divmod(cell, f.arity)
-    times = dyn._event_times(key, 0, nsl, T / nsl).tolist()
+    times = dyn._event_times(key, 0, nsl, length).tolist()
     for r in range(R):
         idx = sorted(np.flatnonzero(rep == r).tolist(), key=times.__getitem__)
         st = bf.build_state(f, config[r])
@@ -296,6 +295,38 @@ def test_count_only_runs_hold_one_block(entry, text):
     assert peak(330) - peak(30) < 2**20
 
 
+# -- the law of one clock --------------------------------------------------------
+
+def count_rings(monkeypatch):
+    """A one-item list that adds up the rings every skeleton draws from now on."""
+    rings = [0]
+    slot_ticks = dyn._slot_ticks
+
+    def spy(keys, counts, flip):
+        rings[0] += int(counts.sum())
+        return slot_ticks(keys, counts, flip)
+
+    monkeypatch.setattr(dyn, "_slot_ticks", spy)
+    return rings
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("T", [1.0, 40.0])
+def test_one_clock_is_the_two_state_chain(monkeypatch, p, T):
+    # dictator:1 is one bit: its output switches where the bit changes.
+    # Its clock rings at rate r = max(p, 1 - p), and its bit is the
+    # stationary chain jumping 0 -> 1 at rate p and 1 -> 0 at rate 1 - p
+    N, r = 20000, max(p, 1 - p)
+    rings = count_rings(monkeypatch)
+    b = dyn._replicas(inst("dictator:1"), p, T, 31, 0, N)
+    x0, xT, changes = b.initial == 1, b.final == 1, b.C
+    assert abs(rings[0] / N - r * T) <= 4 * math.sqrt(r * T / N)
+    assert abs(xT.mean() - p) <= 4 * binom_se(p, N)
+    assert abs(changes.mean() - 2 * p * (1 - p) * T) <= 4 * changes.std(ddof=1) / math.sqrt(N)
+    both = p * p + p * (1 - p) * math.exp(-T)
+    assert abs(np.mean(x0 & xT) - both) <= 4 * binom_se(both, N)
+
+
 # -- counter-based draws --------------------------------------------------------
 
 def unit(u):
@@ -369,7 +400,7 @@ def test_count_guide_matches_bisection(length):
         assert np.any(thr[1:] == thr[:-1])
     u = count_probes(thr, np.random.default_rng(8))
     assert np.array_equal(dyn._counts(table, u), np.searchsorted(thr, u, side="right"))
-    assert dyn._slots(3, length)[2] is table  # built once per slot length
+    assert dyn._slots(3, length, 1.0)[2] is table  # built once per slot mean
 
 
 def test_count_guide_matches_bisection_on_duplicate_thresholds():
@@ -384,16 +415,10 @@ def test_count_guide_matches_bisection_on_duplicate_thresholds():
     assert np.array_equal(dyn._counts(table, u), np.searchsorted(thr, u, side="right"))
 
 
-def stable_effective_events(config, cell, value, key):
+def stable_effective_events(m, cell, value, key):
     """`_effective_events` as written with one stable argsort."""
-    first = np.ones(cell.size, dtype=bool)
-    first[1:] = cell[1:] != cell[:-1]
-    prev = np.empty_like(value)
-    prev[1:] = value[:-1]
-    old = np.where(first, config.reshape(-1)[cell], prev)
-    idx = np.flatnonzero(value != old)
-    idx = idx[np.argsort(key[idx], kind="stable")]
-    rep, bit = np.divmod(cell[idx], config.shape[1])
+    idx = np.argsort(key, kind="stable")
+    rep, bit = np.divmod(cell[idx], m)
     return rep, bit, value[idx], key[idx]
 
 
@@ -411,10 +436,9 @@ def test_time_order_repairs_ties_to_the_stable_order():
     # the whole effective-event step: cells in (replica, bit) generation order
     cell = np.sort(rng.integers(0, 40 * m, n))
     key = (cell // m).astype(np.uint64) << np.uint64(40) | rng.integers(0, 6, n).astype(np.uint64)
-    config = rng.integers(0, 2, (40, m)).astype(np.uint8)
     value = rng.integers(0, 2, n).astype(np.uint8)
-    got = dyn._effective_events(config, cell, value, key)
-    want = stable_effective_events(config, cell, value, key)
+    got = dyn._effective_events(m, cell, value, key)
+    want = stable_effective_events(m, cell, value, key)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     # without ties the default sort stands
@@ -454,22 +478,20 @@ def test_threshold_switches_match_output_replay(t):
 
 
 # (initial, C, times) of `_replicas(..., keep="all")` over p in {0, .3, .5, 1}
-# and T in {0, 1, 17, 40}, recorded before the draw kernel worked on integer
-# thresholds and folded offsets; any change to a draw moves them
+# and T in {0, 1, 17, 40}, re-recorded when the bits moved to flip and push
+# rings at rate max(p, 1 - p); any change to a draw moves them, and
+# `python tests/test_dynamics.py` prints the current digests
 FROZEN_MC = {
-    "maj:7": "2ece1a2282d22a4b4209d9bed7ca67d6b587d7afbea60758ac8f70f65c012112",
-    "parity:6": "a264d1f005867f8a8dcb2f0e8a9c24bcd5185d57e8f9c6522f5f3678dc8943a5",
-    "type2:6": "bca9edbbcc82a914b17a383b9b045d3132028460ae3b3f563ee5e800f0c54501",
-    "itermaj3:3": "c85d32cf5a4ac25537d684f978e89be617edc70e26fe5dd2f6cfa0a074f8116e",
-    "andor:4": "524223eb8dd882541fa4cbe91b83a60d77f987109e03ba6d9eade56ed355aa5e",
-    "perc:2,3:2": "347464417ba5b8801fc27f98d2539e4f0b57d0d027a998a3e885203ffa44523d",
+    "maj:7": "2b0fdf185aeaf5d5bd1215d1bbfd0a9784003fde608ed10541877255eeaa87da",
+    "parity:6": "6ffa6f53cef41cf4fd4ac0f72973e429664d09f439f0d9768aacb4cb3c3a2139",
+    "type2:6": "fd0cae3faf9c705587c7f61796843524b36282037ac418ccefaed96f00536cdc",
+    "itermaj3:3": "cd4cc503f30dae454ed26029d49f5d178b8861a6e48803468b97852cf49cf262",
+    "andor:4": "945fbadf640087ef90243a7538bfc02193b913c523526499df04880fc8db7881",
+    "perc:2,3:2": "63950a284361a9b5fbf2aab9717c218d5b8762f75fbd06487902ef58d58fdd62",
 }
 
 
-@pytest.mark.parametrize("block", [2**10, dyn._BLOCK_DRAWS])
-@pytest.mark.parametrize("text", sorted(FROZEN_MC))
-def test_mc_stream_is_frozen(monkeypatch, text, block):
-    monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
+def mc_digest(text):
     f = inst(text)
     h = hashlib.sha256()
     for p in (0.0, 0.3, 0.5, 1.0):
@@ -477,7 +499,14 @@ def test_mc_stream_is_frozen(monkeypatch, text, block):
             b = dyn._replicas(f, p, T, 2024, 3, 33, keep="all")
             for a, dtype in ((b.initial, "u1"), (b.C, "<i8"), (b.times, "<f8")):
                 h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
-    assert h.hexdigest() == FROZEN_MC[text]
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("block", [2**10, dyn._BLOCK_DRAWS])
+@pytest.mark.parametrize("text", sorted(FROZEN_MC))
+def test_mc_stream_is_frozen(monkeypatch, text, block):
+    monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
+    assert mc_digest(text) == FROZEN_MC[text]
 
 
 @pytest.mark.parametrize("text", ["maj:1001", "itermaj3:6"])
@@ -686,3 +715,9 @@ def test_only_the_block_engines_set_the_allocator():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+if __name__ == "__main__":
+    # the current FROZEN_MC digests, for re-recording a deliberate stream change
+    for text in sorted(FROZEN_MC):
+        print('    "%s": "%s",' % (text, mc_digest(text)))

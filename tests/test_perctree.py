@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boolvol import oracle, perctree
+from boolvol import dynamics, oracle, perctree
 from boolvol.dynamics import (
     _KEY_REPLICA,
     _U64,
@@ -187,6 +187,38 @@ class TestBuildProfile:
         assert build_profile("nlogn:1.5", 9) == build_profile("nlogn:1.5", 9)
 
 
+def edge_law(monkeypatch, p, T, N):
+    """(rings, x0, xT, changes) of edges 0..N-1 of one replica: the rings
+    their skeletons draw, and per edge its state at 0 and T and its number
+    of state changes.  Each recorded state is the other one than before."""
+    rings = [0]
+    slot_ticks = dynamics._slot_ticks
+
+    def spy(keys, counts, flip):
+        rings[0] += int(counts.sum())
+        return slot_ticks(keys, counts, flip)
+
+    monkeypatch.setattr(dynamics, "_slot_ticks", spy)
+    sks = [edge_skeleton(5, 0, e, p=p, T=T) for e in range(N)]
+    for sk in sks:
+        assert list(sk.states) == [(sk.initial + k + 1) % 2 for k in range(len(sk.states))]
+    x0 = np.array([sk.initial for sk in sks]) == 1
+    changes = np.array([len(sk.times) for sk in sks])
+    return rings[0], x0, x0 ^ (changes % 2 == 1), changes
+
+
+def assert_two_state_law(p, T, rings, x0, xT, changes):
+    """Within 4 SE: rings at rate r = max(p, 1 - p), and the stationary
+    two-state chain jumping 0 -> 1 at rate p and 1 -> 0 at rate 1 - p."""
+    N, r = x0.size, max(p, 1 - p)
+    assert abs(rings / N - r * T) <= 4 * math.sqrt(r * T / N)
+    assert abs(x0.mean() - p) <= 4 * binom_se(p, N)
+    assert abs(xT.mean() - p) <= 4 * binom_se(p, N)
+    assert abs(changes.mean() - 2 * p * (1 - p) * T) <= 4 * changes.std(ddof=1) / math.sqrt(N)
+    both = p * p + p * (1 - p) * math.exp(-T)
+    assert abs(np.mean(x0 & xT) - both) <= 4 * binom_se(both, N)
+
+
 class TestEdgeSkeleton:
     def test_deterministic_and_distinct(self):
         a = edge_skeleton(7, 3, 11)
@@ -201,23 +233,24 @@ class TestEdgeSkeleton:
             assert list(sk.times) == sorted(sk.times)
             assert len(sk.states) == len(sk.times)
 
-    def test_marginals(self):
-        # across many edges: initial ~ Bernoulli(p), updates ~ Poisson(T)
+    def test_marginals(self, monkeypatch):
+        # across many edges: initial ~ Bernoulli(p), rings ~ Poisson(r T)
+        # with r = max(p, 1 - p), and the two-state law of the edge
         p, T, N = 0.3, 1.5, 4000
-        sks = [edge_skeleton(5, 0, e, p=p, T=T) for e in range(N)]
-        init = np.mean([sk.initial for sk in sks])
-        assert abs(init - p) <= 4 * binom_se(p, N)
-        counts = np.array([len(sk.times) for sk in sks])
-        assert abs(counts.mean() - T) <= 4 * math.sqrt(T / N)
-        states = [s for sk in sks for s in sk.states]
-        assert abs(np.mean(states) - p) <= 4 * binom_se(p, len(states))
+        assert_two_state_law(p, T, *edge_law(monkeypatch, p, T, N))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("T", [1.0, 40.0])
+    def test_two_state_law(self, monkeypatch, p, T):
+        assert_two_state_law(p, T, *edge_law(monkeypatch, p, T, 500))
 
     def test_horizon_past_event_budget_refused(self):
-        # a long horizon is slotted, so its update counts stay Poisson(T)
-        # where one Poisson(T) table would underflow (T > ~745)
-        T, N = 800.0, 200
+        # a long horizon is slotted, so its ring counts stay Poisson(r T)
+        # where one Poisson(r T) table would underflow (r T > ~745); at
+        # p = 1/2 every ring changes the edge
+        T, N = 1600.0, 200
         counts = np.array([len(edge_skeleton(1, r, 0, T=T).times) for r in range(N)])
-        assert abs(counts.mean() - T) <= 4 * math.sqrt(T / N)
+        assert abs(counts.mean() - T / 2) <= 4 * math.sqrt(T / 2 / N)
         assert counts.std() > 0
         for T in (math.inf, 2.0 * EVENT_BUDGET):
             with pytest.raises(InstanceTooLarge):
@@ -611,7 +644,7 @@ class TestRegimeExperiment:
         front = perctree._Frontier(
             rep=rep, repk=repk, vidx=np.full(nrep, parent, dtype=np.uint64),
             rs=np.zeros(nrep), re=np.full(nrep, T), rc=np.ones(nrep, dtype=np.int64))
-        child = perctree._level_step(front, 2, offset, p, _slots(2, T), T)
+        child = perctree._level_step(front, 2, offset, p, _slots(2, T, p), T)
         ends = np.cumsum(child.rc)
         got = {(int(r), int(v)): list(zip(child.rs[e - n:e], child.re[e - n:e]))
                for r, v, n, e in zip(child.rep, child.vidx, child.rc, ends)}
@@ -663,24 +696,26 @@ class TestRegimeExperiment:
 
 
 # (profile, levels, keyword arguments) -> sha256 of (C, S, initial) per
-# level.  Recorded with the edge-ordered frontier; the level step may list
-# its vertices in any order, but no draw and no output bit may move.
+# level.  Re-recorded when the edges moved to flip and push rings at rate
+# max(p, 1 - p); the level step may list its vertices in any order, but no
+# draw and no output bit may move.  `python tests/test_perctree.py` prints
+# the current digests.
 FROZEN_REGIMES = [
     ((2,) * 12, [4, 8, 12], dict(replicas=300, seed=11), {
-        4: "35b6e2f5ae06f9f50eeeb1e6582544861f2f57f30dd258241d25b8bd7e514e35",
-        8: "ef45b02d724aa8bf68548c0e146cb7d89260431ea758db2ba57b5cafb85650bd",
-        12: "eac537feb2ea59bf1ad1161bf996c87588f1fb576d1b1aa0e98f0be4ed633ee4",
+        4: "46555c2a9fe348b5559c711072b9fa6789ca3f6e9f4053056ea9196d23996fa1",
+        8: "509fa81d5683a1b65864db20261367dcc0ee9198c4ff66ba6a1715ea62b475ab",
+        12: "6048832574dd63281bee10c506fa70b1e76a56111e690627444572f44c35b9d6",
     }),
     (NALPHA3_CHILDREN, [1, 2, 4, 10], dict(replicas=40, seed=12), {
-        1: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
-        2: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
-        4: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
-        10: "9438f9a27b4510f387e73b8b24d0e75e3daf9fa272ccc27e375e68ae585b7443",
+        1: "4efe71d56bf0702623428085b00ab5eaf37be94a13b8a1cff23426df0b19abb8",
+        2: "4efe71d56bf0702623428085b00ab5eaf37be94a13b8a1cff23426df0b19abb8",
+        4: "4efe71d56bf0702623428085b00ab5eaf37be94a13b8a1cff23426df0b19abb8",
+        10: "4efe71d56bf0702623428085b00ab5eaf37be94a13b8a1cff23426df0b19abb8",
     }),
     ((2, 3, 2, 3, 2), [1, 3, 5], dict(p=0.3, T=40.0, replicas=40, seed=13), {
-        1: "20c6c1c42a56b6f14667dab3bf80c2cad4bb1982521b99bf445104f2887c1bb4",
-        3: "f3a4f2cb2dc4ad939136ef3a368286e41c8ac06bba339de355d1b23706c6e93f",
-        5: "7c6fbc06e635dc94b524a2a5313505d6529ad7ca0ac142323c02e0dacb01f468",
+        1: "2824a0415efb697e9700e3d9d844e72f6a7f1ad112f0f843ab7ed236439cdd9f",
+        3: "a8f41d801f7e5f73f4aa852b361d50daf36fec89c6238612426e971f3f808aa9",
+        5: "d2652458f5e2a1ba1352c9b9e584862233cfeeeb4422bb3bcf6b7fd37dc71897",
     }),
     ((3, 3, 3), [1, 2, 3], dict(T=0.0, replicas=200, seed=14), {
         1: "e9d64be46ad2d36e6302eda0513fd206479eb57dd1ff9d66772882e3e60f9cfb",
@@ -688,14 +723,14 @@ FROZEN_REGIMES = [
         3: "ae10150cf0497d488803110b637f19900c07b00748c222a93a60496f461b5fe8",
     }),
     ((2,) * 6, [1, 3, 6], dict(p=0.9, T=3.0, replicas=100, seed=15), {
-        1: "f7a61ff7d48eaf03ffc447250119b2ec8585414daa511470ababc9a478d610b9",
-        3: "f7a61ff7d48eaf03ffc447250119b2ec8585414daa511470ababc9a478d610b9",
-        6: "f7a61ff7d48eaf03ffc447250119b2ec8585414daa511470ababc9a478d610b9",
+        1: "5e6f2f692a922fc0773e87821f9fe25e697e179a985377b39287bb0867e30394",
+        3: "5e6f2f692a922fc0773e87821f9fe25e697e179a985377b39287bb0867e30394",
+        6: "5e6f2f692a922fc0773e87821f9fe25e697e179a985377b39287bb0867e30394",
     }),
     # 101 replicas in blocks of 13: the last block holds 10
     ((2, 3, 4), [1, 3], dict(T=5.0, replicas=101, seed=16, _block=13), {
-        1: "e6f215e97df016c857da7f903202fb0e2bfbb985aefbb4f10ca5c95c3f317940",
-        3: "626a9551abb666fc50405fb5531604a3a31faafa61987ad58e39b88109083c1e",
+        1: "a0735e578d0f43b6b42a079b554aaa1b1aa07511ddabd8d12d5250be0cb0f83f",
+        3: "2982b21a6a23acf5e33bd5a17d2768abc38ad43f934b0eef56fe4d6ccea7148a",
     }),
 ]
 
@@ -707,10 +742,14 @@ def _regime_digest(emp):
     return h.hexdigest()
 
 
+def _regime_digests(children, levels, kw):
+    rep = regime_experiment(LevelProfile(children), levels, **kw)
+    return {lv.level: _regime_digest(lv.empirical) for lv in rep.levels}
+
+
 @pytest.mark.parametrize("children,levels,kw,want", FROZEN_REGIMES)
 def test_regime_stream_is_frozen(children, levels, kw, want):
-    rep = regime_experiment(LevelProfile(children), levels, **kw)
-    assert {lv.level: _regime_digest(lv.empirical) for lv in rep.levels} == want
+    assert _regime_digests(children, levels, kw) == want
 
 
 def _random_frontier(rng, nrep, base_rep, T):
@@ -832,7 +871,7 @@ def test_level_step_intersects_every_reach_span_pair(p, T):
         rs=np.array([a for *_, reach in verts for a, _ in reach]),
         re=np.array([b for *_, reach in verts for _, b in reach]),
         rc=np.array([len(reach) for *_, reach in verts], dtype=np.int64))
-    child = perctree._level_step(front, c, offset, p, perctree._slots(1, T), T)
+    child = perctree._level_step(front, c, offset, p, perctree._slots(1, T, p), T)
 
     got = {}
     off = 0
@@ -996,7 +1035,7 @@ def _open_throughout_by_walk(children, depth, p, T, seed, replicas):
 ])
 def test_open_throughout_matches_a_walk_over_edge_skeletons(children, p, T):
     seed, replicas = 51, 200
-    slots = perctree._slots(children[0], T)
+    slots = perctree._slots(children[0], T, p)
     offsets = perctree._edge_offsets(children)
     rep = np.arange(replicas, dtype=np.uint64)
     repk = perctree._mix64(np.uint64(perctree._mix64_int(seed))
@@ -1015,7 +1054,7 @@ def test_open_throughout_matches_a_walk_over_edge_skeletons(children, p, T):
 
 def test_lookahead_work_counters(monkeypatch):
     # deterministic work counts, no timing: on the criterion-10 profile
-    # the lookahead settles 18 of 40 replicas before the first level step;
+    # the lookahead settles 17 of 40 replicas before the first level step;
     # on binary-12 at T = 1 it is gated off (about 0.0025 always-open
     # paths expected) and every draw happens inside a level step
     entered, outside = [], []
@@ -1047,7 +1086,7 @@ def test_lookahead_work_counters(monkeypatch):
 
     regime_experiment(LevelProfile(NALPHA3_CHILDREN), range(4, 11), replicas=40,
                       seed=12)
-    assert sum(entered) == 22
+    assert sum(entered) == 23
     assert outside
 
     entered.clear()
@@ -1056,3 +1095,12 @@ def test_lookahead_work_counters(monkeypatch):
                       seed=12)
     assert sum(entered) == 400
     assert outside == []
+
+
+if __name__ == "__main__":
+    # the current FROZEN_REGIMES digests, for re-recording a deliberate
+    # stream change
+    for children, levels, kw, _ in FROZEN_REGIMES:
+        print(children, levels, kw)
+        for level, digest in _regime_digests(children, levels, kw).items():
+            print('        %d: "%s",' % (level, digest))
