@@ -3,7 +3,7 @@
 Exit codes: 0 success; 2 malformed input (unknown function family, bad flag
 values, unreadable plan or profile files, an unwritable --out file); 3 a
 fixed resource cap (enumeration arity, pair-enumeration arity, replica
-event or draw budget, edge ids past 2^64).
+event or draw budget, edge ids past 2^64) or memory exhausted.
 
 Every command is deterministic given its flags: the seed defaults to the
 fixed constant 1, never the clock, and --threads only controls the replica
@@ -427,6 +427,9 @@ def main(argv=None):
         _emit(cfg, *args.handler(cfg, args))
     except ResourceLimit as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 3
     except (BoolvolError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

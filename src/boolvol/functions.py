@@ -19,18 +19,23 @@ perc:...:n   spherically symmetric tree with a fixed child count per
              level; each bit is an edge (open/closed) and the output is 1
              iff an open path joins the root to level n
 
-Counter families (dictator, parity, dap, type2, maj, bigtame, table) also
-state their output as a function of a few weighted bit sums
-(`counter_weights`, `counter_output`).  Tree families (itermaj3, andor,
-perc) declare themselves as read-once trees of threshold nodes, bottom up
-(`steps`, `TreeStep`); one vectorised pass over a block of configurations
-(`input_counts`) gives every node's input count, and `evaluate_rows`,
-`build_state` and the level-by-level Monte Carlo replay in `dynamics` all
-read it.  Two generic incremental states (`build_state`, `apply_update`)
-replay the same declarations bit by bit: one keeps the counter sums, the
-other the tree's node counts.  Since every route shares the declarations,
-the tests check them against each family's definition written out directly
-(recursively for the trees).
+Each family is stated once, and three classes read the statements.
+Counter families (dictator, parity, dap, type2, maj, bigtame) are rows of
+`_COUNTERS`: an arity, a few bit slices and one output rule over the slice
+sums.  `CounterInstance` applies that rule both to the slice sums of a
+block of configurations (`evaluate_rows`) and to the Monte Carlo kernel's
+sums (`counter_weights`, `counter_output`).  An imported truth table
+(`TableInstance`) is a counter with one weighted sum, the row's index.
+Tree families (itermaj3, andor, perc) are functions in `_TREES` that give,
+from the spec alone, a read-once tree of threshold nodes, bottom up
+(`steps`, `TreeStep`).  In `TreeInstance`, one vectorised pass over a block
+of configurations (`input_counts`) gives every node's input count, and
+`evaluate_rows`, `build_state` and the level-by-level Monte Carlo replay in
+`dynamics` all read it.  Two generic incremental states (`build_state`,
+`apply_update`) replay the same declarations bit by bit: one keeps the
+counter sums, the other the tree's node counts.  Since every route shares
+the declarations, the tests check them against each family's definition
+written out directly (recursively for the trees).
 
 Bit-to-vertex conventions (fixed so results are reproducible):
 itermaj3 leaves are numbered left to right; andor gate bits map to
@@ -152,23 +157,13 @@ def parse_spec(text):
         return FunctionSpec.truth_table([int(c) for c in chars])
     if len(parts) != 2:
         raise InvalidSpec("spec must be <family>:<param>: %r" % text)
-    ctors = {
-        "dictator": FunctionSpec.dictator,
-        "parity": FunctionSpec.parity,
-        "dap": FunctionSpec.dap,
-        "type2": FunctionSpec.type2,
-        "maj": FunctionSpec.majority,
-        "itermaj3": FunctionSpec.itermaj3,
-        "andor": FunctionSpec.andor,
-        "bigtame": FunctionSpec.bigtame,
-    }
-    if family not in ctors:
+    if family not in _COUNTERS and family not in _TREES:
         raise InvalidSpec("unknown family: %r" % family)
     try:
         param = int(parts[1])
     except ValueError:
         raise InvalidSpec("bad parameter in spec: %r" % text) from None
-    return ctors[family](param)
+    return FunctionSpec(family, param)
 
 
 def parse_profile(text):
@@ -305,9 +300,10 @@ class FunctionInstance:
     """Immutable structural index for one family instance.
 
     Instances are safely shareable across threads/processes; all mutable
-    evaluation state lives in EvaluationState objects.  Each family class
-    defines `build_state` and `evaluate_rows` itself, because perfbench's
-    tracer wraps them class by class.
+    evaluation state lives in EvaluationState objects.  Three classes read
+    the family declarations: `CounterInstance`, `TreeInstance` and
+    `TableInstance`.  Each defines `build_state` and `evaluate_rows` itself,
+    because perfbench's tracer wraps them class by class.
     """
 
     def __init__(self, spec, arity, depth=0):
@@ -325,111 +321,55 @@ class FunctionInstance:
 
 def _ones(bits):
     """Exact row sums of a 0/1 uint8 block: in uint8 below 256 columns,
-    where no sum can wrap, else in int64."""
+    where no sum can wrap, else in int64.  A single column is its own sum,
+    returned as a view: a reduction over one column costs as much as the
+    rest of a counter rule."""
+    if bits.shape[1] == 1:
+        return bits[:, 0]
     return bits.sum(axis=1, dtype=np.uint8 if bits.shape[1] < 256 else np.int64)
 
 
-def _sum_weights(m, *spans):
-    """(m, len(spans)) 0/1 weights: column j sums the bits in spans[j]."""
-    w = np.zeros((m, len(spans)), dtype=np.int64)
-    for j, span in enumerate(spans):
-        w[span, j] = 1
-    return w
+# counter families.  Each row holds a function of the family's parameter n
+# giving the arity and the bit slices (lo, hi) whose sums the output reads,
+# then the output rule, a function of the list of slice sums and n
+_COUNTERS = {
+    "dictator": (lambda n: (n, ((0, 1),)), lambda s, n: s[0]),
+    "parity": (lambda n: (n, ((0, n),)), lambda s, n: s[0] & 1),
+    "dap": (lambda n: (n, ((0, 1), (1, n))), lambda s, n: (s[0] == 1) & ((s[1] & 1) == 0)),
+    "type2": (lambda n: (n, ((0, 1), (1, 2), (2, n))),
+              lambda s, n: np.where(s[1] == 1, s[0], s[2] & 1)),
+    "maj": (lambda n: (n, ((0, n),)), lambda s, n: s[0] >= (n + 1) // 2),
+    "bigtame": (lambda n: (1 + n + 3**n, ((0, 1), (1, n + 1), (n + 1, 1 + n + 3**n))),
+                lambda s, n: np.where(s[1] == n, s[2] & 1, s[0])),
+}
 
 
-class DictatorInstance(FunctionInstance):
-    def evaluate_rows(self, bits):
-        return bits[:, 0].copy()
+class CounterInstance(FunctionInstance):
+    """A family whose output is one rule over the sums of a few bit slices,
+    declared in `_COUNTERS`: a block of configurations is read through its
+    uint8 slice sums, the Monte Carlo kernel's sums through the same rule."""
 
-    def counter_weights(self):
-        return _sum_weights(self.arity, slice(0, 1))
-
-    def counter_output(self, sums):
-        return sums[:, 0].astype(np.uint8)
-
-    def build_state(self, config):
-        return _CounterState(self, config)
-
-
-class ParityInstance(FunctionInstance):
-    def evaluate_rows(self, bits):
-        return (_ones(bits) & 1).astype(np.uint8)
-
-    def counter_weights(self):
-        return _sum_weights(self.arity, slice(None))
-
-    def counter_output(self, sums):
-        return (sums[:, 0] & 1).astype(np.uint8)
-
-    def build_state(self, config):
-        return _CounterState(self, config)
-
-
-class DapInstance(FunctionInstance):
-    def evaluate_rows(self, bits):
-        rest_even = (_ones(bits[:, 1:]) & 1) == 0
-        return ((bits[:, 0] == 1) & rest_even).astype(np.uint8)
-
-    def counter_weights(self):
-        return _sum_weights(self.arity, slice(0, 1), slice(1, None))
-
-    def counter_output(self, sums):
-        return ((sums[:, 0] == 1) & (sums[:, 1] & 1 == 0)).astype(np.uint8)
-
-    def build_state(self, config):
-        return _CounterState(self, config)
-
-
-class Type2Instance(FunctionInstance):
-    def evaluate_rows(self, bits):
-        return np.where(bits[:, 1] == 1, bits[:, 0], _ones(bits[:, 2:]) & 1).astype(np.uint8)
-
-    def counter_weights(self):
-        return _sum_weights(self.arity, slice(0, 1), slice(1, 2), slice(2, None))
-
-    def counter_output(self, sums):
-        return np.where(sums[:, 1] == 1, sums[:, 0], sums[:, 2] & 1).astype(np.uint8)
-
-    def build_state(self, config):
-        return _CounterState(self, config)
-
-
-class MajorityInstance(FunctionInstance):
     def __init__(self, spec):
-        n = spec.param
-        super().__init__(spec, n)
-        self.threshold = (n + 1) // 2
+        arity, self.slices = _COUNTERS[spec.family][0](spec.param)
+        super().__init__(spec, arity)
+
+    def _output(self, sums):
+        # looked up, not stored, so that an instance holds no function and
+        # pickles as before
+        rule = _COUNTERS[self.spec.family][1]
+        return rule(sums, self.spec.param).astype(np.uint8)
 
     def evaluate_rows(self, bits):
-        return (_ones(bits) >= self.threshold).astype(np.uint8)
+        return self._output([_ones(bits[:, lo:hi]) for lo, hi in self.slices])
 
     def counter_weights(self):
-        return _sum_weights(self.arity, slice(None))
+        w = np.zeros((self.arity, len(self.slices)), dtype=np.int64)
+        for j, (lo, hi) in enumerate(self.slices):
+            w[lo:hi, j] = 1
+        return w
 
     def counter_output(self, sums):
-        return (sums[:, 0] >= self.threshold).astype(np.uint8)
-
-    def build_state(self, config):
-        return _CounterState(self, config)
-
-
-class BigTameInstance(FunctionInstance):
-    def __init__(self, spec):
-        n = spec.param
-        super().__init__(spec, 1 + n + 3**n)
-
-    def evaluate_rows(self, bits):
-        n = self.spec.param
-        tail = _ones(bits[:, n + 1:]) & 1
-        return np.where(_ones(bits[:, 1:n + 1]) == n, tail, bits[:, 0]).astype(np.uint8)
-
-    def counter_weights(self):
-        n = self.spec.param
-        return _sum_weights(self.arity, slice(0, 1), slice(1, n + 1), slice(n + 1, None))
-
-    def counter_output(self, sums):
-        n = self.spec.param
-        return np.where(sums[:, 1] == n, sums[:, 2] & 1, sums[:, 0]).astype(np.uint8)
+        return self._output(list(sums.T))
 
     def build_state(self, config):
         return _CounterState(self, config)
@@ -449,22 +389,93 @@ class TreeStep(NamedTuple):
     slices: tuple = ()
 
 
+def _itermaj3_tree(spec):
+    # step s holds the nodes at height s + 1; the leaves feed the first
+    d = spec.param
+    return 3**d, d, [TreeStep(3 ** (d - 1 - s), 2, ((0, 3**d),) if s == 0 else ())
+                     for s in range(d)]
+
+
+def _andor_tree(spec):
+    # the tree's bit order is heap order.  A gate is the majority of its
+    # left input, its right input and its gate bit (OR when the gate bit
+    # is 1, AND when it is 0); step s holds the gates at height s + 1, and
+    # a leaf outputs its own gate bit, so the leaves feed the first step
+    d = spec.param
+    n_nodes = 2 ** (d + 1) - 1
+    steps = []
+    for s in range(d):
+        k = d - 1 - s
+        gates = (2**k - 1, 2 ** (k + 1) - 1)
+        steps.append(TreeStep(2**k, 2, ((2**d - 1, n_nodes), gates) if s == 0 else (gates,)))
+    return n_nodes, d, steps
+
+
+def _perc_tree(spec):
+    # bottom up, level k = n..1 of vertices: the vertices of level k - 1
+    # are connected iff one of their children is alive (threshold 1), and a
+    # vertex of level k < n is alive iff its edge is open and it is itself
+    # connected (threshold 2); the bottom vertices are connected, so their
+    # edges feed the first step directly
+    n = spec.level
+    v = [1]
+    for c in spec.profile[:n]:
+        v.append(v[-1] * c)
+    offsets = [0, 0]  # offsets[k] = first bit of level-k edges, k >= 1
+    for k in range(1, n):
+        offsets.append(offsets[k] + v[k])
+    arity = sum(v[1:])
+    steps = [TreeStep(v[n - 1], 1, ((offsets[n], arity),))]
+    for k in range(n - 1, 0, -1):
+        steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k] + v[k]),)),
+                  TreeStep(v[k - 1], 1)]
+    return arity, n, steps
+
+
+# tree families: each declaration gives (arity, depth, steps) from the spec
+# alone, with no per-bit array
+_TREES = {"itermaj3": _itermaj3_tree, "andor": _andor_tree, "perc": _perc_tree}
+
+
+def _preorder(d):
+    """Preorder position of every vertex of the perfect binary tree of depth
+    d, in heap order.  A left child comes right after its parent; a right
+    child at level k comes 2^(d-k+1) positions after it, past the left
+    child's subtree."""
+    pos = np.zeros(2 ** (d + 1) - 1, dtype=np.int64)
+    for k in range(1, d + 1):
+        parent = pos[2 ** (k - 1) - 1:2**k - 1]
+        level = pos[2**k - 1:2 ** (k + 1) - 1].reshape(-1, 2)
+        level[:, 0] = parent + 1
+        level[:, 1] = parent + 2 ** (d - k + 1)
+    return pos
+
+
 def _fan_sum(x, nodes):
     """Sums over equal consecutive runs of columns: a (rows, nodes) array."""
     return x.reshape(x.shape[0], nodes, x.shape[1] // nodes).sum(axis=2, dtype=np.int64)
 
 
-class _TreeInstance(FunctionInstance):
-    """A read-once tree declared as `steps`, bottom up, the root last.
+class TreeInstance(FunctionInstance):
+    """A read-once tree declared in `_TREES` as `steps`, bottom up, the root
+    last.
 
     Position h of the tree's bit order holds bit `bit_order[h]` and bit b
-    sits at position `bit_position[b]` (the identity when None); every bit
-    feeds exactly one node.  A tree without steps outputs its single bit.
+    sits at position `bit_position[b]`; both are None, the identity, except
+    on AND/OR, whose gate bits are numbered in preorder and whose steps read
+    them in heap order.  Every bit feeds exactly one node.  A tree without
+    steps outputs its single bit.
     """
 
     bit_order = bit_position = None
 
-    def _declare(self, steps):
+    def __init__(self, spec):
+        arity, depth, steps = _TREES[spec.family](spec)
+        super().__init__(spec, arity, depth)
+        if spec.family == "andor":
+            self.bit_order = _preorder(depth)
+            self.bit_position = np.empty_like(self.bit_order)
+            self.bit_position[self.bit_order] = np.arange(arity)
         self.steps = tuple(steps)
         # (lo, step, bits per node) of every slice, in bit order
         self._slices = np.array(sorted(
@@ -486,10 +497,10 @@ class _TreeInstance(FunctionInstance):
             below = c >= st.threshold
         return counts
 
-    def _root(self, rows):
+    def evaluate_rows(self, bits):
         if not self.steps:
-            return rows[:, 0].copy()
-        return (self.input_counts(rows)[-1][:, 0] >= self.steps[-1].threshold).astype(np.uint8)
+            return bits[:, 0].copy()
+        return (self.input_counts(bits)[-1][:, 0] >= self.steps[-1].threshold).astype(np.uint8)
 
     @functools.cached_property
     def _bit_inputs(self):
@@ -502,92 +513,6 @@ class _TreeInstance(FunctionInstance):
         """(step, node) fed by each bit of an int64 array."""
         step, node = self._bit_inputs
         return step[bits], node[bits]
-
-
-class IterMaj3Instance(_TreeInstance):
-    # step s holds the nodes at height s + 1; the leaves feed the first
-    def __init__(self, spec):
-        d = spec.param
-        super().__init__(spec, 3**d, depth=d)
-        self._declare(TreeStep(3 ** (d - 1 - s), 2, ((0, 3**d),) if s == 0 else ())
-                      for s in range(d))
-
-    def evaluate_rows(self, bits):
-        return self._root(bits)
-
-    def build_state(self, config):
-        return _TreeState(self, config)
-
-
-def _preorder_maps(n_nodes):
-    node_of_bit = []
-    stack = [0]
-    while stack:
-        h = stack.pop()
-        node_of_bit.append(h)
-        c = 2 * h + 1
-        if c < n_nodes:
-            stack.append(c + 1)
-            stack.append(c)
-    bit_of_node = [0] * n_nodes
-    for b, h in enumerate(node_of_bit):
-        bit_of_node[h] = b
-    return node_of_bit, bit_of_node
-
-
-class AndOrInstance(_TreeInstance):
-    # the tree's bit order is heap order.  A gate is the majority of its
-    # left input, its right input and its gate bit (OR when the gate bit
-    # is 1, AND when it is 0); step s holds the gates at height s + 1, and
-    # a leaf outputs its own gate bit, so the leaves feed the first step
-    def __init__(self, spec):
-        d = spec.param
-        n_nodes = 2 ** (d + 1) - 1
-        super().__init__(spec, n_nodes, depth=d)
-        self.leaf_base = 2**d - 1
-        self.node_of_bit, self.bit_of_node = _preorder_maps(n_nodes)
-        self.bit_order = np.array(self.bit_of_node, dtype=np.int64)
-        self.bit_position = np.array(self.node_of_bit, dtype=np.int64)
-        steps = []
-        for s in range(d):
-            k = d - 1 - s
-            gates = (2**k - 1, 2 ** (k + 1) - 1)
-            steps.append(TreeStep(2**k, 2, ((self.leaf_base, n_nodes), gates) if s == 0
-                                  else (gates,)))
-        self._declare(steps)
-
-    def evaluate_rows(self, bits):
-        return self._root(bits)
-
-    def build_state(self, config):
-        return _TreeState(self, config)
-
-
-class TreePercInstance(_TreeInstance):
-    # bottom up, level k = n..1 of vertices: the vertices of level k - 1
-    # are connected iff one of their children is alive (threshold 1), and a
-    # vertex of level k < n is alive iff its edge is open and it is itself
-    # connected (threshold 2); the bottom vertices are connected, so their
-    # edges feed the first step directly
-    def __init__(self, spec):
-        children = spec.profile[:spec.level]
-        n = spec.level
-        v = [1]
-        for c in children:
-            v.append(v[-1] * c)
-        offsets = [0, 0]  # offsets[k] = first bit of level-k edges, k >= 1
-        for k in range(1, n):
-            offsets.append(offsets[k] + v[k])
-        arity = sum(v[1:])
-        super().__init__(spec, arity, depth=n)
-        steps = [TreeStep(v[n - 1], 1, ((offsets[n], arity),))]
-        for k in range(n - 1, 0, -1):
-            steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k] + v[k]),)),
-                      TreeStep(v[k - 1], 1)]
-        self._declare(steps)
-
-    def evaluate_rows(self, bits):
-        return self._root(bits)
 
     def build_state(self, config):
         return _TreeState(self, config)
@@ -656,18 +581,8 @@ def _validate(spec):
         raise InvalidSpec("unknown family: %r" % f)
 
 
-_CLASSES = {
-    "dictator": DictatorInstance,
-    "parity": ParityInstance,
-    "dap": DapInstance,
-    "type2": Type2Instance,
-    "maj": MajorityInstance,
-    "itermaj3": IterMaj3Instance,
-    "andor": AndOrInstance,
-    "bigtame": BigTameInstance,
-    "perc": TreePercInstance,
-    "table": TableInstance,
-}
+_CLASSES = {**dict.fromkeys(_COUNTERS, CounterInstance),
+            **dict.fromkeys(_TREES, TreeInstance), "table": TableInstance}
 
 
 def make_instance(spec):
@@ -678,10 +593,7 @@ def make_instance(spec):
     the 2^31-1 cap.
     """
     _validate(spec)
-    cls = _CLASSES[spec.family]
-    if cls in (DictatorInstance, ParityInstance, DapInstance, Type2Instance):
-        return cls(spec, spec.param)
-    return cls(spec)
+    return _CLASSES[spec.family](spec)
 
 
 def _check_rows(instance, bits):

@@ -201,7 +201,7 @@ def exact_andor_pivotal(n, k):
     if n > 3:
         raise DepthTooLarge("raw enumeration is capped at depth 3, got %d" % n)
     instance = make_instance(FunctionSpec.andor(n))
-    v = _truth_values(instance).reshape(1 << instance.bit_of_node[2**k - 1], 2, -1)
+    v = _truth_values(instance).reshape(1 << int(instance.bit_order[2**k - 1]), 2, -1)
     # f = 1 with the gate OR (its bit 1), f = 0 at the AND partner
     return Fraction(int(np.count_nonzero(v[:, 1] > v[:, 0])), 1 << instance.arity)
 

@@ -120,6 +120,17 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err.startswith("resource limit:")
 
+    def test_memory_error_exit_3(self, capsys, monkeypatch):
+        def exhausted(spec):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "make_instance", exhausted)
+        code = cli.main(["simulate", "andor:26", "--replicas", "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "resource limit: out of memory\n"
+
     @pytest.mark.parametrize("threads", ["0", "-5"])
     def test_threads_below_one_exit_2(self, capsys, threads):
         code = cli.main(["simulate", "maj:3", "--replicas", "10",

@@ -223,6 +223,18 @@ TREE_SPECS = ["andor:2", "itermaj3:2", "perc:2,3:2", "itermaj3:0", "andor:0", "p
               "itermaj3:3", "andor:4", "perc:3,1,2:3", "perc:2,3,2:2"]
 
 
+def test_every_family_is_replayed_by_one_kernel():
+    # every family meets the apply_update oracle above, through the counter
+    # kernel (counter_weights, no steps) or the tree kernel (the reverse)
+    assert set(bf._CLASSES) <= {text.split(":")[0] for text in COUNTER_SPECS + TREE_SPECS}
+    for text in COUNTER_SPECS:
+        f = oracle.import_truth_table([0, 1, 1, 1]) if text == "table" else inst(text)
+        assert f.counter_weights() is not None and not hasattr(f, "steps")
+    for text in TREE_SPECS:
+        f = inst(text)
+        assert f.counter_weights() is None and hasattr(f, "steps")
+
+
 @pytest.mark.parametrize("text,p", [
     pytest.param(text, p, id=text if p == 0.3 else "%s-p%g" % (text, p))
     for text in TREE_SPECS for p in (0.3, 0.5, 0.7)])

@@ -154,6 +154,28 @@ def test_evaluate_andor_preorder_mapping():
     assert bf.evaluate(inst, [0, 1, 1, 0, 1, 1, 0]) == 1
 
 
+def _preorder_by_recursion(d):
+    """Heap index of each gate bit of a depth-d tree: the root, then the
+    whole left subtree, then the right."""
+    order = []
+
+    def visit(h):
+        if h < 2 ** (d + 1) - 1:
+            order.append(h)
+            visit(2 * h + 1)
+            visit(2 * h + 2)
+    visit(0)
+    return order
+
+
+def test_andor_bit_order_is_preorder():
+    for d in range(13):
+        inst = bf.make_instance(bf.FunctionSpec.andor(d))
+        node_of_bit = _preorder_by_recursion(d)
+        assert inst.bit_position.tolist() == node_of_bit
+        assert inst.bit_order[node_of_bit].tolist() == list(range(inst.arity))
+
+
 def test_evaluate_perc():
     # edges indexed breadth-first: level 1 edges first, then level 2.
     inst = bf.make_instance(bf.FunctionSpec.perc((2, 2), 2))
