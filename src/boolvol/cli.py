@@ -6,10 +6,10 @@ fixed resource cap (enumeration arity, pair-enumeration arity, replica
 event or draw budget, edge ids past 2^64) or memory exhausted.
 
 Every command is deterministic given its flags: the seed defaults to the
-fixed constant 1, never the clock, and --threads only controls the replica
-worker pool, never the output bytes.  JSON payloads carry a "schema" key
-naming the matching file shipped under boolvol/schemas/.  CSV column layouts
-are listed in each subcommand's --help.
+fixed constant 1, never the clock.  Each command, and each recursion and
+perc op, takes only the flags its handler reads, so any other flag exits 2.
+JSON payloads carry a "schema" key naming the matching file shipped under
+boolvol/schemas/.  CSV column layouts are listed in each subcommand's --help.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
     Maj3Params,
@@ -50,28 +49,8 @@ def _schema(name):
     return "%s/%s/v1" % (_SCHEMA_PREFIX, name)
 
 
-# ---------------------------------------------------------------------------
-# run configuration
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Global flags resolved once and threaded through every handler."""
-
-    seed: int = 1
-    replicas: int | None = None
-    fmt: str = "json"
-    out: str | None = None
-    precision: int | None = None
-    threads: int = 1
-
-    def resolve_replicas(self, default):
-        """--replicas wins; otherwise the subcommand's documented default."""
-        return self.replicas if self.replicas is not None else default
-
-
-def _emit(cfg, payload, header, rows):
-    if cfg.fmt == "csv":
+def _emit(args, payload, header, rows):
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -80,8 +59,8 @@ def _emit(cfg, payload, header, rows):
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -98,16 +77,16 @@ def _parse_levels(text):
 # handlers: each returns (json payload, csv header, csv rows)
 
 
-def cmd_simulate(cfg, args):
+def cmd_simulate(args):
     inst = make_instance(parse_spec(args.spec))
-    params = DynamicsParams(p=args.p, T=args.T, seed=cfg.seed,
-                            replicas=cfg.resolve_replicas(10_000))
-    est = estimate_C_distribution(inst, params, threads=cfg.threads)
+    params = DynamicsParams(p=args.p, T=args.T, seed=args.seed,
+                            replicas=args.replicas)
+    est = estimate_C_distribution(inst, params)
     payload = {"schema": _schema("simulate"), **est.to_json_dict()}
     return payload, ("C", "count"), est.histogram()
 
 
-def cmd_influence(cfg, args):
+def cmd_influence(args):
     spec = parse_spec(args.spec)
     report = exact_influence_report(make_instance(spec), args.p)
     payload = {"schema": _schema("influence"), "spec": spec.spec_string(),
@@ -128,18 +107,18 @@ def _joint_payload(name, spec, seed, est, **params):
     return payload, _JOINT_COLUMNS, [tuple(payload[k] for k in _JOINT_COLUMNS)]
 
 
-def cmd_joint(cfg, args):
+def cmd_joint(args):
     spec = parse_spec(args.spec)
-    est = estimate_joint(make_instance(spec), args.p, args.t,
-                         cfg.resolve_replicas(10_000), cfg.seed)
-    return _joint_payload("joint", spec, cfg.seed, est, p=args.p, t=args.t)
+    est = estimate_joint(make_instance(spec), args.p, args.t, args.replicas,
+                         args.seed)
+    return _joint_payload("joint", spec, args.seed, est, p=args.p, t=args.t)
 
 
-def cmd_noise(cfg, args):
+def cmd_noise(args):
     spec = parse_spec(args.spec)
     est = sample_noise_pair(make_instance(spec), args.p, args.epsilon,
-                            cfg.resolve_replicas(10_000), cfg.seed)
-    return _joint_payload("noise", spec, cfg.seed, est, p=args.p,
+                            args.replicas, args.seed)
+    return _joint_payload("noise", spec, args.seed, est, p=args.p,
                           epsilon=args.epsilon)
 
 
@@ -149,24 +128,19 @@ def _series_payload(op, params, series):
     return payload, ("k", "value", "mode"), series.to_csv_rows()
 
 
-def cmd_recursion(cfg, args):
+def cmd_recursion(args):
     op = args.op
     if op == "maj3-a":
-        if args.p0 is None:
-            raise InvalidSpec("maj3-a needs --p0")
-        series = maj3_a_seq(args.p0, args.n, digits=cfg.precision)
+        series = maj3_a_seq(args.p0, args.n, digits=args.precision)
         return _series_payload(op, {"p0": args.p0, "n": args.n}, series)
     if op == "maj3-b":
         params = Maj3Params(n=args.n, epsilon=args.epsilon, alpha=args.alpha,
                             t=args.t)
-        series = maj3_b_seq(params, digits=cfg.precision)
+        series = maj3_b_seq(params, digits=args.precision)
         return _series_payload(op, {"n": args.n, "epsilon": args.epsilon,
                                     "alpha": args.alpha, "t": args.t}, series)
     if op == "maj3-cutoff":
-        if args.alpha is None:
-            raise InvalidSpec("maj3-cutoff needs --alpha")
-        digits = cfg.precision if cfg.precision is not None else 50
-        diag = maj3_cutoff_diagnostic(args.alpha, args.n, digits=digits)
+        diag = maj3_cutoff_diagnostic(args.alpha, args.n, digits=args.precision)
         payload = {"schema": _schema("recursion-cutoff"), **diag.to_json_dict()}
         row = (diag.alpha, diag.n, diag.log_diag, diag.digits)
         return payload, ("alpha", "n", "log_diag", "digits"), [row]
@@ -186,7 +160,7 @@ def cmd_recursion(cfg, args):
 _MAX_RATIO = 4.0  # the --max-ratio of perc build and weights --target
 
 
-def cmd_perc(cfg, args):
+def cmd_perc(args):
     if args.op == "build":
         if args.target is None or args.levels is None:
             raise InvalidSpec("perc build needs --target and --levels")
@@ -229,13 +203,13 @@ def cmd_perc(cfg, args):
     profile = LevelProfile(parse_profile(args.profile))
     report = regime_experiment(
         profile, _parse_levels(args.levels), p=args.p, T=args.T,
-        replicas=cfg.resolve_replicas(1000), seed=cfg.seed)
+        replicas=args.replicas, seed=args.seed)
     payload = {"schema": _schema("perc-run"), **report.to_json_dict()}
     return payload, ("level", "p_one", "p_ever_one", "p_always_one",
                      "p_always_zero", "mean_C", "var_C", "mean_S"), report.to_csv_rows()
 
 
-def cmd_classify(cfg, args):
+def cmd_classify(args):
     with open(args.planfile) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not all(
@@ -246,8 +220,8 @@ def cmd_classify(cfg, args):
                           "each a string and a number")
     plan = SequencePlan.from_pairs(
         [(s, float(p)) for s, p in raw],
-        T=args.T, replicas=cfg.resolve_replicas(4000), seed=cfg.seed)
-    report = classify(plan, threads=cfg.threads)
+        T=args.T, replicas=args.replicas, seed=args.seed)
+    report = classify(plan)
     payload = {"schema": _schema("classify"), **report.to_json_dict()}
     return payload, ("n", "stat", "value", "stderr"), report.to_csv_rows()
 
@@ -256,15 +230,26 @@ def cmd_classify(cfg, args):
 # parser
 
 
+def _monte_carlo_flags(parser, replicas):
+    # added per parser, not through a parent: argparse parents share their
+    # Action objects, so a default set on one child would change the rest
+    g = parser.add_argument_group("Monte Carlo flags")
+    g.add_argument("--seed", type=int, default=1,
+                   help="base seed, a fixed constant by default (default: 1)")
+    g.add_argument("--replicas", type=int, default=replicas,
+                   help="replica count (default: %(default)s)")
+
+
+def _precision_flag(parser, default):
+    parser.add_argument("--precision", type=int, metavar="DIGITS", default=default,
+                        help="working decimal digits, an integer >= 1 (default: "
+                             "%s)" % (default or "machine floats"))
+
+
 @functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("global flags")
-    g.add_argument("--seed", type=int, default=1,
-                   help="base seed, a fixed constant by default (default: 1)")
-    g.add_argument("--replicas", type=int, default=None,
-                   help="Monte Carlo replica count (defaults: simulate/joint/"
-                        "noise 10000, classify 4000, perc run 1000)")
+    g = common.add_argument_group("output flags")
     fmt = g.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
                      help="emit JSON (the default)")
@@ -272,11 +257,6 @@ def _build_parser():
                      help="emit CSV plot data (columns listed per subcommand)")
     g.add_argument("--out", metavar="FILE", default=None,
                    help="write output to FILE instead of stdout")
-    g.add_argument("--precision", type=int, metavar="DIGITS", default=None,
-                   help="working decimal digits for recursions (default: "
-                        "machine floats; maj3-cutoff: 50)")
-    g.add_argument("--threads", type=int, default=1,
-                   help="replica worker threads; never changes output bytes")
     common.set_defaults(fmt="json")
 
     parser = argparse.ArgumentParser(
@@ -298,6 +278,7 @@ def _build_parser():
                    help="rerandomize-to-one probability (default: 0.5)")
     p.add_argument("--T", type=float, default=1.0,
                    help="time horizon (default: 1.0)")
+    _monte_carlo_flags(p, 10_000)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser(
@@ -318,6 +299,7 @@ def _build_parser():
     p.add_argument("spec")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--t", type=float, required=True, help="second time point")
+    _monte_carlo_flags(p, 10_000)
     p.set_defaults(handler=cmd_joint)
 
     p = sub.add_parser(
@@ -329,30 +311,48 @@ def _build_parser():
     p.add_argument("spec")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--epsilon", type=float, required=True)
+    _monte_carlo_flags(p, 10_000)
     p.set_defaults(handler=cmd_noise)
 
+    # each op reads its own flags, so a flag another op reads is an error
     p = sub.add_parser(
-        "recursion", parents=[common], formatter_class=raw,
-        help="analytic recursions for 3-majority and AND/OR trees",
-        description="Analytic recursions; --precision sets working digits.\n"
-                    "CSV columns: series ops k,value,mode (value is the\n"
-                    "natural log where mode=log); maj3-cutoff alpha,n,"
-                    "log_diag,digits;\nandor-gfloor x,floor,rhs,margin.")
-    p.add_argument("op", choices=["maj3-a", "maj3-b", "maj3-cutoff",
-                                  "andor-x", "andor-bbound", "andor-gfloor"])
-    p.add_argument("--p0", type=float, default=None,
-                   help="leaf probability (maj3-a)")
-    p.add_argument("--n", type=int, default=0, help="depth")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="leaf bias 1/2 - p (maj3-b)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="bias scaling exponent n^alpha (2/3)^n "
-                        "(maj3-b, maj3-cutoff)")
-    p.add_argument("--t", type=float, default=0.0, help="second time point")
-    p.add_argument("--grid", type=int, default=1000,
-                   help="x-grid resolution (andor-gfloor)")
-    p.add_argument("--conv-points", type=int, default=200_000,
-                   help="convolution atoms (andor-gfloor)")
+        "recursion", help="analytic recursions for 3-majority and AND/OR trees",
+        description="Analytic series and certificates.")
+    ops = p.add_subparsers(dest="op", required=True, metavar="OP")
+    series = "k,value,mode (value is the natural log where mode=log)"
+    alpha = "bias scaling exponent: n^alpha (2/3)^n"
+
+    def op(name, what, columns):
+        return ops.add_parser(name, parents=[common], formatter_class=raw, help=what,
+                              description="%s.\nCSV columns: %s." % (what, columns))
+
+    o = op("maj3-a", "3-majority tree: P(root = 1) by depth", series)
+    o.add_argument("--p0", type=float, required=True, help="leaf probability")
+    o.add_argument("--n", type=int, default=0, help="depth")
+    _precision_flag(o, None)
+    o = op("maj3-b", "3-majority tree: P(root = 1 at times 0 and t) by depth, "
+           "biased by exactly one of --epsilon and --alpha", series)
+    o.add_argument("--n", type=int, default=0, help="depth")
+    o.add_argument("--epsilon", type=float, default=None, help="leaf bias 1/2 - p")
+    o.add_argument("--alpha", type=float, default=None, help=alpha)
+    o.add_argument("--t", type=float, default=0.0, help="second time point")
+    _precision_flag(o, None)
+    o = op("maj3-cutoff", "3-majority tree: sign of n log 3 + log a_n",
+           "alpha,n,log_diag,digits")
+    o.add_argument("--alpha", type=float, required=True, help=alpha)
+    o.add_argument("--n", type=int, default=0, help="depth")
+    _precision_flag(o, 50)
+    o = op("andor-x", "AND/OR tree: P(root = 1 at times 0 and t) by depth", series)
+    o.add_argument("--t", type=float, default=0.0, help="second time point")
+    o.add_argument("--n", type=int, default=0, help="depth")
+    o = op("andor-bbound", "AND/OR tree: double-switch upper bounds by depth", series)
+    o.add_argument("--n", type=int, default=0, help="depth")
+    o.add_argument("--t", type=float, default=0.0, help="second time point")
+    o = op("andor-gfloor", "AND/OR tree: survival-floor certificate",
+           "x,floor,rhs,margin")
+    o.add_argument("--grid", type=int, default=1000, help="x-grid resolution")
+    o.add_argument("--conv-points", type=int, default=200_000,
+                   help="convolution atoms")
     p.set_defaults(handler=cmd_recursion)
 
     # each op reads its own flags, so a flag another op reads is an error
@@ -403,6 +403,7 @@ def _build_parser():
                    help="edge-open probability (default: 0.5)")
     o.add_argument("--T", type=float, default=1.0,
                    help="time horizon (default: 1.0)")
+    _monte_carlo_flags(o, 1000)
     p.set_defaults(handler=cmd_perc)
 
     p = sub.add_parser(
@@ -414,17 +415,15 @@ def _build_parser():
     p.add_argument("planfile", help="JSON list of [spec, p] pairs")
     p.add_argument("--T", type=float, default=1.0,
                    help="time horizon (default: 1.0)")
+    _monte_carlo_flags(p, 4000)
     p.set_defaults(handler=cmd_classify)
     return parser
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(seed=args.seed, replicas=args.replicas, fmt=args.fmt,
-                    out=args.out, precision=args.precision,
-                    threads=args.threads)
     try:
-        _emit(cfg, *args.handler(cfg, args))
+        _emit(args, *args.handler(args))
     except ResourceLimit as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
         return 3

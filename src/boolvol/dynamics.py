@@ -732,8 +732,12 @@ class EmpiricalC:
     seed: int
     replicas: int
     C: np.ndarray
-    S: np.ndarray
     initial: np.ndarray
+
+    @property
+    def S(self):
+        """Switches landing on 0: switches alternate, so C and the start fix it."""
+        return (self.C + self.initial) // 2
 
     @property
     def mean_C(self):
@@ -811,8 +815,7 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
             list(pool.map(lambda b: run_block(*b), bounds))
     return EmpiricalC(
         spec=instance.spec.spec_string(), p=dyn_params.p, T=dyn_params.T,
-        seed=dyn_params.seed, replicas=R, C=C, S=ReplicaBatch(initial, C, None).S,
-        initial=initial,
+        seed=dyn_params.seed, replicas=R, C=C, initial=initial,
     )
 
 

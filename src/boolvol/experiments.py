@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsParams, _check_int, estimate_C_distribution
+from .dynamics import DynamicsParams, estimate_C_distribution
 from .functions import FunctionSpec, make_instance, parse_spec
 
 VERDICTS = (
@@ -306,7 +306,7 @@ def _trend_table(estimates, replicas):
     return table
 
 
-def classify(plan, threads=1):
+def classify(plan):
     """Runs the plan and labels the sequence by its switch-count trends.
 
     Requires at least three entries in strictly increasing arity order.
@@ -314,7 +314,6 @@ def classify(plan, threads=1):
     report always carries the raw per-n summaries, every trend series
     with standard errors, and the fixed thresholds.
     """
-    threads = _check_int("threads", threads, 1)
     insts = [make_instance(spec) for spec, _ in plan.entries]
     ns = tuple(inst.arity for inst in insts)
     if len(ns) < 3:
@@ -322,7 +321,7 @@ def classify(plan, threads=1):
     if list(ns) != sorted(set(ns)):
         raise ValueError("plan entries must be in strictly increasing arity order: %r" % (ns,))
 
-    estimates = [estimate_C_distribution(inst, plan.dyn_params(p), threads=threads)
+    estimates = [estimate_C_distribution(inst, plan.dyn_params(p))
                  for inst, (_, p) in zip(insts, plan.entries)]
 
     trends = _trend_table(estimates, plan.replicas)

@@ -564,8 +564,6 @@ def _validate(spec):
     elif f == "bigtame":
         if p < 1:
             raise InvalidSpec("bigtame selector width must be >= 1")
-        if 1 + p + 3**p > MAX_ARITY:
-            raise InstanceTooLarge("bigtame:%d arity exceeds the 2^31-1 cap" % p)
     elif f == "perc":
         if not spec.profile:
             raise InvalidSpec("perc profile must be nonempty")
@@ -579,6 +577,10 @@ def _validate(spec):
             raise InvalidSpec("truth table length must be a power of two >= 2")
     else:
         raise InvalidSpec("unknown family: %r" % f)
+    # these arities exceed 2^p, so a p of the cap's bit length or more is
+    # refused before 3^p or 2^(p+1) is formed; FunctionInstance checks the rest
+    if f in ("itermaj3", "andor", "bigtame") and p >= MAX_ARITY.bit_length():
+        raise InstanceTooLarge("%s:%d arity exceeds the 2^31-1 cap" % (f, p))
 
 
 _CLASSES = {**dict.fromkeys(_COUNTERS, CounterInstance),

@@ -477,7 +477,7 @@ def _level_step(front, c, offset, p, slots, horizon):
                      rs=cs[keep], re=ce[keep], rc=rc)
 
 
-def _union_stats(front, base_rep, nrep, horizon, init, C, S):
+def _union_stats(front, base_rep, nrep, horizon, init, C):
     """Per-replica connectivity summaries of the frontier's interval union.
 
     Sorted starts and sorted ends within a replica delimit the union's
@@ -537,8 +537,6 @@ def _union_stats(front, base_rep, nrep, horizon, init, C, S):
     init[heads] = (ss[hd] == 0.0).astype(np.uint8)
     weights = (comp_s > 0.0).astype(np.int64) + (comp_e < horizon).astype(np.int64)
     C += np.bincount(crep, weights=weights, minlength=nrep).astype(np.int64)
-    S += np.bincount(crep, weights=(comp_e < horizon).astype(np.int64),
-                     minlength=nrep).astype(np.int64)
 
 
 def _open_throughout(children, offsets, depth, p, slots, repk):
@@ -579,8 +577,8 @@ def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
     """
     nrep = rep_hi - rep_lo
     depth = max(level_set)
-    out = {L: (np.zeros(nrep, dtype=np.uint8), np.zeros(nrep, dtype=np.int64),
-               np.zeros(nrep, dtype=np.int64)) for L in level_set}
+    out = {L: (np.zeros(nrep, dtype=np.uint8), np.zeros(nrep, dtype=np.int64))
+           for L in level_set}
     rep = np.arange(rep_lo, rep_hi, dtype=np.int64)
     repk = _mix64(_U64(seed0) + rep.astype(np.uint64) * _U64(_KEY_REPLICA))
     # an edge is open throughout with probability q = p e^{-(1-p) T}; look
@@ -589,7 +587,7 @@ def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
     q = p * math.exp(-(1.0 - p) * n_slots * slot_len)
     if math.prod(c * q for c in children[:depth]) >= _LOOKAHEAD_PATHS:
         done = _open_throughout(children, offsets, depth, p, slots, repk)
-        for init, _, _ in out.values():
+        for init, _ in out.values():
             init[done] = 1
         rep, repk = rep[~done], repk[~done]
     front = _Frontier(
@@ -606,8 +604,7 @@ def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
         front = _level_step(front, children[k - 1], offsets[k], p,
                             slots, horizon)
         if k in level_set:
-            init, C, S = out[k]
-            _union_stats(front, rep_lo, nrep, horizon, init, C, S)
+            _union_stats(front, rep_lo, nrep, horizon, *out[k])
     return out
 
 
@@ -790,9 +787,8 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
     level_set = set(levels)
     _hold_freed_memory()
 
-    agg = {L: (np.zeros(replicas, dtype=np.uint8),
-               np.zeros(replicas, dtype=np.int64),
-               np.zeros(replicas, dtype=np.int64)) for L in levels}
+    agg = {L: (np.zeros(replicas, dtype=np.uint8), np.zeros(replicas, dtype=np.int64))
+           for L in levels}
     for lo in range(0, replicas, _block):
         hi = min(lo + _block, replicas)
         block = _explore_block(children, offsets, level_set, p, slots, horizon,
@@ -803,9 +799,9 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
 
     out = []
     for L in levels:
-        init, C, S = agg[L]
+        init, C = agg[L]
         emp = EmpiricalC(spec=profile.spec_string(L), p=p, T=T, seed=seed,
-                         replicas=replicas, C=C, S=S, initial=init)
+                         replicas=replicas, C=C, initial=init)
         out.append(RegimeLevel(level=L, empirical=emp))
     return RegimeReport(profile=profile, p=p, T=T, replicas=replicas,
                         seed=seed, levels=tuple(out))

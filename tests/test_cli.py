@@ -9,7 +9,10 @@ plumbing: flag handling, delegation, serialization, and error mapping
 
 import json
 import math
+import re
+import shlex
 from importlib.resources import files
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -17,6 +20,8 @@ import pytest
 from boolvol import cli
 from boolvol.functions import make_instance, parse_spec
 from boolvol.oracle import exact_total_influence
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -56,8 +61,7 @@ class TestSimulate:
         argv = ("simulate", "andor:3", "--replicas", "500")
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
-        _, threaded = run_cli(capsys, *argv, "--threads", "3")
-        assert first == second == threaded
+        assert first == second
 
     def test_csv_histogram(self, capsys):
         code, out = run_cli(capsys, "simulate", "maj:9", "--replicas", "300",
@@ -130,15 +134,6 @@ class TestSimulate:
         assert code == 3
         assert captured.out == ""
         assert captured.err == "resource limit: out of memory\n"
-
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_below_one_exit_2(self, capsys, threads):
-        code = cli.main(["simulate", "maj:3", "--replicas", "10",
-                         "--threads", threads])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err.startswith("error: threads must be an integer >= 1")
 
     def test_nan_horizon_exit_2(self, capsys):
         code = cli.main(["simulate", "maj:9", "--T", "nan", "--replicas", "10"])
@@ -225,8 +220,10 @@ class TestRecursion:
         assert payload["series"][0][1] == 0.3
 
     def test_maj3_a_needs_p0(self, capsys):
-        code, _ = run_cli(capsys, "recursion", "maj3-a", "--n", "5")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["recursion", "maj3-a", "--n", "5"])
+        assert exc.value.code == 2
+        assert "--p0" in capsys.readouterr().err
 
     def test_maj3_b_scaling_mode(self, capsys):
         code, out = run_cli(capsys, "recursion", "maj3-b", "--n", "20",
@@ -549,6 +546,17 @@ class TestParser:
         assert cached == run_all(True)
         assert [code for code, _, _ in cached] == [0] * 3 + [2] + [0] * 7
 
+    def test_every_readme_example_parses(self):
+        # parsing runs nothing: a documented call the parser refuses fails here
+        text = (ROOT / "README.md").read_text()
+        blocks = re.findall(r"^```[a-z]*\n(.*?)^```", text, flags=re.M | re.S)
+        calls = [shlex.split(line) for block in blocks for line in block.splitlines()
+                 if line.startswith("boolvol ")]
+        assert len(calls) >= 6
+        parser = cli._build_parser()
+        for argv in calls:
+            assert parser.parse_args(argv[1:]).handler is not None, argv
+
     def test_every_schema_file_has_a_const_id(self):
         root = files("boolvol").joinpath("schemas")
         names = sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
@@ -606,3 +614,60 @@ class TestPercArguments:
         # no integer child count keeps nalpha:3 within a factor 1 of n^3
         self._exit_2(capsys, "perc", op, "--target", "nalpha:3", "--levels", "6",
                      "--max-ratio", "1.0")
+
+
+# each leaf command with a valid call, and the flags it does not read: the
+# Monte Carlo flags off the Monte Carlo commands, --precision off all but
+# the 3-majority recursions, every recursion op's flags off the other ops,
+# and the removed --threads everywhere
+_UNREAD_FLAGS = [
+    (("simulate", "maj:3", "--replicas", "5"), ("--precision", "--threads")),
+    (("influence", "maj:3"), ("--seed", "--replicas", "--precision", "--threads")),
+    (("joint", "maj:3", "--t", "0.5", "--replicas", "5"), ("--precision", "--threads")),
+    (("noise", "maj:3", "--epsilon", "0.2", "--replicas", "5"),
+     ("--precision", "--threads")),
+    (("recursion", "maj3-a", "--p0", "0.4", "--n", "3"),
+     ("--seed", "--replicas", "--threads", "--epsilon", "--alpha", "--t", "--grid",
+      "--conv-points")),
+    (("recursion", "maj3-b", "--n", "3", "--epsilon", "0.1"),
+     ("--seed", "--replicas", "--threads", "--p0", "--grid", "--conv-points")),
+    (("recursion", "maj3-cutoff", "--alpha", "1", "--n", "10"),
+     ("--seed", "--replicas", "--threads", "--p0", "--epsilon", "--t", "--grid",
+      "--conv-points")),
+    (("recursion", "andor-x", "--t", "0.5", "--n", "3"),
+     ("--seed", "--replicas", "--threads", "--precision", "--p0", "--epsilon",
+      "--alpha", "--grid", "--conv-points")),
+    (("recursion", "andor-bbound", "--n", "3", "--t", "0.25"),
+     ("--seed", "--replicas", "--threads", "--precision", "--p0", "--epsilon",
+      "--alpha", "--grid", "--conv-points")),
+    (("recursion", "andor-gfloor", "--grid", "100", "--conv-points", "1000"),
+     ("--seed", "--replicas", "--threads", "--precision", "--p0", "--n", "--epsilon",
+      "--alpha", "--t")),
+    (("perc", "build", "--target", "constant", "--levels", "3"),
+     ("--seed", "--replicas", "--precision", "--threads")),
+    (("perc", "weights", "--profile", "2,3"),
+     ("--seed", "--replicas", "--precision", "--threads")),
+    (("perc", "run", "--profile", "2,2", "--levels", "2", "--replicas", "5"),
+     ("--precision", "--threads")),
+    (("classify", "PLAN", "--replicas", "20"), ("--precision", "--threads")),
+]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=" ".join(argv[:2]) + " " + flag)
+    for argv, flags in _UNREAD_FLAGS for flag in flags])
+def test_flag_the_command_does_not_read_exit_2(capsys, tmp_path, argv, flag):
+    # every value is valid for the flag where it is read, so only the
+    # command's refusal of the flag can exit 2
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps([["parity:%d" % n, 0.5] for n in (2, 3, 4)]))
+    argv = [str(plan) if a == "PLAN" else a for a in argv]
+    try:
+        code = cli.main([*argv, flag, "1"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from boolvol import functions as bf
 from boolvol.errors import ArityMismatch, IndexOutOfRange, InstanceTooLarge, InvalidSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -22,6 +29,10 @@ def test_arities():
     assert bf.make_instance(bf.FunctionSpec.perc((2, 2), 2)).arity == 6
     # only the first `level` levels of the profile are used
     assert bf.make_instance(bf.FunctionSpec.perc((2, 2, 2), 1)).arity == 2
+    # the largest parameters under the 2^31 - 1 cap (andor:30 is one too,
+    # but its bit tables take 2^31 entries)
+    assert bf.make_instance(bf.FunctionSpec.itermaj3(19)).arity == 3**19
+    assert bf.make_instance(bf.FunctionSpec.bigtame(19)).arity == 20 + 3**19
 
 
 def test_invalid_specs():
@@ -41,8 +52,42 @@ def test_invalid_specs():
         bf.make_instance(bf.FunctionSpec.perc((2, 0), 2))  # child count < 1
     with pytest.raises(InvalidSpec):
         bf.make_instance(bf.FunctionSpec.parity(0))
-    with pytest.raises(InstanceTooLarge):
-        bf.make_instance(bf.FunctionSpec.bigtame(21))  # arity above 2^31 - 1
+    for spec in (bf.FunctionSpec.bigtame(20), bf.FunctionSpec.itermaj3(20),
+                 bf.FunctionSpec.andor(31)):
+        with pytest.raises(InstanceTooLarge):
+            bf.make_instance(spec)  # arity above 2^31 - 1
+
+
+_HUGE_PARAMETERS = """
+from boolvol import cli
+from boolvol.errors import InstanceTooLarge
+from boolvol.functions import make_instance, parse_spec
+for family in ("itermaj3", "bigtame", "andor"):
+    assert cli.main(["influence", family + ":1000000000"]) == 3, family
+try:
+    make_instance(parse_spec("itermaj3:100000"))
+    raise AssertionError("itermaj3:100000 accepted")
+except InstanceTooLarge:
+    pass
+"""
+
+
+def test_huge_parameter_refused_before_its_power():
+    # forming 3^d or 2^(d+1) for such a d runs for minutes; the cap refuses
+    # the parameter first.  The child process runs under a timeout and a
+    # 2 GB address-space limit, so a regression fails instead of hanging
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _HUGE_PARAMETERS], env=env,
+                          preexec_fn=limit_memory, capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_spec_string_round_trip():

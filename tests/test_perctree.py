@@ -795,8 +795,7 @@ def test_union_stats_on_unordered_frontier(nrep):
         assert np.any(np.diff(front.rep) < 0)
         init = np.zeros(nrep, dtype=np.uint8)
         C = np.zeros(nrep, dtype=np.int64)
-        S = np.zeros(nrep, dtype=np.int64)
-        perctree._union_stats(front, base_rep, nrep, T, init, C, S)
+        perctree._union_stats(front, base_rep, nrep, T, init, C)
 
         want = np.zeros((3, nrep), dtype=np.int64)
         irep = np.repeat(front.rep - base_rep, front.rc)
@@ -814,7 +813,8 @@ def test_union_stats_on_unordered_frontier(nrep):
         assert want[:, single].tolist() == [0, 2, 1]
         assert np.array_equal(init, want[0])
         assert np.array_equal(C, want[1])
-        assert np.array_equal(S, want[2])
+        # switches alternate, so the start and C give the switches to 0
+        assert np.array_equal((C + init) // 2, want[2])
 
 
 def _open_spans(sk, T):
