@@ -36,9 +36,9 @@ Balanced AND/OR trees (output = root value of the alternating gate tree):
 * ``andor_survival_floor``       -- max((1/2)(1 - 4 sqrt(x)), 0), the claimed
                            uniform-in-depth floor for P(first 1 -> 0 switch > x).
 * ``andor_pair_sum_survival``    -- P(X + X' >= x) for X, X' i.i.d. with the
-                           floor as survival function (numeric convolution).
-* ``andor_survival_floor_check`` -- grid verification that the floor is a
-                           sub-fixed-point of the depth recursion
+                           floor as survival function (closed form).
+* ``andor_survival_floor_check`` -- exact certificate, with grid margins, that
+                           the floor is a sub-fixed-point of the depth recursion
                            G(x) >= (1/2)(1 + x/2) P(X>=x)^2 + (1/2)(1 - x/2) P(X+X'>=x).
 
 Precision policy: maj3_a_seq, maj3_pi_seq and maj3_b_seq run in float64 until
@@ -95,6 +95,7 @@ MAJ3_CRITICAL_ALPHA = math.log(1.5) / math.log(2.0)
 _UNDERFLOW = 1e-280
 _LOG3 = math.log(3.0)
 _LN10 = math.log(10.0)
+_SQRT2 = math.sqrt(2.0)
 
 
 def _depth(n, t=0.0):
@@ -388,7 +389,8 @@ def maj3_b_seq(params, digits=None):
     probability under rate-1 rerandomization to 1 w.p. p = 1/2 - eps;
     b_{k+1} = 3 b_k^2 - 2 b_k^3 + 6 b_k (a_k - b_k)^2.  At t = 0 the recursion
     reproduces a_k bit for bit; at t = inf it preserves b_k = a_k^2 (algebraic
-    identity (3a^2-2a^3)^2 = 3a^4 - 2a^6 + 6a^4(1-a)^2).
+    identity (3a^2-2a^3)^2 = 3a^4 - 2a^6 + 6a^4(1-a)^2).  A bias that rounds
+    p to 1/2 raises PrecisionExhausted, in floats as in mpf.
     """
     n = params.n
     info = {"n": n, "t": params.t, "epsilon": params.epsilon, "alpha": params.alpha}
@@ -399,6 +401,9 @@ def maj3_b_seq(params, digits=None):
             vals = _mp_b_series(a, _b0(eps, mp.e ** (-mp.mpf(params.t))))
             info["epsilon"] = float(eps)
         return RecursionSeries(vals, ["linear"] * (n + 1), digits, info)
+    if params.p == 0.5 and params.log10_epsilon() > -math.inf:
+        raise PrecisionExhausted("epsilon = 10^%.1f rounds p to 1/2 in floats: pass digits= "
+                                 "(--precision)" % params.log10_epsilon())
 
     # a_k is read linearly below index `linear` and as a log from there on
     a, a_modes = _float_a(params.p, n)
@@ -819,41 +824,54 @@ def andor_survival_floor(x):
     return max(0.5 * (1.0 - 4.0 * math.sqrt(x)), 0.0)
 
 
-def andor_pair_sum_survival(xs, conv_points=200_000):
+def andor_pair_sum_survival(xs):
     """P(X + X' >= x) for i.i.d. X, X' with survival max((1/2)(1-4 sqrt(u)), 0).
 
-    The law has an atom of mass 1/2 at 0 and density 1/sqrt(u) on (0, 1/16].
-    The atom pairs are handled exactly -- P = P(X >= x) + P(both > 0, sum >= x)
-    for x > 0 -- and only the positive-positive convolution is discretized,
-    into ``conv_points`` equal-mass atoms at the conditional quantiles
-    u_i = ((1 - 2 s_i)/4)^2, s_i = (i - 1/2)/(2 conv_points).
+    X has an atom of mass 1/2 at 0, and given X > 0, V = 4 sqrt(X) is uniform
+    on (0, 1).  For x > 0 the sum reaches x when one of X, X' is 0 and the
+    other reaches x (probability floor(x)), or when both are positive and
+    V^2 + V'^2 >= r^2, r = 4 sqrt(x): probability (1 - A(r))/4, where A(r) is
+    the area of the quarter disc of radius r inside the unit square.
     """
     xs = np.asarray(xs, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    k = int(conv_points)
-    if k < 1000:
-        raise ValueError("conv_points must be >= 1000")
-    s = (np.arange(k) + 0.5) / (2.0 * k)
-    u = np.sort(((1.0 - 2.0 * s) / 4.0) ** 2)
-    out = np.empty(xs.shape, dtype=float)
-    for i, x in enumerate(xs):
-        if x <= 0.0:
-            out[i] = 1.0
-            continue
-        single = andor_survival_floor(x)
-        if x > 2.0 * u[-1]:
-            out[i] = single
-            continue
-        idx = np.searchsorted(u, x - u, side="left")
-        pairs = int((k - idx).sum())
-        out[i] = single + pairs / (4.0 * k * k)
-    return float(out[0]) if scalar else out
+    r = 4.0 * np.sqrt(np.maximum(xs, 0.0))
+    c = np.clip(r, 1.0, _SQRT2)  # r where the middle piece of A holds
+    area = np.where(r <= 1.0, np.pi * r * r / 4.0,
+                    np.sqrt(c * c - 1.0) + c * c * (np.pi / 4.0 - np.arccos(1.0 / c)))
+    area = np.where(r >= _SQRT2, 1.0, np.clip(area, 0.0, 1.0))
+    out = np.where(xs <= 0.0, 1.0, np.maximum(0.5 * (1.0 - r), 0.0) + 0.25 * (1.0 - area))
+    return float(out) if out.ndim == 0 else out
+
+
+# RHS(x) - floor(x) on (0, 1/16] is (15/8 - pi/2) x + (1 + pi/4) x^2, held as
+# the (rational, pi) parts of each coefficient: there s = sqrt(x) <= 1/4, the
+# floor is 1/2 - 2s, P(X + X' >= x) = 3/4 - 2s - pi s^2, and odd powers cancel
+# (tests/test_analysis.py derives it in exact arithmetic)
+_FLOOR_MARGIN = ((Fraction(15, 8), Fraction(-1, 2)), (Fraction(1), Fraction(1, 4)))
+_PI_BOUNDS = (Fraction(333, 106), Fraction(355, 113))
+
+
+def _floor_certificate(margin):
+    """Exact proof that RHS(x) >= floor(x) for every x >= 0.
+
+    On (0, 1/16] each margin coefficient is linear in pi, so it is shown
+    positive at both ends of 333/106 < pi < 355/113.  The other pieces hold by
+    construction: at 0, RHS = 1 against a floor of 1/2; on (1/16, 1/8) the
+    floor is 0 and RHS a probability; from 1/8 on, A(4 sqrt(x)) = 1 and both
+    sides are 0.
+    """
+    near_0 = "(%s + (%s)*pi)*x + (%s + (%s)*pi)*x^2" % (*margin[0], *margin[1])
+    return {
+        "margin": {"x = 0": "1/2", "0 < x <= 1/16": near_0,
+                   "1/16 < x < 1/8": "(1 - x/2)*(1 - A(4*sqrt(x)))/8", "x >= 1/8": "0"},
+        "pi_bounds": [str(pi) for pi in _PI_BOUNDS],
+        "proved": all(a + b * pi > 0 for a, b in margin for pi in _PI_BOUNDS),
+    }
 
 
 @dataclass
 class SurvivalFloorReport:
-    """Grid verification that the survival floor is preserved by the depth recursion."""
+    """Survival-floor check: the exact certificate and the grid margins."""
 
     xs: np.ndarray
     floor: np.ndarray
@@ -862,12 +880,12 @@ class SurvivalFloorReport:
     min_margin: float
     argmin_x: float
     grid_resolution: int
-    conv_points: int
+    certificate: dict
     tolerance: float = 1e-6
 
     @property
     def passed(self):
-        return self.min_margin >= -self.tolerance
+        return self.certificate["proved"] and self.min_margin >= -self.tolerance
 
     def to_csv_rows(self):
         return list(zip(self.xs.tolist(), self.floor.tolist(),
@@ -878,33 +896,35 @@ class SurvivalFloorReport:
             "min_margin": self.min_margin,
             "argmin_x": self.argmin_x,
             "grid_resolution": self.grid_resolution,
-            "conv_points": self.conv_points,
+            "certificate": self.certificate,
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
 
 
-def andor_survival_floor_check(grid_resolution=1000, conv_points=200_000):
-    """Check RHS(x) >= floor(x) on a uniform x-grid over [0, 1].
+def andor_survival_floor_check(grid_resolution=1000, *, conv_points=None):
+    """Prove RHS(x) >= floor(x) exactly, and give the margins on an x-grid over [0, 1].
 
     RHS(x) = (1/2)(1 + x/2) P(X >= x)^2 + (1/2)(1 - x/2) P(X + X' >= x) is the
     one-depth image of the floor law (root OR with probability 1/2: both
     children must outlast x; root AND: their first-switch times add).  The
-    floor being a sub-fixed-point (min margin >= -tolerance) is what makes it
-    depth-uniform.  P(X >= x) = 1 at x = 0 (atom included) and floor(x) for
-    x > 0.
+    floor being a sub-fixed-point is what makes it depth-uniform.  P(X >= x)
+    = 1 at x = 0 (atom included) and floor(x) for x > 0.  ``conv_points`` is
+    accepted and ignored: it is kept only because perfbench/workloads.py
+    still passes it.
     """
     if grid_resolution < 100:
         raise ValueError("grid_resolution must be >= 100")
     xs = np.linspace(0.0, 1.0, int(grid_resolution))
     floor = np.maximum(0.5 * (1.0 - 4.0 * np.sqrt(xs)), 0.0)
     single = np.where(xs <= 0.0, 1.0, floor)
-    pair = andor_pair_sum_survival(xs, conv_points=conv_points)
+    pair = andor_pair_sum_survival(xs)
     rhs = 0.5 * (1.0 + xs / 2.0) * single**2 + 0.5 * (1.0 - xs / 2.0) * pair
     margins = rhs - floor
     j = int(np.argmin(margins))
     return SurvivalFloorReport(
         xs=xs, floor=floor, rhs=rhs, margins=margins,
         min_margin=float(margins[j]), argmin_x=float(xs[j]),
-        grid_resolution=int(grid_resolution), conv_points=int(conv_points),
+        grid_resolution=int(grid_resolution),
+        certificate=_floor_certificate(_FLOOR_MARGIN),
     )

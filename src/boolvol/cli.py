@@ -151,8 +151,7 @@ def cmd_recursion(args):
         series = andor_b_bound_seq(args.n, args.t)
         return _series_payload(op, {"n": args.n, "t": args.t}, series)
     # andor-gfloor
-    report = andor_survival_floor_check(grid_resolution=args.grid,
-                                        conv_points=args.conv_points)
+    report = andor_survival_floor_check(grid_resolution=args.grid)
     payload = {"schema": _schema("survival-floor"), **report.to_json_dict()}
     return payload, ("x", "floor", "rhs", "margin"), report.to_csv_rows()
 
@@ -230,6 +229,23 @@ def cmd_classify(args):
 # parser
 
 
+def _leaf(parsers, name, **kw):
+    """A leaf command's parser with the output flags, added per parser: argparse
+    would lift a parent parser's exclusive group out of its argument group."""
+    parser = parsers.add_parser(
+        name, formatter_class=argparse.RawDescriptionHelpFormatter, **kw)
+    g = parser.add_argument_group("output flags")
+    fmt = g.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
+                     help="emit JSON (the default)")
+    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
+                     help="emit CSV plot data (columns listed per subcommand)")
+    g.add_argument("--out", metavar="FILE", default=None,
+                   help="write output to FILE instead of stdout")
+    parser.set_defaults(fmt="json")
+    return parser
+
+
 def _monte_carlo_flags(parser, replicas):
     # added per parser, not through a parent: argparse parents share their
     # Action objects, so a default set on one child would change the rest
@@ -248,27 +264,15 @@ def _precision_flag(parser, default):
 
 @functools.cache
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("output flags")
-    fmt = g.add_mutually_exclusive_group()
-    fmt.add_argument("--json", dest="fmt", action="store_const", const="json",
-                     help="emit JSON (the default)")
-    fmt.add_argument("--csv", dest="fmt", action="store_const", const="csv",
-                     help="emit CSV plot data (columns listed per subcommand)")
-    g.add_argument("--out", metavar="FILE", default=None,
-                   help="write output to FILE instead of stdout")
-    common.set_defaults(fmt="json")
-
     parser = argparse.ArgumentParser(
         prog="boolvol",
         description="Switch-count volatility of Boolean functions under "
                     "continuous-time bit rerandomization.",
         epilog="exit codes: 0 ok, 2 malformed input, 3 resource cap exceeded")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    raw = argparse.RawDescriptionHelpFormatter
 
-    p = sub.add_parser(
-        "simulate", parents=[common], formatter_class=raw,
+    p = _leaf(
+        sub, "simulate",
         help="sample the switch-count distribution of one function",
         description="Sample the switch-count distribution C over [0, T].\n"
                     "CSV columns: C,count (the switch-count histogram).")
@@ -281,8 +285,8 @@ def _build_parser():
     _monte_carlo_flags(p, 10_000)
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser(
-        "influence", parents=[common], formatter_class=raw,
+    p = _leaf(
+        sub, "influence",
         help="exact per-bit influence and pivotality by enumeration",
         description="Exact per-bit influence/pivotality (arity-capped).\n"
                     "CSV columns: bit,influence,pivotality.")
@@ -290,8 +294,8 @@ def _build_parser():
     p.add_argument("--p", type=float, default=0.5)
     p.set_defaults(handler=cmd_influence)
 
-    p = sub.add_parser(
-        "joint", parents=[common], formatter_class=raw,
+    p = _leaf(
+        sub, "joint",
         help="joint law of the output at times 0 and t",
         description="Simulate to horizon t and compare the two endpoints.\n"
                     "CSV columns: mean_product,disagree,se_product,"
@@ -302,8 +306,8 @@ def _build_parser():
     _monte_carlo_flags(p, 10_000)
     p.set_defaults(handler=cmd_joint)
 
-    p = sub.add_parser(
-        "noise", parents=[common], formatter_class=raw,
+    p = _leaf(
+        sub, "noise",
         help="clock-free epsilon-rerandomized pair statistics",
         description="Draw (X, Y) with each bit of Y redrawn w.p. epsilon.\n"
                     "CSV columns: mean_product,disagree,se_product,"
@@ -323,8 +327,8 @@ def _build_parser():
     alpha = "bias scaling exponent: n^alpha (2/3)^n"
 
     def op(name, what, columns):
-        return ops.add_parser(name, parents=[common], formatter_class=raw, help=what,
-                              description="%s.\nCSV columns: %s." % (what, columns))
+        return _leaf(ops, name, help=what,
+                     description="%s.\nCSV columns: %s." % (what, columns))
 
     o = op("maj3-a", "3-majority tree: P(root = 1) by depth", series)
     o.add_argument("--p0", type=float, required=True, help="leaf probability")
@@ -351,13 +355,11 @@ def _build_parser():
     o = op("andor-gfloor", "AND/OR tree: survival-floor certificate",
            "x,floor,rhs,margin")
     o.add_argument("--grid", type=int, default=1000, help="x-grid resolution")
-    o.add_argument("--conv-points", type=int, default=200_000,
-                   help="convolution atoms")
     p.set_defaults(handler=cmd_recursion)
 
     # each op reads its own flags, so a flag another op reads is an error
     p = sub.add_parser(
-        "perc", formatter_class=raw,
+        "perc", formatter_class=argparse.RawDescriptionHelpFormatter,
         help="spherically symmetric tree percolation",
         description="Build weight-tracking profiles and run the regime "
                     "experiment.")
@@ -368,8 +370,8 @@ def _build_parser():
                  "(default: 4)")
     profile = "child counts, inline (2,16,7) or a file (one per line)"
 
-    o = ops.add_parser(
-        "build", parents=[common], formatter_class=raw,
+    o = _leaf(
+        ops, "build",
         help="child counts whose weights track a growth law",
         description="Build a weight-tracking profile.\nCSV columns: level,"
                     "children,log_w,target,log_error,enforced.")
@@ -379,8 +381,8 @@ def _build_parser():
     o.add_argument("--profile-out", default=None, metavar="FILE",
                    help="also write the profile to FILE")
 
-    o = ops.add_parser(
-        "weights", parents=[common], formatter_class=raw,
+    o = _leaf(
+        ops, "weights",
         help="level weights of a profile or a growth law",
         description="Level weights of --profile, or of the profile built "
                     "from --target.\nCSV columns: k,children,log_w,w.")
@@ -390,8 +392,8 @@ def _build_parser():
                    help=max_ratio + " (with --target)")
     o.add_argument("--profile", default=None, help=profile)
 
-    o = ops.add_parser(
-        "run", parents=[common], formatter_class=raw,
+    o = _leaf(
+        ops, "run",
         help="the regime experiment on one profile",
         description="Root-connectivity statistics per level.\nCSV columns: "
                     "level,p_one,p_ever_one,p_always_one,p_always_zero,"
@@ -406,8 +408,8 @@ def _build_parser():
     _monte_carlo_flags(o, 1000)
     p.set_defaults(handler=cmd_perc)
 
-    p = sub.add_parser(
-        "classify", parents=[common], formatter_class=raw,
+    p = _leaf(
+        sub, "classify",
         help="taxonomy verdict for a sequence of functions",
         description="Classify a sequence given as a JSON plan file: a list "
                     "of [spec, p] pairs\nin strictly increasing arity order "

@@ -155,8 +155,7 @@ def test_criterion_07_andor_survival_floor():
             g = survival_estimate(inst, 0.5, x, REPLICAS, SEED)
             se = math.sqrt(max(g * (1.0 - g), 1e-12) / REPLICAS)
             worst = min(worst, (g - andor_survival_floor(x)) / se)
-    check = andor_survival_floor_check(grid_resolution=1000,
-                                       conv_points=200_000)
+    check = andor_survival_floor_check(grid_resolution=1000)
     ok = worst >= -3.0 and check.min_margin >= -1e-6
     report(7, ok, "MC survival >= floor - 3 sigma (worst margin %.1f "
                   "sigma); fixed-point grid min(RHS - floor) = %.2e "

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 
 from boolvol import analysis as ana
@@ -461,18 +462,73 @@ class TestSurvivalFloor:
         # With atom 1/2 at 0 and density 1/sqrt(u) on (0, 1/16]:
         # P(X + X' >= x) = 3/4 - 2 sqrt(x) - pi x for 0 < x <= 1/16.
         xs = np.array([0.001, 0.005, 0.01, 0.05])
-        got = ana.andor_pair_sum_survival(xs, conv_points=50_000)
+        got = ana.andor_pair_sum_survival(xs)
         exact = 0.75 - 2.0 * np.sqrt(xs) - math.pi * xs
         assert np.abs(got - exact).max() <= 1e-6
         assert ana.andor_pair_sum_survival(0.0) == 1.0
         assert ana.andor_pair_sum_survival(0.13) == 0.0  # beyond 2/16
+        assert math.isnan(ana.andor_pair_sum_survival(math.nan))
 
-    def test_pair_sum_validation(self):
-        with pytest.raises(ValueError):
-            ana.andor_pair_sum_survival(0.01, conv_points=10)
+    def test_pair_sum_matches_convolution(self):
+        # reference: the positive parts of X and X' as k equal-mass atoms at
+        # their conditional quantiles ((1 - 2 s)/4)^2, s = (i - 1/2)/(2k),
+        # paired by a sorted search; the atoms at 0 add floor(x) for x > 0
+        k = 20_000
+        s = (np.arange(k) + 0.5) / (2.0 * k)
+        u = np.sort(((1.0 - 2.0 * s) / 4.0) ** 2)
+        xs = np.concatenate([np.linspace(0.0, 0.14, 57), [0.5, 1.0]])
+        want = []
+        for x in xs:
+            if x <= 0.0:
+                want.append(1.0)
+                continue
+            pairs = int((k - np.searchsorted(u, x - u, side="left")).sum())
+            want.append(ana.andor_survival_floor(x) + pairs / (4.0 * k * k))
+        got = ana.andor_pair_sum_survival(xs)
+        assert np.abs(got - np.array(want)).max() <= 1e-7
+
+    def test_margin_is_exact_polynomial(self):
+        # derive RHS - floor on (0, 1/16] exactly, as polynomials in s = sqrt(x)
+        # with Fraction coefficients: floor = 1/2 - 2s and P(X + X' >= x) =
+        # 3/4 - 2s - pi s^2, the pi part kept apart (RHS is linear in it)
+        h, q = Fraction(1, 2), Fraction(1, 4)
+        floor, up, down = [h, Fraction(-2)], [h, 0, q], [h, 0, -q]
+        rational = P.polysub(P.polyadd(P.polymul(up, P.polymul(floor, floor)),
+                                       P.polymul(down, [3 * q, Fraction(-2)])), floor)
+        with_pi = P.polymul(down, [0, 0, Fraction(-1)])
+        (a1, b1), (a2, b2) = ana._FLOOR_MARGIN
+        assert list(rational) == [0, 0, a1, 0, a2]
+        assert list(with_pi) == [0, 0, b1, 0, b2]
+        rep = ana.andor_survival_floor_check(1000)
+        near = (rep.xs > 0) & (rep.xs <= 1.0 / 16.0)
+        xs = rep.xs[near]
+        poly = (a1 + b1 * math.pi) * xs + (a2 + b2 * math.pi) * xs**2
+        assert np.abs(rep.margins[near] - poly).max() <= 1e-12
+
+    def test_certificate_proves_the_floor(self):
+        cert = ana._floor_certificate(ana._FLOOR_MARGIN)
+        assert cert["proved"] is True
+        assert cert["pi_bounds"] == ["333/106", "355/113"]
+        assert cert["margin"]["0 < x <= 1/16"] == "(15/8 + (-1/2)*pi)*x + (1 + (1/4)*pi)*x^2"
+        assert cert["margin"]["x = 0"] == "1/2"
+        assert cert["margin"]["x >= 1/8"] == "0"
+
+    @pytest.mark.parametrize("margin", [
+        ((Fraction(15, 8) - Fraction(15, 8), 0), (1, Fraction(1, 4))),  # pi/2 -> 15/8
+        ((Fraction(15, 8) - 2, 0), (1, Fraction(1, 4))),                # pi/2 -> 2
+        ((Fraction(15, 8), Fraction(-3, 5)), (1, Fraction(1, 4))),      # 15/8 < 3 pi/5
+        ((Fraction(15, 8), Fraction(-1, 2)), (1, Fraction(-1, 2))),     # pi/4 -> -pi/2
+        ((Fraction(15, 8), Fraction(-1, 2)), (0, 0)),
+    ])
+    def test_certificate_fails_on_a_perturbed_coefficient(self, margin, monkeypatch):
+        assert ana._floor_certificate(margin)["proved"] is False
+        monkeypatch.setattr(ana, "_FLOOR_MARGIN", margin)
+        rep = ana.andor_survival_floor_check(120)
+        assert rep.min_margin >= -rep.tolerance
+        assert not rep.passed
 
     def test_floor_is_preserved_by_depth_recursion(self):
-        rep = ana.andor_survival_floor_check(500, conv_points=50_000)
+        rep = ana.andor_survival_floor_check(500)
         assert rep.passed
         assert rep.min_margin >= -1e-6
         # at x = 0: RHS = 1 while the floor is 1/2
@@ -485,13 +541,20 @@ class TestSurvivalFloor:
         assert rep.min_margin == 0.0
 
     def test_report_shape_and_serialization(self):
-        rep = ana.andor_survival_floor_check(120, conv_points=20_000)
+        rep = ana.andor_survival_floor_check(120)
         assert len(rep.to_csv_rows()) == 120
         d = rep.to_json_dict()
         assert set(d) == {
             "min_margin", "argmin_x", "grid_resolution",
-            "conv_points", "tolerance", "passed",
+            "certificate", "tolerance", "passed",
         }
+
+    def test_conv_points_is_accepted_and_ignored(self):
+        # perfbench/workloads.py still passes it
+        a = ana.andor_survival_floor_check(200, conv_points=20_000)
+        b = ana.andor_survival_floor_check(200)
+        assert a.to_json_dict() == b.to_json_dict()
+        assert np.array_equal(a.rhs, b.rhs)
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):

@@ -309,12 +309,25 @@ class TestRecursion:
         assert payload["info"]["cap_satisfied"] is True
 
     def test_andor_gfloor(self, capsys):
-        code, out = run_cli(capsys, "recursion", "andor-gfloor", "--grid",
-                            "200", "--conv-points", "20000")
+        code, out = run_cli(capsys, "recursion", "andor-gfloor", "--grid", "200")
         assert code == 0
         payload = validated(out)
         assert payload["passed"] is True
+        assert payload["certificate"]["proved"] is True
         assert payload["min_margin"] >= -1e-6
+
+    def test_maj3_b_bias_lost_in_floats_exit_2(self, capsys):
+        # epsilon = 8.6e-35 rounds p to 1/2: the float series would print the
+        # fixed point b = 1/4 at every depth
+        argv = ("recursion", "maj3-b", "--n", "200", "--alpha", "0.5", "--t", "0.5")
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--precision" in captured.err
+        code, out = run_cli(capsys, *argv, "--precision", "60")
+        assert code == 0
+        assert validated(out)["series"][-1][1] < 1e-300
 
     def test_series_csv(self, capsys):
         _, out = run_cli(capsys, "recursion", "maj3-a", "--p0", "0.4",
@@ -565,6 +578,20 @@ class TestParser:
             body = json.loads(root.joinpath(name).read_text())
             stem = name[: -len(".v1.json")]
             assert body["properties"]["schema"]["const"] == "boolvol/%s/v1" % stem
+            assert set(body["required"]) <= set(body["properties"]), name
+            assert body["additionalProperties"] is False, name
+
+    @pytest.mark.parametrize("argv", [("simulate",), ("recursion", "andor-gfloor")])
+    def test_output_flags_listed_in_their_group(self, capsys, argv):
+        with pytest.raises(SystemExit):
+            cli.main([*argv, "--help"])
+        groups = re.split(r"\n(?=\S)", capsys.readouterr().out)
+        output = [g for g in groups if g.startswith("output flags:")]
+        assert len(output) == 1
+        for flag in ("--json", "--csv", "--out"):
+            assert re.search(r"^  %s\b" % flag, output[0], flags=re.M), flag
+            assert all(not re.search(r"^  %s\b" % flag, g, flags=re.M)
+                       for g in groups if g is not output[0]), flag
 
 
 class TestPercArguments:
@@ -619,7 +646,7 @@ class TestPercArguments:
 # each leaf command with a valid call, and the flags it does not read: the
 # Monte Carlo flags off the Monte Carlo commands, --precision off all but
 # the 3-majority recursions, every recursion op's flags off the other ops,
-# and the removed --threads everywhere
+# and the removed --threads and --conv-points everywhere
 _UNREAD_FLAGS = [
     (("simulate", "maj:3", "--replicas", "5"), ("--precision", "--threads")),
     (("influence", "maj:3"), ("--seed", "--replicas", "--precision", "--threads")),
@@ -640,9 +667,9 @@ _UNREAD_FLAGS = [
     (("recursion", "andor-bbound", "--n", "3", "--t", "0.25"),
      ("--seed", "--replicas", "--threads", "--precision", "--p0", "--epsilon",
       "--alpha", "--grid", "--conv-points")),
-    (("recursion", "andor-gfloor", "--grid", "100", "--conv-points", "1000"),
+    (("recursion", "andor-gfloor", "--grid", "100"),
      ("--seed", "--replicas", "--threads", "--precision", "--p0", "--n", "--epsilon",
-      "--alpha", "--t")),
+      "--alpha", "--t", "--conv-points")),
     (("perc", "build", "--target", "constant", "--levels", "3"),
      ("--seed", "--replicas", "--precision", "--threads")),
     (("perc", "weights", "--profile", "2,3"),

@@ -12,10 +12,12 @@ import hashlib
 import math
 
 import mpmath as mp
+import pytest
 
 from boolvol import analysis as ana
+from boolvol.errors import PrecisionExhausted
 
-FROZEN_SHA256 = "f08e8d471501924da88edaefb82893f5fd6a5f703f782332463419ccba762d90"
+FROZEN_SHA256 = "ce0829bcd9144f495f9f0ebdd4fe110803269a93ed54a8daa2a19f7b284cb94f"
 
 
 def _atom(v):
@@ -46,7 +48,7 @@ def _cases():
     for t in (0.0, 0.5, math.inf):
         for eps in (0.0, 1e-12, 0.01, 0.2, 0.49):
             params.append(ana.Maj3Params(n=60, epsilon=eps, t=t))
-        for n, alpha in ((60, 0.3), (60, 2.0), (40, 3.0), (200, 0.5)):
+        for n, alpha in ((60, 0.3), (60, 2.0), (40, 3.0)):
             params.append(ana.Maj3Params.from_alpha(n, alpha, t=t))
     params.append(ana.Maj3Params(n=1100, epsilon=0.01, t=0.5))
     for p in params:
@@ -79,6 +81,20 @@ def digest():
 
 def test_recursion_outputs_are_frozen():
     assert digest() == FROZEN_SHA256
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, math.inf])
+def test_float_b_refuses_a_bias_lost_at_one_half(t):
+    # epsilon = 200^0.5 (2/3)^200 = 8.6e-35 rounds p to exactly 1/2, where the
+    # float series would sit at the fixed point; mpf carries the bias
+    params = ana.Maj3Params.from_alpha(200, 0.5, t=t)
+    assert params.p == 0.5
+    with pytest.raises(PrecisionExhausted, match="digits="):
+        ana.maj3_b_seq(params)
+    assert ana.maj3_b_seq(params, digits=60).last_log_value < -300.0  # not log(1/4)
+    # a float epsilon that underflows to 0 is refused the same way
+    with pytest.raises(PrecisionExhausted):
+        ana.maj3_b_seq(ana.Maj3Params.from_alpha(2000, 0.4, t=t))
 
 
 if __name__ == "__main__":
