@@ -819,7 +819,7 @@ def andor_b_bound_seq(n, t):
 
 def andor_survival_floor(x):
     """The depth-uniform floor max((1/2)(1 - 4 sqrt(x)), 0) for P(first 1->0 switch > x)."""
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be >= 0")
     return max(0.5 * (1.0 - 4.0 * math.sqrt(x)), 0.0)
 

@@ -455,8 +455,9 @@ class TestSurvivalFloor:
         assert ana.andor_survival_floor(0.0) == 0.5
         assert ana.andor_survival_floor(1.0 / 16.0) == 0.0
         assert ana.andor_survival_floor(0.25) == 0.0
-        with pytest.raises(ValueError):
-            ana.andor_survival_floor(-0.1)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                ana.andor_survival_floor(bad)
 
     def test_pair_sum_closed_form(self):
         # With atom 1/2 at 0 and density 1/sqrt(u) on (0, 1/16]:

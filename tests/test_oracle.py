@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -375,9 +376,9 @@ def test_chunks_bit_convention_across_blocks(m):
 @pytest.mark.parametrize("entry,text,bytes_per_config", [
     ("influence", "parity:21", 8), ("prob_one", "dap:21", 8), ("noise", "maj:17", 40)])
 def test_peak_memory_per_configuration(entry, text, bytes_per_config):
-    # one uint8 truth table and popcount table per call, and bincount's intp
-    # copy bounded by slices: parity makes every pair differ, the case an
-    # unsliced bincount would blow up
+    # one uint8 truth table per call and its packed words, with one index
+    # popcount and one bincount copy per word at p != 1/2: parity makes every
+    # pair differ
     f = inst(text)
     runs = {"influence": lambda: oracle.exact_influence_report(f, 0.3),
             "prob_one": lambda: oracle.exact_prob_one(f, 0.3),
@@ -389,3 +390,91 @@ def test_peak_memory_per_configuration(entry, text, bytes_per_config):
     finally:
         tracemalloc.stop()
     assert peak <= bytes_per_config * 2**f.arity
+
+
+# -- bit identity with the byte-level passes ----------------------------------
+# The oracles read one byte per configuration before they packed the table
+# into words; that code is kept here as the reference their outputs must
+# equal bit for bit.
+
+def byte_popcount(m, p):
+    if p == 0.5:
+        return None
+    out = np.zeros(1 << m, dtype=np.uint8)
+    for k in range(m):
+        np.add(out[:1 << k], 1, out=out[1 << k:2 << k])
+    return out
+
+
+def byte_class_counts(sel, pop, p):
+    if p == 0.5:
+        return [int(np.count_nonzero(sel))]
+    sel, pop = sel.ravel(), pop.ravel()
+    return np.bincount(pop[sel], minlength=oracle.ENUM_ARITY_CAP + 1).tolist()
+
+
+def byte_prob_one(table, p):
+    m = table.size.bit_length() - 1
+    counts = byte_class_counts(table.view(bool), byte_popcount(m, p), p)
+    return math.fsum(c * w for c, w in zip(counts, oracle._weight_table(m, p)))
+
+
+def byte_influence_report(table, p):
+    m = table.size.bit_length() - 1
+    pop, w = byte_popcount(m, p), oracle._weight_table(m, p)
+    infl, pivot = [], []
+    for i in range(m):
+        v = table.reshape(1 << i, 2, -1)
+        ones = None if pop is None else pop.reshape(1 << i, 2, -1)[:, 0]
+        pairs = list(zip(byte_class_counts(v[:, 0] != v[:, 1], ones, p), w, w[1:]))
+        pivot.append(math.fsum(c * (a + b) for c, a, b in pairs))
+        infl.append(math.fsum(c * (a * p + b * (1 - p)) for c, a, b in pairs))
+    return oracle.InfluenceReport(
+        p=p, per_bit=list(zip(range(m), infl, pivot)), total_influence=math.fsum(infl),
+        total_pivotality=math.fsum(pivot), sum_squared_influence=math.fsum(x * x for x in infl))
+
+
+def byte_noise_covariance(table, p, epsilon):
+    mu = (1 - p, p)
+    kern = [[mu[a] * ((1 - epsilon) * (a == b) + epsilon * mu[b]) for b in (0, 1)]
+            for a in (0, 1)]
+    g = table.astype(np.float64)
+    for i in range(table.size.bit_length() - 1):
+        g0, g1 = g.reshape(1 << i, 2, -1).transpose(1, 0, 2)
+        to_one = g0 * kern[0][1]
+        g0 *= kern[0][0]
+        g0 += g1 * kern[1][0]
+        g1 *= kern[1][1]
+        g1 += to_one
+    joint = float(np.multiply(g, table, out=g).sum())
+    q = byte_prob_one(table, p)
+    return oracle.NoiseCovariance(p=p, epsilon=epsilon, joint=joint, covariance=joint - q * q)
+
+
+IDENTITY_SPECS = (["table:%d" % m for m in list(range(1, 13)) + [17]]
+                  + ["maj:1", "maj:5", "maj:11", "parity:1", "parity:6", "parity:12",
+                     "dap:2", "dap:7", "dap:12", "type2:3", "type2:8", "type2:10",
+                     "itermaj3:1", "itermaj3:2", "andor:0", "andor:1", "andor:2",
+                     "perc:2,3:1", "perc:2,2:2", "perc:3,2:2"])
+
+
+def identity_instance(text):
+    family, _, m = text.partition(":")
+    if family == "table":
+        bits = np.random.default_rng(100 + int(m)).integers(0, 2, 1 << int(m))
+        return bf.make_instance(bf.FunctionSpec.truth_table(bits.tolist()))
+    return inst(text)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("text", IDENTITY_SPECS)
+def test_packed_oracles_equal_byte_level_passes(text, p):
+    # arities 1-12: one zero-padded word below 6 bits, every in-word stride
+    # 1-32, and from 7 bits on the whole-word strides; at 17 bits the noise
+    # passes transpose two blocks of rows
+    f = identity_instance(text)
+    table = oracle._truth_values(f)
+    assert oracle.exact_prob_one(f, p) == byte_prob_one(table, p)
+    assert oracle.exact_influence_report(f, p) == byte_influence_report(table, p)
+    for eps in (0.0, 0.37, 1.0):
+        assert oracle.exact_noise_covariance(f, p, eps) == byte_noise_covariance(table, p, eps)
