@@ -215,9 +215,6 @@ class RecursionSeries:
     def last_log_value(self):
         return self.log_value(len(self.values) - 1)
 
-    def values_float(self):
-        return [self.value(k) for k in range(len(self.values))]
-
     def to_csv_rows(self):
         """Rows (k, value_or_log, mode): the raw representation, not exp'd."""
         return [

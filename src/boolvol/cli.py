@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from .analysis import (
@@ -130,6 +131,9 @@ def _series_payload(op, params, series):
 
 def cmd_recursion(args):
     op = args.op
+    # the library takes the t = inf limit, but a JSON payload cannot hold it
+    if not math.isfinite(getattr(args, "t", 0.0)):
+        raise InvalidSpec("time t must be finite, got %r" % args.t)
     if op == "maj3-a":
         series = maj3_a_seq(args.p0, args.n, digits=args.precision)
         return _series_payload(op, {"p0": args.p0, "n": args.n}, series)

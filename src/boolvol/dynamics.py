@@ -75,10 +75,11 @@ loop over events:
   threshold (`_threshold_switches`), so no output is evaluated.
 
 Every clock-driven entry point reads its statistic off `_replicas`.  A
-replica expecting more than EVENT_BUDGET events (arity*T here, c_1*T
-root-edge updates in `perctree`) is refused by `_slots`, before any draw;
-the budget, like the block sizes of `_blocks`, counts rate-1 updates, an
-upper bound on the rate-r rings drawn.
+replica expecting more than EVENT_BUDGET events, clocks * max(T, 1) since
+it draws every clock's start state (clocks = arity here, c_1 root edges in
+`perctree`; `sample_noise_pair` draws at T = 0), is refused by
+`_check_budget` before any draw.  The budget, like the block sizes of
+`_blocks`, counts rate-1 updates, an upper bound on the rate-r rings drawn.
 
 Each block allocates and frees tens of MB of temporaries in arrays of a
 few MB.  By default glibc maps such arrays fresh and returns freed heap
@@ -105,7 +106,7 @@ from .errors import InstanceTooLarge
 
 _PAIR_CHUNK = 4096
 
-# expected events per replica (arity * T) above which a run is refused
+# expected events per replica (arity * max(T, 1)) above which a run is refused
 EVENT_BUDGET = 10_000_000
 
 
@@ -356,17 +357,20 @@ def _slot_ticks(keys, counts, flip):
     return owner, np.minimum(ticks.astype(np.uint64), _TICK_MASK), flips
 
 
+def _check_budget(clocks, T):
+    """Refuses a replica of `clocks` clocks whose start states and rate-1
+    updates over horizon T, clocks * max(T, 1), pass EVENT_BUDGET."""
+    if clocks * max(T, 1.0) > EVENT_BUDGET:
+        raise InstanceTooLarge("%d clocks x max(horizon %g, 1) expect more than "
+                               "%d events per replica" % (clocks, T, EVENT_BUDGET))
+
+
 def _slots(clocks, T, p):
     """(n, length, table): horizon T cut into n = ceil(T / _SLOT) equal
     slots and the `CountTable` of one slot's ring count, Poisson with mean
-    max(p, 1 - p) * length.
-
-    A replica with `clocks` clocks expecting more than EVENT_BUDGET
-    rate-1 updates (clocks * T) is refused here, before any draw.
+    max(p, 1 - p) * length.  A replica past the budget is refused first.
     """
-    if clocks * T > EVENT_BUDGET:
-        raise InstanceTooLarge("%d clocks x horizon %g expect more than %d "
-                               "events per replica" % (clocks, T, EVENT_BUDGET))
+    _check_budget(clocks, T)
     n = math.ceil(T / _SLOT)
     length = T / n if n else 0.0
     return n, length, _count_table(max(p, 1.0 - p) * length)
@@ -856,8 +860,9 @@ def sample_noise_pair(instance, p, epsilon, replicas, seed):
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1], got %r" % (epsilon,))
     DynamicsParams(p=p, T=0.0, seed=seed, replicas=replicas)
-    rng = replica_stream(seed, 0)
     m = instance.arity
+    _check_budget(m, 0.0)
+    rng = replica_stream(seed, 0)
     f0 = np.empty(replicas, dtype=np.uint8)
     f1 = np.empty(replicas, dtype=np.uint8)
     for lo in range(0, replicas, _PAIR_CHUNK):

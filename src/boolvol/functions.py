@@ -37,12 +37,13 @@ counter sums, the other the tree's node counts.  Since every route shares
 the declarations, the tests check them against each family's definition
 written out directly (recursively for the trees).
 
-Bit-to-vertex conventions (fixed so results are reproducible):
-itermaj3 leaves are numbered left to right; andor gate bits map to
-vertices in depth-first preorder (bit 0 is the root, then the whole left
-subtree, then the right); perc edges are numbered breadth-first, level by
-level, left to right, so the bit of the edge ending at vertex j of level
-k is (number of edges above level k) + j.
+Bit-to-vertex conventions (fixed so results are reproducible): every
+tree numbers its bits breadth-first, level by level, left to right.
+itermaj3 leaves are numbered left to right; andor gate bits are in heap
+order (bit 0 is the root and gate h has children 2h+1 and 2h+2, so the
+leftmost level-k gate is bit 2^k - 1); perc edges are numbered level by
+level, so the bit of the edge ending at vertex j of level k is (number of
+edges above level k) + j (`_edge_offsets`).
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def _itermaj3_tree(spec):
 
 
 def _andor_tree(spec):
-    # the tree's bit order is heap order.  A gate is the majority of its
+    # gate bits are in heap order.  A gate is the majority of its
     # left input, its right input and its gate bit (OR when the gate bit
     # is 1, AND when it is 0); step s holds the gates at height s + 1, and
     # a leaf outputs its own gate bit, so the leaves feed the first step
@@ -418,37 +419,29 @@ def _perc_tree(spec):
     # connected (threshold 2); the bottom vertices are connected, so their
     # edges feed the first step directly
     n = spec.level
-    v = [1]
-    for c in spec.profile[:n]:
-        v.append(v[-1] * c)
-    offsets = [0, 0]  # offsets[k] = first bit of level-k edges, k >= 1
-    for k in range(1, n):
-        offsets.append(offsets[k] + v[k])
-    arity = sum(v[1:])
-    steps = [TreeStep(v[n - 1], 1, ((offsets[n], arity),))]
+    offsets = _edge_offsets(spec.profile[:n])
+    v = [1] + [b - a for a, b in zip(offsets[1:], offsets[2:])]  # level sizes
+    steps = [TreeStep(v[n - 1], 1, ((offsets[n], offsets[n + 1]),))]
     for k in range(n - 1, 0, -1):
-        steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k] + v[k]),)),
+        steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k + 1]),)),
                   TreeStep(v[k - 1], 1)]
-    return arity, n, steps
+    return offsets[n + 1], n, steps
+
+
+def _edge_offsets(children):
+    """offsets[k] = id of the first level-k edge in breadth-first order, for
+    k = 1..n + 1 of a tree of n = len(children) levels, so offsets[n + 1] is
+    its edge count; offsets[0] = 0.  `perctree` keys its edges by these ids."""
+    offsets, v = [0, 0], 1
+    for c in children:
+        v *= c
+        offsets.append(offsets[-1] + v)
+    return offsets
 
 
 # tree families: each declaration gives (arity, depth, steps) from the spec
 # alone, with no per-bit array
 _TREES = {"itermaj3": _itermaj3_tree, "andor": _andor_tree, "perc": _perc_tree}
-
-
-def _preorder(d):
-    """Preorder position of every vertex of the perfect binary tree of depth
-    d, in heap order.  A left child comes right after its parent; a right
-    child at level k comes 2^(d-k+1) positions after it, past the left
-    child's subtree."""
-    pos = np.zeros(2 ** (d + 1) - 1, dtype=np.int64)
-    for k in range(1, d + 1):
-        parent = pos[2 ** (k - 1) - 1:2**k - 1]
-        level = pos[2**k - 1:2 ** (k + 1) - 1].reshape(-1, 2)
-        level[:, 0] = parent + 1
-        level[:, 1] = parent + 2 ** (d - k + 1)
-    return pos
 
 
 def _fan_sum(x, nodes):
@@ -460,22 +453,14 @@ class TreeInstance(FunctionInstance):
     """A read-once tree declared in `_TREES` as `steps`, bottom up, the root
     last.
 
-    Position h of the tree's bit order holds bit `bit_order[h]` and bit b
-    sits at position `bit_position[b]`; both are None, the identity, except
-    on AND/OR, whose gate bits are numbered in preorder and whose steps read
-    them in heap order.  Every bit feeds exactly one node.  A tree without
-    steps outputs its single bit.
+    The steps' slices read the bits by id, breadth-first, so an instance
+    holds no per-bit array until `bit_inputs` is first called.  Every bit
+    feeds exactly one node.  A tree without steps outputs its single bit.
     """
-
-    bit_order = bit_position = None
 
     def __init__(self, spec):
         arity, depth, steps = _TREES[spec.family](spec)
         super().__init__(spec, arity, depth)
-        if spec.family == "andor":
-            self.bit_order = _preorder(depth)
-            self.bit_position = np.empty_like(self.bit_order)
-            self.bit_position[self.bit_order] = np.arange(arity)
         self.steps = tuple(steps)
         # (lo, step, bits per node) of every slice, in bit order
         self._slices = np.array(sorted(
@@ -485,11 +470,10 @@ class TreeInstance(FunctionInstance):
     def input_counts(self, rows):
         """Every node's count of 1-inputs for a (rows, arity) uint8 array:
         one (rows, nodes) int64 array per step, bottom up."""
-        bits = rows if self.bit_order is None else rows[:, self.bit_order]
         counts, below = [], None
         for st in self.steps:
             parts = [] if below is None else [below]
-            parts += [bits[:, lo:hi] for lo, hi in st.slices]
+            parts += [rows[:, lo:hi] for lo, hi in st.slices]
             c = _fan_sum(parts[0], st.nodes)
             for x in parts[1:]:
                 c += _fan_sum(x, st.nodes)
@@ -505,9 +489,9 @@ class TreeInstance(FunctionInstance):
     @functools.cached_property
     def _bit_inputs(self):
         # (step, node) of every bit, found once per instance
-        pos = np.arange(self.arity) if self.bit_position is None else self.bit_position
-        lo, step, fan = self._slices[np.searchsorted(self._slices[:, 0], pos, side="right") - 1].T
-        return step, (pos - lo) // fan
+        bits = np.arange(self.arity)
+        lo, step, fan = self._slices[np.searchsorted(self._slices[:, 0], bits, side="right") - 1].T
+        return step, (bits - lo) // fan
 
     def bit_inputs(self, bits):
         """(step, node) fed by each bit of an int64 array."""

@@ -15,11 +15,12 @@ state, and the times at which its state changes) is a pure function of
 also draws the bits of the eager engine: the edge's clock rings at rate
 max(p, 1 - p), each ring flips the edge or pushes it to the likelier state,
 the horizon is cut into ceil(T / 16) equal slots, and each slot's ring
-times are exact 2^-40 fixed-point ticks.  Edge e of `perc:children:L`
-therefore has the same history here and in `dynamics`, and the two
-engines agree replica by replica.  A replica whose c_1 root edges expect
-more than `dynamics.EVENT_BUDGET` rate-1 updates (c_1 * T) is refused
-before any draw.  A replica expected to draw more than _REPLICA_DRAWS
+times are exact 2^-40 fixed-point ticks.  Edge ids come from
+`functions._edge_offsets`, which also numbers the bits of
+`perc:children:L`, so edge e has the same history here and in `dynamics`,
+and the two engines agree replica by replica.  A replica whose c_1 root
+edges expect more than `dynamics.EVENT_BUDGET` events (c_1 * max(T, 1))
+is refused before any draw.  A replica expected to draw more than _REPLICA_DRAWS
 edges and rate-1 updates in its descent is refused too, and so is a level
 of more than _REPLICA_DRAWS children per vertex, since a reached vertex
 draws them all at once.  Blocks of replicas are sized separately, by
@@ -85,7 +86,7 @@ from .dynamics import (
     _tick_time,
 )
 from .errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
-from .functions import FunctionSpec, read_profile_file
+from .functions import FunctionSpec, _edge_offsets, read_profile_file
 
 __all__ = [
     "LevelProfile",
@@ -606,16 +607,6 @@ def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
         if k in level_set:
             _union_stats(front, rep_lo, nrep, horizon, *out[k])
     return out
-
-
-def _edge_offsets(children):
-    """offsets[k] = id of the first level-k edge under breadth-first order."""
-    offsets = [0, 0]
-    v = 1
-    for c in children[:-1]:
-        v *= c
-        offsets.append(offsets[-1] + v)
-    return offsets
 
 
 # expected always-open root paths to the deepest level (prod c_k q) from

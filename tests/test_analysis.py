@@ -691,10 +691,6 @@ class TestRecursionSeries:
         assert d["precision"] is None
         assert d["series"][1][1] == pytest.approx(0.352)
 
-    def test_values_float_helper(self):
-        s = ana.maj3_a_seq(0.4, 2)
-        assert s.values_float() == [s.value(0), s.value(1), s.value(2)]
-
 
 # ---------------------------------------------------------------------------
 # argument checks shared by the engines

@@ -269,6 +269,20 @@ class TestRecursion:
         assert captured.err.startswith("error: alpha must be finite")
 
     @pytest.mark.parametrize("argv", [
+        ("maj3-b", "--n", "10", "--epsilon", "0.01", "--t", "inf"),
+        ("maj3-b", "--n", "10", "--alpha", "0.5", "--t", "nan"),
+        ("andor-x", "--t", "inf", "--n", "10"),
+        ("andor-bbound", "--n", "10", "--t", "inf"),
+    ])
+    def test_non_finite_t_exit_2(self, capsys, argv):
+        # JSON cannot hold the t = inf limit the library computes
+        code = cli.main(["recursion", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: time t must be finite")
+
+    @pytest.mark.parametrize("argv", [
         ("maj3-a", "--p0", "0.4", "--n", "3", "--precision", "0"),
         ("maj3-a", "--p0", "0.4", "--n", "3", "--precision", "-3"),
         ("maj3-b", "--n", "3", "--epsilon", "0.1", "--precision", "0"),

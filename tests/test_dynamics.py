@@ -161,6 +161,22 @@ def test_event_budget_applies_to_every_entry_point():
         dyn.survival_curve(f, 0.5, [T], 4, 1)
 
 
+def test_event_budget_counts_start_states():
+    # a replica draws every clock's start state, so a huge arity is refused
+    # at any horizon, and so is the noise sampler, which draws at T = 0
+    f = inst("parity:%d" % (dyn.EVENT_BUDGET + 1))
+    for T in (0.0, 1e-9, 1.0):
+        with pytest.raises(InstanceTooLarge, match="events per replica"):
+            dyn.estimate_C_distribution(f, params(T=T, replicas=1))
+    with pytest.raises(InstanceTooLarge, match="events per replica"):
+        dyn.sample_noise_pair(f, 0.5, 0.5, 1, 1)
+    # clocks * max(T, 1) at the budget passes
+    dyn._check_budget(dyn.EVENT_BUDGET, 1e-9)
+    dyn._check_budget(dyn.EVENT_BUDGET // 4, 4.0)
+    with pytest.raises(InstanceTooLarge):
+        dyn._check_budget(dyn.EVENT_BUDGET // 4, 4.5)
+
+
 def oracle_replay(f, p, T, seed, R):
     """Replays every bit change of replicas 0..R-1 through apply_update.
 
@@ -498,7 +514,7 @@ FROZEN_MC = {
     "parity:6": "6ffa6f53cef41cf4fd4ac0f72973e429664d09f439f0d9768aacb4cb3c3a2139",
     "type2:6": "fd0cae3faf9c705587c7f61796843524b36282037ac418ccefaed96f00536cdc",
     "itermaj3:3": "cd4cc503f30dae454ed26029d49f5d178b8861a6e48803468b97852cf49cf262",
-    "andor:4": "945fbadf640087ef90243a7538bfc02193b913c523526499df04880fc8db7881",
+    "andor:4": "08c07a99c38d8bf58a406361206bb9a8d611b24ae5f456aee87d62bbdb347345",
     "perc:2,3:2": "63950a284361a9b5fbf2aab9717c218d5b8762f75fbd06487902ef58d58fdd62",
 }
 

@@ -29,8 +29,8 @@ def test_arities():
     assert bf.make_instance(bf.FunctionSpec.perc((2, 2), 2)).arity == 6
     # only the first `level` levels of the profile are used
     assert bf.make_instance(bf.FunctionSpec.perc((2, 2, 2), 1)).arity == 2
-    # the largest parameters under the 2^31 - 1 cap (andor:30 is one too,
-    # but its bit tables take 2^31 entries)
+    # the largest parameters under the 2^31 - 1 cap
+    assert bf.make_instance(bf.FunctionSpec.andor(30)).arity == 2**31 - 1
     assert bf.make_instance(bf.FunctionSpec.itermaj3(19)).arity == 3**19
     assert bf.make_instance(bf.FunctionSpec.bigtame(19)).arity == 20 + 3**19
 
@@ -59,6 +59,7 @@ def test_invalid_specs():
 
 
 _HUGE_PARAMETERS = """
+import contextlib, io, tracemalloc
 from boolvol import cli
 from boolvol.errors import InstanceTooLarge
 from boolvol.functions import make_instance, parse_spec
@@ -69,12 +70,33 @@ try:
     raise AssertionError("itermaj3:100000 accepted")
 except InstanceTooLarge:
     pass
+# every family at its largest parameter builds with no per-bit array
+for text in ("andor:30", "itermaj3:19", "bigtame:19", "parity:2147483647",
+             "perc:46340,46340:2"):
+    tracemalloc.start()
+    make_instance(parse_spec(text))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20, (text, peak)
+# a huge arity is refused by a budget or a cap before any per-bit draw,
+# whatever the horizon
+for argv in (["simulate", "parity:2000000000", "--T", "1e-9", "--replicas", "1"],
+             ["simulate", "andor:30", "--T", "1e-9", "--replicas", "1"],
+             ["simulate", "andor:30", "--replicas", "2"],
+             ["noise", "parity:2000000000", "--epsilon", "0.5", "--replicas", "1"],
+             ["influence", "andor:30"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 3 and out.getvalue() == "", argv
+    assert "events per replica" in err.getvalue() or "cap" in err.getvalue(), err.getvalue()
 """
 
 
 def test_huge_parameter_refused_before_its_power():
     # forming 3^d or 2^(d+1) for such a d runs for minutes; the cap refuses
-    # the parameter first.  The child process runs under a timeout and a
+    # the parameter first, and a huge arity allocates nothing per bit until
+    # a budget admits a run.  The child process runs under a timeout and a
     # 2 GB address-space limit, so a regression fails instead of hanging
     resource = pytest.importorskip("resource")
 
@@ -175,7 +197,7 @@ def test_evaluate_bigtame():
 
 def test_evaluate_andor():
     # gate encoding: 1 = OR, 0 = AND; a leaf gate sees in-signals 0 and 1,
-    # so a leaf outputs its own gate bit.  Bits map to vertices in preorder.
+    # so a leaf outputs its own gate bit.  Bits map to vertices in heap order.
     inst = bf.make_instance(bf.FunctionSpec.andor(1))
     # root AND, both leaves OR -> AND(1, 1) = 1
     assert bf.evaluate(inst, [0, 1, 1]) == 1
@@ -189,36 +211,18 @@ def test_evaluate_andor():
     assert bf.evaluate(leaf, [0]) == 0
 
 
-def test_evaluate_andor_preorder_mapping():
-    # depth 2, preorder: bit0=root, bits1..3 left subtree, bits4..6 right.
+def test_evaluate_andor_heap_order():
+    # depth 2, heap order: bit 0 is the root, bits 1 and 2 its left and
+    # right gates, bits 3, 4 the left gate's leaves and bits 5, 6 the
+    # right's.  Read in depth-first preorder, each configuration below
+    # gives the other output
     inst = bf.make_instance(bf.FunctionSpec.andor(2))
-    # root=AND; left subtree root=OR with leaves (AND, AND) -> 0|0 = 0
-    # right subtree root=OR with leaves (OR, AND) -> 1|0 = 1; AND(0,1)=0
-    assert bf.evaluate(inst, [0, 1, 0, 0, 1, 1, 0]) == 0
-    # flip the left subtree's first leaf to OR: left -> 1, AND(1,1)=1
-    assert bf.evaluate(inst, [0, 1, 1, 0, 1, 1, 0]) == 1
-
-
-def _preorder_by_recursion(d):
-    """Heap index of each gate bit of a depth-d tree: the root, then the
-    whole left subtree, then the right."""
-    order = []
-
-    def visit(h):
-        if h < 2 ** (d + 1) - 1:
-            order.append(h)
-            visit(2 * h + 1)
-            visit(2 * h + 2)
-    visit(0)
-    return order
-
-
-def test_andor_bit_order_is_preorder():
-    for d in range(13):
-        inst = bf.make_instance(bf.FunctionSpec.andor(d))
-        node_of_bit = _preorder_by_recursion(d)
-        assert inst.bit_position.tolist() == node_of_bit
-        assert inst.bit_order[node_of_bit].tolist() == list(range(inst.arity))
+    # root OR; left OR of leaves (AND, OR) -> 1; right AND of (AND, AND) -> 0
+    assert bf.evaluate(inst, [1, 1, 0, 0, 1, 0, 0]) == 1
+    # root OR; left AND of (AND, AND) -> 0; right OR of (AND, OR) -> 1
+    assert bf.evaluate(inst, [1, 0, 1, 0, 0, 0, 1]) == 1
+    # root OR; both gates OR, every leaf AND -> 0
+    assert bf.evaluate(inst, [1, 1, 1, 0, 0, 0, 0]) == 0
 
 
 def test_evaluate_perc():
@@ -351,15 +355,13 @@ def _tree_by_definition(spec, config):
             return int(sum(node(level - 1, 3 * j + c) for c in range(3)) >= 2)
         return node(spec.param, 0)
     if spec.family == "andor":
-        bit = iter(config)
-
-        def node(height):  # gate bits in depth-first preorder
-            gate = next(bit)
-            if height == 0:
+        def node(h):  # gate bit h in heap order; its children are 2h+1, 2h+2
+            gate = config[h]
+            if 2 * h + 1 >= len(config):
                 return gate
-            left, right = node(height - 1), node(height - 1)
+            left, right = node(2 * h + 1), node(2 * h + 2)
             return (left | right) if gate else (left & right)
-        return node(spec.param)
+        return node(0)
     children, n = spec.profile, spec.level
     offsets = [0]
     width = 1
@@ -404,10 +406,9 @@ def test_bit_inputs_match_slice_bisection(text):
     # declared slices it replaces, for bits in any order and repeated
     inst = bf.make_instance(bf.parse_spec(text))
     bits = np.random.default_rng(12).integers(0, inst.arity, 500)
-    pos = bits if inst.bit_position is None else inst.bit_position[bits]
-    lo, step, fan = inst._slices[np.searchsorted(inst._slices[:, 0], pos, side="right") - 1].T
+    lo, step, fan = inst._slices[np.searchsorted(inst._slices[:, 0], bits, side="right") - 1].T
     got = inst.bit_inputs(bits)
-    assert np.array_equal(got[0], step) and np.array_equal(got[1], (pos - lo) // fan)
+    assert np.array_equal(got[0], step) and np.array_equal(got[1], (bits - lo) // fan)
 
 
 @pytest.mark.parametrize("text", ["maj:257", "parity:257", "dap:258", "type2:259", "bigtame:6"])
