@@ -42,7 +42,7 @@ print("a_k for p0 = 0.4:")
 for k in range(9):
     print("  depth %d:  %.3e" % (k, series.value(k)))
 for depth in (1, 2):
-    inst = make_instance(FunctionSpec.itermaj3(depth))
+    inst = make_instance(FunctionSpec("itermaj3", depth))
     print("enumeration check, depth %d: recursion %.12f  exact %.12f"
           % (depth, maj3_a_seq(0.4, depth).last_value, exact_prob_one(inst, 0.4)))
 
@@ -67,7 +67,7 @@ for alpha in (0.4, 1.0):
 # %%
 print("%5s %12s %12s %7s" % ("depth", "mean S", "(n+2)/8", "z"))
 for n in (2, 3, 4, 5):
-    inst = make_instance(FunctionSpec.andor(n))
+    inst = make_instance(FunctionSpec("andor", n))
     est = estimate_C_distribution(
         inst, DynamicsParams(p=0.5, T=1.0, seed=1, replicas=20_000))
     s = est.S.astype(float)

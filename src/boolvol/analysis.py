@@ -49,7 +49,8 @@ near depth 1030 (-inf, then NaN in b).  A ``digits`` argument selects mpmath
 arithmetic at that many decimal digits instead; mpf exponents never underflow,
 so those series stay linear.  The cutoff diagnostic and the volatility ratio
 always run in mpmath.  All functions here are pure and safe to call
-concurrently.
+concurrently.  Every function that takes a depth n refuses n above
+``MAX_DEPTH`` with InstanceTooLarge (exit 3 in the CLI).
 """
 
 from __future__ import annotations
@@ -61,11 +62,12 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from .errors import PrecisionExhausted, ResourceLimit
+from .errors import InstanceTooLarge, PrecisionExhausted, ResourceLimit
 from .dynamics import _check_int, simulate_batch
 
 __all__ = [
     "MAJ3_CRITICAL_ALPHA",
+    "MAX_DEPTH",
     "Maj3Params",
     "RecursionSeries",
     "maj3_a_seq",
@@ -92,6 +94,10 @@ __all__ = [
 # decorrelates the tree for alpha below this and freezes it above.
 MAJ3_CRITICAL_ALPHA = math.log(1.5) / math.log(2.0)
 
+# every recursion keeps and prints one value per depth; the budget is five
+# times the deepest series the tests ask for
+MAX_DEPTH = 10_000
+
 _UNDERFLOW = 1e-280
 _LOG3 = math.log(3.0)
 _LN10 = math.log(10.0)
@@ -99,8 +105,11 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _depth(n, t=0.0):
-    """`n` as an int; ValueError unless it is an integer >= 0 and t >= 0."""
+    """`n` as an int; ValueError unless it is an integer >= 0 and t >= 0,
+    InstanceTooLarge above `MAX_DEPTH`."""
     n = _check_int("depth n", n, 0)
+    if n > MAX_DEPTH:
+        raise InstanceTooLarge("depth %d exceeds the recursion budget %d" % (n, MAX_DEPTH))
     if not t >= 0.0:
         raise ValueError("time t must be >= 0")
     return n
@@ -798,7 +807,8 @@ def andor_b_bound_seq(n, t):
     n = _depth(n, t)
     values = [1.0] * (min(n, 2) + 1)
     for k in range(2, n):
-        values.append(0.25 * andor_beta(k, t) * values[-1] + (k * k) / 4.0 ** (k + 1))
+        # k^2 / 4^(k+1), exact, and 0 past depth 511, where 4.0^(k+1) overflows
+        values.append(0.25 * andor_beta(k, t) * values[-1] + math.ldexp(k * k, -2 * (k + 1)))
     big_n = 2 ** (n + 1) - 1
     # no cap applies at t = 0 or below depth 3 (None, JSON null)
     cap = 800.0 * (n / big_n) ** 2 / math.sqrt(t) if (t > 0 and n >= 3) else None

@@ -19,15 +19,18 @@ perc:...:n   spherically symmetric tree with a fixed child count per
              level; each bit is an edge (open/closed) and the output is 1
              iff an open path joins the root to level n
 
-Each family is stated once, and three classes read the statements.
+Each family is one row, stated once, and three classes read the rows.  A
+row starts with the family's least integer parameter; `_validate` adds the
+four rules no row holds (maj is odd, perc's profile and level, a table's
+length and entries, the arity cap).
 Counter families (dictator, parity, dap, type2, maj, bigtame) are rows of
 `_COUNTERS`: an arity, a few bit slices and one output rule over the slice
 sums.  `CounterInstance` applies that rule both to the slice sums of a
 block of configurations (`evaluate_rows`) and to the Monte Carlo kernel's
 sums (`counter_weights`, `counter_output`).  An imported truth table
 (`TableInstance`) is a counter with one weighted sum, the row's index.
-Tree families (itermaj3, andor, perc) are functions in `_TREES` that give,
-from the spec alone, a read-once tree of threshold nodes, bottom up
+Tree families (itermaj3, andor, perc) are rows of `_TREES` whose function
+gives, from the spec alone, a read-once tree of threshold nodes, bottom up
 (`steps`, `TreeStep`).  In `TreeInstance`, one vectorised pass over a block
 of configurations (`input_counts`) gives every node's input count, and
 `evaluate_rows`, `build_state` and the level-by-level Monte Carlo replay in
@@ -43,12 +46,15 @@ itermaj3 leaves are numbered left to right; andor gate bits are in heap
 order (bit 0 is the root and gate h has children 2h+1 and 2h+2, so the
 leftmost level-k gate is bit 2^k - 1); perc edges are numbered level by
 level, so the bit of the edge ending at vertex j of level k is (number of
-edges above level k) + j (`_edge_offsets`).
+edges above level k) + j (`_edge_offsets`).  A bit, like a table entry,
+is a bool or an integer equal to 0 or 1 (`_bits`); anything else, a float
+or a string included, raises ValueError.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -69,7 +75,8 @@ class FunctionSpec:
 
     `param` is the family's integer parameter (bit count, majority size,
     tree depth, or selector width); `profile`/`level` apply to perc only;
-    `table` holds the output bits of an imported truth table.
+    `table` holds the output bits of an imported truth table.  Nothing is
+    coerced: `make_instance` checks every field.
     """
 
     family: str
@@ -78,46 +85,13 @@ class FunctionSpec:
     level: int = 0
     table: tuple = ()
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def dictator(cls, m):
-        return cls("dictator", int(m))
-
-    @classmethod
-    def parity(cls, m):
-        return cls("parity", int(m))
-
-    @classmethod
-    def dap(cls, m):
-        return cls("dap", int(m))
-
-    @classmethod
-    def type2(cls, m):
-        return cls("type2", int(m))
-
-    @classmethod
-    def majority(cls, n):
-        return cls("maj", int(n))
-
-    @classmethod
-    def itermaj3(cls, depth):
-        return cls("itermaj3", int(depth))
-
-    @classmethod
-    def andor(cls, depth):
-        return cls("andor", int(depth))
-
-    @classmethod
-    def bigtame(cls, n):
-        return cls("bigtame", int(n))
-
     @classmethod
     def perc(cls, profile, level):
-        return cls("perc", 0, tuple(int(c) for c in profile), int(level))
+        return cls("perc", 0, tuple(profile), level)
 
     @classmethod
     def truth_table(cls, bits):
-        return cls("table", 0, (), 0, tuple(int(b) for b in bits))
+        return cls("table", 0, (), 0, tuple(bits))
 
     def spec_string(self):
         """Canonical textual form, e.g. 'maj:9' or 'perc:2,16,7:3'."""
@@ -220,11 +194,9 @@ class EvaluationState:
 
         Returns (output_after, output_changed).
         """
-        if not 0 <= bit_index < self.instance.arity:
-            raise IndexOutOfRange("bit index %d outside [0, %d)" % (bit_index, self.instance.arity))
-        if new_value not in (0, 1):
-            raise ValueError("bit value must be 0 or 1, got %r" % (new_value,))
-        return self._update(int(bit_index), int(new_value))
+        if not (_integer(bit_index, 0) and bit_index < self.instance.arity):
+            raise IndexOutOfRange("bit index %r outside [0, %d)" % (bit_index, self.instance.arity))
+        return self._update(int(bit_index), _bits(new_value).item())
 
     def _update(self, i, v):
         old = self.config[i]
@@ -311,8 +283,8 @@ class FunctionInstance:
         if arity > MAX_ARITY:
             raise InstanceTooLarge("arity %d exceeds the 2^31-1 cap" % arity)
         self.spec = spec
-        self.arity = arity
-        self.depth = depth
+        self.arity = int(arity)  # a numpy parameter gives a numpy arity
+        self.depth = int(depth)
 
     def counter_weights(self):
         """(arity, k) int64 weights when the output is a function of the k
@@ -330,17 +302,17 @@ def _ones(bits):
     return bits.sum(axis=1, dtype=np.uint8 if bits.shape[1] < 256 else np.int64)
 
 
-# counter families.  Each row holds a function of the family's parameter n
-# giving the arity and the bit slices (lo, hi) whose sums the output reads,
-# then the output rule, a function of the list of slice sums and n
+# counter families.  Each row holds the least integer parameter n, then a
+# function of n giving the arity and the bit slices (lo, hi) whose sums the
+# output reads, then the output rule, a function of the list of slice sums and n
 _COUNTERS = {
-    "dictator": (lambda n: (n, ((0, 1),)), lambda s, n: s[0]),
-    "parity": (lambda n: (n, ((0, n),)), lambda s, n: s[0] & 1),
-    "dap": (lambda n: (n, ((0, 1), (1, n))), lambda s, n: (s[0] == 1) & ((s[1] & 1) == 0)),
-    "type2": (lambda n: (n, ((0, 1), (1, 2), (2, n))),
+    "dictator": (1, lambda n: (n, ((0, 1),)), lambda s, n: s[0]),
+    "parity": (1, lambda n: (n, ((0, n),)), lambda s, n: s[0] & 1),
+    "dap": (2, lambda n: (n, ((0, 1), (1, n))), lambda s, n: (s[0] == 1) & ((s[1] & 1) == 0)),
+    "type2": (3, lambda n: (n, ((0, 1), (1, 2), (2, n))),
               lambda s, n: np.where(s[1] == 1, s[0], s[2] & 1)),
-    "maj": (lambda n: (n, ((0, n),)), lambda s, n: s[0] >= (n + 1) // 2),
-    "bigtame": (lambda n: (1 + n + 3**n, ((0, 1), (1, n + 1), (n + 1, 1 + n + 3**n))),
+    "maj": (1, lambda n: (n, ((0, n),)), lambda s, n: s[0] >= (n + 1) // 2),
+    "bigtame": (1, lambda n: (1 + n + 3**n, ((0, 1), (1, n + 1), (n + 1, 1 + n + 3**n))),
                 lambda s, n: np.where(s[1] == n, s[2] & 1, s[0])),
 }
 
@@ -351,13 +323,13 @@ class CounterInstance(FunctionInstance):
     uint8 slice sums, the Monte Carlo kernel's sums through the same rule."""
 
     def __init__(self, spec):
-        arity, self.slices = _COUNTERS[spec.family][0](spec.param)
+        arity, self.slices = _COUNTERS[spec.family][1](spec.param)
         super().__init__(spec, arity)
 
     def _output(self, sums):
         # looked up, not stored, so that an instance holds no function and
         # pickles as before
-        rule = _COUNTERS[self.spec.family][1]
+        rule = _COUNTERS[self.spec.family][2]
         return rule(sums, self.spec.param).astype(np.uint8)
 
     def evaluate_rows(self, bits):
@@ -434,14 +406,14 @@ def _edge_offsets(children):
     its edge count; offsets[0] = 0.  `perctree` keys its edges by these ids."""
     offsets, v = [0, 0], 1
     for c in children:
-        v *= c
+        v *= int(c)  # exact, for numpy child counts too
         offsets.append(offsets[-1] + v)
     return offsets
 
 
-# tree families: each declaration gives (arity, depth, steps) from the spec
-# alone, with no per-bit array
-_TREES = {"itermaj3": _itermaj3_tree, "andor": _andor_tree, "perc": _perc_tree}
+# tree families.  Each row holds the least integer parameter, then a function
+# giving (arity, depth, steps) from the spec alone, with no per-bit array
+_TREES = {"itermaj3": (0, _itermaj3_tree), "andor": (0, _andor_tree), "perc": (0, _perc_tree)}
 
 
 def _fan_sum(x, nodes):
@@ -459,7 +431,7 @@ class TreeInstance(FunctionInstance):
     """
 
     def __init__(self, spec):
-        arity, depth, steps = _TREES[spec.family](spec)
+        arity, depth, steps = _TREES[spec.family][1](spec)
         super().__init__(spec, arity, depth)
         self.steps = tuple(steps)
         # (lo, step, bits per node) of every slice, in bit order
@@ -528,39 +500,48 @@ class TableInstance(FunctionInstance):
 # module-level operations
 # ---------------------------------------------------------------------------
 
+def _integer(value, low):
+    """True iff `value` is an integer >= `low`; a bool is not an integer."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
+
+
+def check_profile(children):
+    """perc child counts, root downward, as a tuple of ints; InvalidSpec
+    unless they are a nonempty sequence of integers >= 1."""
+    children = tuple(children)
+    if not children or not all(_integer(c, 1) for c in children):
+        raise InvalidSpec("a profile must be one or more integers >= 1, got %r" % (children,))
+    return tuple(int(c) for c in children)
+
+
+def _bits(values, what="bits", error=ValueError):
+    """`values` as a uint8 array, or `error` unless every entry is a bool or
+    an integer equal to 0 or 1."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1):
+        raise error("%s must be 0 or 1" % what)
+    return arr.astype(np.uint8, copy=False)
+
+
 def _validate(spec):
+    # the parameter against its row's least value, then the other four rules
     f, p = spec.family, spec.param
-    if f == "maj":
-        if p < 1 or p % 2 == 0:
-            raise InvalidSpec("majority size must be odd and >= 1, got %d" % p)
-    elif f in ("itermaj3", "andor"):
-        if p < 0:
-            raise InvalidSpec("depth must be >= 0, got %d" % p)
-    elif f in ("dictator", "parity"):
-        if p < 1:
-            raise InvalidSpec("%s needs at least 1 bit" % f)
-    elif f == "dap":
-        if p < 2:
-            raise InvalidSpec("dap needs at least 2 bits")
-    elif f == "type2":
-        if p < 3:
-            raise InvalidSpec("type2 needs at least 3 bits")
-    elif f == "bigtame":
-        if p < 1:
-            raise InvalidSpec("bigtame selector width must be >= 1")
-    elif f == "perc":
-        if not spec.profile:
-            raise InvalidSpec("perc profile must be nonempty")
-        if any(c < 1 for c in spec.profile):
-            raise InvalidSpec("perc child counts must be >= 1")
-        if not 1 <= spec.level <= len(spec.profile):
-            raise InvalidSpec("perc level %d outside 1..%d" % (spec.level, len(spec.profile)))
-    elif f == "table":
-        size = len(spec.table)
-        if size < 2 or size & (size - 1):
-            raise InvalidSpec("truth table length must be a power of two >= 2")
-    else:
-        raise InvalidSpec("unknown family: %r" % f)
+    if f != "table":
+        if not isinstance(f, str) or f not in _CLASSES:
+            raise InvalidSpec("unknown family: %r" % (f,))
+        least = (_COUNTERS.get(f) or _TREES[f])[0]
+        if not _integer(p, least):
+            raise InvalidSpec("%s parameter must be an integer >= %d, got %r" % (f, least, p))
+    if f == "maj" and p % 2 == 0:
+        raise InvalidSpec("majority size must be odd, got %d" % p)
+    if f == "perc":
+        profile = check_profile(spec.profile)
+        if not _integer(spec.level, 1) or spec.level > len(profile):
+            raise InvalidSpec("perc level %r outside 1..%d" % (spec.level, len(profile)))
+    if f == "table":
+        table = _bits(spec.table, "table entries", InvalidSpec)
+        if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):
+            raise InvalidSpec("a truth table must be a flat list of 2^m >= 2 entries")
     # these arities exceed 2^p, so a p of the cap's bit length or more is
     # refused before 3^p or 2^(p+1) is formed; FunctionInstance checks the rest
     if f in ("itermaj3", "andor", "bigtame") and p >= MAX_ARITY.bit_length():
@@ -574,45 +555,34 @@ _CLASSES = {**dict.fromkeys(_COUNTERS, CounterInstance),
 def make_instance(spec):
     """Builds the structural index for `spec`.
 
-    Raises InvalidSpec for out-of-range parameters (even majority size,
-    negative depth, empty profile) and InstanceTooLarge for an arity above
-    the 2^31-1 cap.
+    Raises InvalidSpec for a non-integer or out-of-range field (a float
+    size, even majority size, empty profile, table entry 2) and
+    InstanceTooLarge for an arity above the 2^31-1 cap.
     """
     _validate(spec)
     return _CLASSES[spec.family](spec)
 
 
-def _check_rows(instance, bits):
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 2 or bits.shape[1] != instance.arity:
+def _config(instance, config, ndim):
+    arr = _bits(config)
+    if arr.ndim != ndim or arr.shape[-1] != instance.arity:
         raise ArityMismatch("config rows must have length %d" % instance.arity)
-    if bits.size and bits.max() > 1:
-        raise ValueError("bits must be 0 or 1")
-    return bits
+    return arr
 
 
 def evaluate_batch(instance, bits):
     """Evaluates many configurations at once; bits is a (rows, arity) array."""
-    return instance.evaluate_rows(_check_rows(instance, bits))
+    return instance.evaluate_rows(_config(instance, bits, 2))
 
 
 def evaluate(instance, config):
     """Full from-scratch evaluation of one configuration."""
-    row = np.asarray(config, dtype=np.uint8)
-    if row.ndim != 1 or row.shape[0] != instance.arity:
-        raise ArityMismatch("config must have length %d" % instance.arity)
-    return int(instance.evaluate_rows(_check_rows(instance, row[None, :]))[0])
+    return int(instance.evaluate_rows(_config(instance, config, 1)[None, :])[0])
 
 
 def build_state(instance, config):
     """Creates an EvaluationState whose cached output equals evaluate()."""
-    arr = np.asarray(config)
-    if arr.ndim != 1 or arr.shape[0] != instance.arity:
-        raise ArityMismatch("config must have length %d" % instance.arity)
-    lst = [int(b) for b in arr]
-    if any(b not in (0, 1) for b in lst):
-        raise ValueError("bits must be 0 or 1")
-    return instance.build_state(lst)
+    return instance.build_state(_config(instance, config, 1).tolist())
 
 
 def apply_update(state, bit_index, new_value):

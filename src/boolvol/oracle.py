@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArityTooLarge, DepthTooLarge, NotPowerOfTwo
-from .functions import FunctionSpec, make_instance
+from .functions import FunctionSpec, _bits, make_instance
 
 ENUM_ARITY_CAP = 24
 PAIR_ARITY_CAP = 20
@@ -243,7 +243,7 @@ def exact_andor_pivotal(n, k):
         raise ValueError("need 0 <= k <= n, got n=%d k=%d" % (n, k))
     if n > 3:
         raise DepthTooLarge("raw enumeration is capped at depth 3, got %d" % n)
-    instance = make_instance(FunctionSpec.andor(n))
+    instance = make_instance(FunctionSpec("andor", n))
     v = _truth_values(instance).reshape(1 << (2**k - 1), 2, -1)  # bit 2^k - 1
     # f = 1 with the gate OR (its bit 1), f = 0 at the AND partner
     return Fraction(int(np.count_nonzero(v[:, 1] > v[:, 0])), 1 << instance.arity)
@@ -273,7 +273,4 @@ def import_truth_table(bits):
     m = size.bit_length() - 1
     if m > ENUM_ARITY_CAP:
         raise ArityTooLarge("table arity %d exceeds the cap %d" % (m, ENUM_ARITY_CAP))
-    arr = np.asarray(bits)
-    if arr.ndim != 1 or arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > 1:
-        raise ValueError("table entries must be 0 or 1")
-    return make_instance(FunctionSpec.truth_table(arr.tolist()))
+    return make_instance(FunctionSpec.truth_table(_bits(bits, "table entries").tolist()))

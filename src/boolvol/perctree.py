@@ -86,7 +86,7 @@ from .dynamics import (
     _tick_time,
 )
 from .errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
-from .functions import FunctionSpec, _edge_offsets, read_profile_file
+from .functions import FunctionSpec, _edge_offsets, check_profile, read_profile_file
 
 __all__ = [
     "LevelProfile",
@@ -114,15 +114,7 @@ class LevelProfile:
     report: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        ch = tuple(self.children)
-        if not ch:
-            raise InvalidSpec("level profile must have at least one level")
-        for c in ch:
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                raise InvalidSpec("child counts must be integers, got %r" % (c,))
-            if c < 1:
-                raise InvalidSpec("child counts must be >= 1, got %r" % (c,))
-        object.__setattr__(self, "children", tuple(int(c) for c in ch))
+        object.__setattr__(self, "children", check_profile(self.children))
 
     @property
     def n_levels(self):

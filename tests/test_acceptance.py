@@ -54,7 +54,7 @@ _ANDOR_RUNS = {}
 def andor_run(n):
     """One shared 1e5-replica run per AND/OR depth (criteria 2 and 8)."""
     if n not in _ANDOR_RUNS:
-        inst = make_instance(FunctionSpec.andor(n))
+        inst = make_instance(FunctionSpec("andor", n))
         params = DynamicsParams(p=0.5, T=1.0, seed=SEED, replicas=REPLICAS)
         _ANDOR_RUNS[n] = estimate_C_distribution(inst, params)
     return _ANDOR_RUNS[n]
@@ -117,7 +117,7 @@ def test_criterion_04_same_joint_law():
 
 
 def test_criterion_05_maj3_recursions():
-    inst = make_instance(FunctionSpec.itermaj3(2))
+    inst = make_instance(FunctionSpec("itermaj3", 2))
     err_a = max(abs(exact_prob_one(inst, p) - maj3_a_seq(p, 2).last_value)
                 for p in (0.3, 0.4, 0.5))
     eps = 0.05
@@ -150,7 +150,7 @@ def test_criterion_06_cutoff_diagnostic():
 def test_criterion_07_andor_survival_floor():
     worst = math.inf
     for n in (2, 4):
-        inst = make_instance(FunctionSpec.andor(n))
+        inst = make_instance(FunctionSpec("andor", n))
         for x in (0.01, 0.04):
             g = survival_estimate(inst, 0.5, x, REPLICAS, SEED)
             se = math.sqrt(max(g * (1.0 - g), 1e-12) / REPLICAS)

@@ -10,7 +10,7 @@ import pytest
 from boolvol import analysis as ana
 from boolvol.dynamics import (DynamicsParams, estimate_C_distribution, estimate_joint,
                               simulate_trajectory)
-from boolvol.errors import PrecisionExhausted
+from boolvol.errors import InstanceTooLarge, PrecisionExhausted
 from boolvol.functions import FunctionSpec, make_instance, parse_spec
 from boolvol.oracle import exact_andor_switch_prob, exact_prob_one
 
@@ -423,6 +423,14 @@ class TestAndorBBound:
         assert all(v >= 0.0 for v in finals)
         assert all(a >= b for a, b in zip(finals, finals[1:]))
 
+    def test_past_depth_511_the_tail_underflows(self):
+        # 4.0^(k+1) overflowed at k = 511; k^2 / 4^(k+1) is now formed
+        # exactly, and underflows to 0 deeper down, as the bound itself does
+        s = ana.andor_b_bound_seq(600, 0.5)
+        assert s.values[:512] == ana.andor_b_bound_seq(511, 0.5).values
+        assert s.last_value == 0.0
+        assert s.info["cap"] == 0.0 and s.info["cap_satisfied"]
+
     def test_shallow_depths_are_trivial(self):
         assert ana.andor_b_bound_seq(0, 0.5).values == [1.0]
         assert ana.andor_b_bound_seq(2, 0.5).values == [1.0, 1.0, 1.0]
@@ -712,6 +720,23 @@ class TestArgumentChecks:
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+
+    def test_depth_budget(self):
+        # one series value per depth: the budget bounds time, memory and output
+        assert len(ana.maj3_a_seq(0.5, ana.MAX_DEPTH).values) == ana.MAX_DEPTH + 1
+        calls = [
+            lambda n: ana.maj3_a_seq(0.4, n),
+            lambda n: ana.maj3_pi_seq(0.1, n),
+            lambda n: ana.Maj3Params(n=n, epsilon=0.1),
+            lambda n: ana.andor_x_seq(0.5, n),
+            lambda n: ana.andor_beta(n, 0.5),
+            lambda n: ana.andor_switch_rate(n),
+            lambda n: ana.andor_b_bound_seq(n, 0.5),
+            lambda n: ana.maj3_cutoff_diagnostic(0.5, n),
+        ]
+        for call in calls:
+            with pytest.raises(InstanceTooLarge, match="recursion budget"):
+                call(ana.MAX_DEPTH + 1)
 
     def test_numpy_integer_depths_run_as_ints(self):
         n = np.int64(12)

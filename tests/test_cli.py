@@ -18,6 +18,7 @@ import jsonschema
 import pytest
 
 from boolvol import cli
+from boolvol.analysis import MAX_DEPTH
 from boolvol.functions import make_instance, parse_spec
 from boolvol.oracle import exact_total_influence
 
@@ -27,6 +28,14 @@ ROOT = Path(__file__).resolve().parents[1]
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def strict(out):
+    """Parses JSON output that must hold no NaN or Infinity constant."""
+    def reject(name):
+        raise ValueError("non-JSON constant %s" % name)
+
+    return json.loads(out, parse_constant=reject)
 
 
 def validated(out):
@@ -313,14 +322,33 @@ class TestRecursion:
         # no cap applies at t = 0 or n < 3: it is null, not Infinity
         code, out = run_cli(capsys, "recursion", "andor-bbound", *argv)
         assert code == 0
-
-        def reject(name):
-            raise ValueError("non-JSON constant %s" % name)
-
-        payload = json.loads(out, parse_constant=reject)
+        payload = strict(out)
         validated(out)
         assert payload["info"]["cap"] is None
         assert payload["info"]["cap_satisfied"] is True
+
+    def test_andor_bbound_past_depth_511(self, capsys):
+        # 4.0^(k+1) overflowed at k = 511 and the command died with a traceback
+        code, out = run_cli(capsys, "recursion", "andor-bbound", "--n", "600", "--t", "0.5")
+        assert code == 0
+        payload = strict(out)
+        validated(out)
+        assert payload["series"][-1] == [600, 0.0, "linear"]
+        assert payload["info"]["cap"] == 0.0
+        assert payload["info"]["cap_satisfied"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("maj3-a", "--p0", "0.5"),
+        ("andor-x", "--t", "0.5"),
+        ("andor-bbound", "--t", "0.5"),
+        ("maj3-cutoff", "--alpha", "0.5"),
+    ])
+    def test_depth_above_budget_exit_3(self, capsys, argv):
+        code = cli.main(["recursion", *argv, "--n", str(MAX_DEPTH + 1)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "recursion budget" in captured.err
 
     def test_andor_gfloor(self, capsys):
         code, out = run_cli(capsys, "recursion", "andor-gfloor", "--grid", "200")

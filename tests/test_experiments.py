@@ -55,9 +55,9 @@ def base_trends(n_points=3, **overrides):
 class TestSequencePlan:
     def test_from_pairs_accepts_strings_and_specs(self):
         plan = exp.SequencePlan.from_pairs(
-            [("parity:4", 0.5), (FunctionSpec.parity(8), 0.3)])
+            [("parity:4", 0.5), (FunctionSpec("parity", 8), 0.3)])
         assert plan.ns == (4, 8)
-        assert plan.entries[0][0] == FunctionSpec.parity(4)
+        assert plan.entries[0][0] == FunctionSpec("parity", 4)
         assert plan.entries[1][1] == 0.3
 
     def test_defaults(self):
@@ -318,7 +318,7 @@ class TestNoiseProbe:
     def test_dictator_disagree_is_half_epsilon_for_every_n(self):
         dis = {}
         for n in (4, 8):
-            inst = make_instance(FunctionSpec.dictator(n))
+            inst = make_instance(FunctionSpec("dictator", n))
             for eps in (0.2, 0.6):
                 dis[n, eps] = sample_noise_pair(inst, 0.5, eps, 20000, 1).disagree
         for (n, eps), d in dis.items():
@@ -353,7 +353,7 @@ class TestNoiseProbe:
 
     def test_majority_stability_signature(self):
         for n in (9, 101, 1001):
-            inst = make_instance(FunctionSpec.majority(n))
+            inst = make_instance(FunctionSpec("maj", n))
             dis = [sample_noise_pair(inst, 0.5, eps, 20000, 1).disagree
                    for eps in (0.01, 0.05, 0.1)]
             assert dis[0] < dis[1] < dis[2]
@@ -380,13 +380,13 @@ class TestMajorityTamenessProbe:
             assert se == pytest.approx(binom_se(q, 1500), abs=1e-12)
 
     def test_M_zero_identity(self):
-        est = estimate_C_distribution(make_instance(FunctionSpec.majority(9)),
+        est = estimate_C_distribution(make_instance(FunctionSpec("maj", 9)),
                                       DynamicsParams(p=0.5, T=1.0, seed=3, replicas=800))
         assert est.prob_greater(0) == pytest.approx(1.0 - est.p_zero, abs=1e-12)
 
     def test_dictator_matches_thinned_poisson_tail(self):
         # a single bit switches at thinned Poisson(1/2) rate
-        est = estimate_C_distribution(make_instance(FunctionSpec.dictator(1)),
+        est = estimate_C_distribution(make_instance(FunctionSpec("dictator", 1)),
                                       DynamicsParams(p=0.5, T=1.0, seed=1, replicas=50000))
         for M in range(6):
             want = 1.0 - math.exp(-0.5) * sum(0.5**j / math.factorial(j)

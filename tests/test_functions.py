@@ -17,33 +17,33 @@ ROOT = Path(__file__).resolve().parents[1]
 # ---------------------------------------------------------------------------
 
 def test_arities():
-    assert bf.make_instance(bf.FunctionSpec.majority(3)).arity == 3
-    assert bf.make_instance(bf.FunctionSpec.itermaj3(2)).arity == 9
-    assert bf.make_instance(bf.FunctionSpec.andor(2)).arity == 7
-    assert bf.make_instance(bf.FunctionSpec.bigtame(2)).arity == 12
-    assert bf.make_instance(bf.FunctionSpec.parity(16)).arity == 16
-    assert bf.make_instance(bf.FunctionSpec.dictator(1)).arity == 1
-    assert bf.make_instance(bf.FunctionSpec.dap(8)).arity == 8
-    assert bf.make_instance(bf.FunctionSpec.type2(8)).arity == 8
+    assert bf.make_instance(bf.FunctionSpec("maj", 3)).arity == 3
+    assert bf.make_instance(bf.FunctionSpec("itermaj3", 2)).arity == 9
+    assert bf.make_instance(bf.FunctionSpec("andor", 2)).arity == 7
+    assert bf.make_instance(bf.FunctionSpec("bigtame", 2)).arity == 12
+    assert bf.make_instance(bf.FunctionSpec("parity", 16)).arity == 16
+    assert bf.make_instance(bf.FunctionSpec("dictator", 1)).arity == 1
+    assert bf.make_instance(bf.FunctionSpec("dap", 8)).arity == 8
+    assert bf.make_instance(bf.FunctionSpec("type2", 8)).arity == 8
     # binary tree with 2 levels: 2 + 4 edges
     assert bf.make_instance(bf.FunctionSpec.perc((2, 2), 2)).arity == 6
     # only the first `level` levels of the profile are used
     assert bf.make_instance(bf.FunctionSpec.perc((2, 2, 2), 1)).arity == 2
     # the largest parameters under the 2^31 - 1 cap
-    assert bf.make_instance(bf.FunctionSpec.andor(30)).arity == 2**31 - 1
-    assert bf.make_instance(bf.FunctionSpec.itermaj3(19)).arity == 3**19
-    assert bf.make_instance(bf.FunctionSpec.bigtame(19)).arity == 20 + 3**19
+    assert bf.make_instance(bf.FunctionSpec("andor", 30)).arity == 2**31 - 1
+    assert bf.make_instance(bf.FunctionSpec("itermaj3", 19)).arity == 3**19
+    assert bf.make_instance(bf.FunctionSpec("bigtame", 19)).arity == 20 + 3**19
 
 
 def test_invalid_specs():
     with pytest.raises(InvalidSpec):
-        bf.make_instance(bf.FunctionSpec.majority(4))  # even
+        bf.make_instance(bf.FunctionSpec("maj", 4))  # even
     with pytest.raises(InvalidSpec):
-        bf.make_instance(bf.FunctionSpec.majority(-3))
+        bf.make_instance(bf.FunctionSpec("maj", -3))
     with pytest.raises(InvalidSpec):
-        bf.make_instance(bf.FunctionSpec.itermaj3(-1))
+        bf.make_instance(bf.FunctionSpec("itermaj3", -1))
     with pytest.raises(InvalidSpec):
-        bf.make_instance(bf.FunctionSpec.andor(-2))
+        bf.make_instance(bf.FunctionSpec("andor", -2))
     with pytest.raises(InvalidSpec):
         bf.make_instance(bf.FunctionSpec.perc((), 1))  # empty profile
     with pytest.raises(InvalidSpec):
@@ -51,11 +51,69 @@ def test_invalid_specs():
     with pytest.raises(InvalidSpec):
         bf.make_instance(bf.FunctionSpec.perc((2, 0), 2))  # child count < 1
     with pytest.raises(InvalidSpec):
-        bf.make_instance(bf.FunctionSpec.parity(0))
-    for spec in (bf.FunctionSpec.bigtame(20), bf.FunctionSpec.itermaj3(20),
-                 bf.FunctionSpec.andor(31)):
+        bf.make_instance(bf.FunctionSpec("parity", 0))
+    for spec in (bf.FunctionSpec("bigtame", 20), bf.FunctionSpec("itermaj3", 20),
+                 bf.FunctionSpec("andor", 31)):
         with pytest.raises(InstanceTooLarge):
             bf.make_instance(spec)  # arity above 2^31 - 1
+
+
+_ROWS = {**bf._COUNTERS, **bf._TREES}
+
+
+@pytest.mark.parametrize("family", sorted(_ROWS))
+def test_every_row_states_its_least_parameter(family):
+    least = _ROWS[family][0]
+
+    def spec(param):
+        # counters ignore the profile and level that perc reads
+        return bf.FunctionSpec(family, param, (2,), 1)
+
+    assert bf.make_instance(spec(least)).spec.param == least
+    for bad in (least - 1, float(least), bool(least), str(least)):
+        with pytest.raises(InvalidSpec):
+            bf.make_instance(spec(bad))
+
+
+@pytest.mark.parametrize("spec", [
+    bf.FunctionSpec("maj", 9.5),
+    bf.FunctionSpec("parity", 2.0),
+    bf.FunctionSpec("perc", 0, (2, 2.5), 2),
+    bf.FunctionSpec("perc", 0, (2, 2), 1.5),
+    bf.FunctionSpec("itermaj3", 1.5),
+    bf.FunctionSpec("maj", True),
+    bf.FunctionSpec("table", 0, (), 0, (0, 2)),
+    bf.FunctionSpec("table", 0, (), 0, (0, -1)),
+    bf.FunctionSpec.perc((2, 2.0), 2),
+    bf.FunctionSpec.perc((2, 2), 1.9),
+    bf.FunctionSpec.truth_table([0, 1.0]),
+], ids=repr)
+def test_spec_fields_are_checked_not_coerced(spec):
+    # each of these used to build (some with a non-integer arity or a
+    # truncated field) or to raise a TypeError or OverflowError
+    with pytest.raises(InvalidSpec):
+        bf.make_instance(spec)
+
+
+@pytest.mark.parametrize("call,config", [
+    (bf.evaluate, [0.5, 0, 1]),
+    (bf.evaluate_batch, [[0.7, 1, 1]]),
+    (bf.build_state, [0.5, 1, 1]),
+    (bf.evaluate, ["1", "0", "1"]),
+    (bf.evaluate, [-1, 0, 1]),
+    (bf.evaluate, [256, 0, 1]),
+    (bf.evaluate_batch, [[-1, 0, 1]]),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_bits_must_equal_0_or_1(call, config):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        call(bf.make_instance(bf.FunctionSpec("maj", 3)), config)
+
+
+def test_bits_may_be_bools_or_any_integer_type():
+    inst = bf.make_instance(bf.FunctionSpec("maj", 3))
+    assert bf.evaluate(inst, [True, False, True]) == 1
+    assert bf.evaluate(inst, np.array([1, 0, 1], dtype=np.int64)) == 1
+    assert bf.build_state(inst, [np.uint8(1), 1, 0]).output == 1
 
 
 _HUGE_PARAMETERS = """
@@ -78,6 +136,14 @@ for text in ("andor:30", "itermaj3:19", "bigtame:19", "parity:2147483647",
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1 << 20, (text, peak)
+# a huge depth is refused before a recursion holds one value per level
+for op in (["maj3-a", "--p0", "0.5"], ["andor-x", "--t", "0.5"],
+           ["andor-bbound", "--t", "0.5"], ["maj3-cutoff", "--alpha", "0.5"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["recursion", *op, "--n", "18446744073709551616"])
+    assert code == 3 and out.getvalue() == "", op
+    assert "recursion budget" in err.getvalue(), err.getvalue()
 # a huge arity is refused by a budget or a cap before any per-bit draw,
 # whatever the horizon
 for argv in (["simulate", "parity:2000000000", "--T", "1e-9", "--replicas", "1"],
@@ -148,27 +214,27 @@ def test_parse_spec_errors():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_majority():
-    inst = bf.make_instance(bf.FunctionSpec.majority(3))
+    inst = bf.make_instance(bf.FunctionSpec("maj", 3))
     assert bf.evaluate(inst, [1, 1, 0]) == 1
     assert bf.evaluate(inst, [1, 0, 0]) == 0
     assert bf.evaluate(inst, [0, 0, 0]) == 0
 
 
 def test_evaluate_parity():
-    inst = bf.make_instance(bf.FunctionSpec.parity(4))
+    inst = bf.make_instance(bf.FunctionSpec("parity", 4))
     assert bf.evaluate(inst, [1, 1, 0, 1]) == 1
     assert bf.evaluate(inst, [1, 1, 0, 0]) == 0
 
 
 def test_evaluate_dictator():
-    inst = bf.make_instance(bf.FunctionSpec.dictator(3))
+    inst = bf.make_instance(bf.FunctionSpec("dictator", 3))
     assert bf.evaluate(inst, [1, 0, 0]) == 1
     assert bf.evaluate(inst, [0, 1, 1]) == 0
 
 
 def test_evaluate_dap():
     # 1 iff first bit is 1 and the mod-2 sum of the remaining bits is 0
-    inst = bf.make_instance(bf.FunctionSpec.dap(4))
+    inst = bf.make_instance(bf.FunctionSpec("dap", 4))
     assert bf.evaluate(inst, [1, 0, 0, 0]) == 1
     assert bf.evaluate(inst, [1, 1, 1, 0]) == 1
     assert bf.evaluate(inst, [1, 1, 0, 0]) == 0
@@ -177,7 +243,7 @@ def test_evaluate_dap():
 
 def test_evaluate_type2():
     # first bit when second bit is 1, else mod-2 sum of bits 3..m
-    inst = bf.make_instance(bf.FunctionSpec.type2(5))
+    inst = bf.make_instance(bf.FunctionSpec("type2", 5))
     assert bf.evaluate(inst, [1, 1, 0, 0, 0]) == 1
     assert bf.evaluate(inst, [0, 1, 1, 1, 1]) == 0
     assert bf.evaluate(inst, [1, 0, 1, 0, 0]) == 1
@@ -186,7 +252,7 @@ def test_evaluate_type2():
 
 def test_evaluate_bigtame():
     # first bit unless the n selector bits are all 1, then parity of the tail
-    inst = bf.make_instance(bf.FunctionSpec.bigtame(2))
+    inst = bf.make_instance(bf.FunctionSpec("bigtame", 2))
     cfg = [1, 1, 0] + [0] * 9
     assert bf.evaluate(inst, cfg) == 1
     cfg = [0, 1, 1] + [1] + [0] * 8
@@ -198,7 +264,7 @@ def test_evaluate_bigtame():
 def test_evaluate_andor():
     # gate encoding: 1 = OR, 0 = AND; a leaf gate sees in-signals 0 and 1,
     # so a leaf outputs its own gate bit.  Bits map to vertices in heap order.
-    inst = bf.make_instance(bf.FunctionSpec.andor(1))
+    inst = bf.make_instance(bf.FunctionSpec("andor", 1))
     # root AND, both leaves OR -> AND(1, 1) = 1
     assert bf.evaluate(inst, [0, 1, 1]) == 1
     # root AND, one leaf AND -> AND(0, 1) = 0
@@ -206,7 +272,7 @@ def test_evaluate_andor():
     # root OR, one leaf OR -> OR(1, 0) = 1
     assert bf.evaluate(inst, [1, 1, 0]) == 1
     assert bf.evaluate(inst, [1, 0, 0]) == 0
-    leaf = bf.make_instance(bf.FunctionSpec.andor(0))
+    leaf = bf.make_instance(bf.FunctionSpec("andor", 0))
     assert bf.evaluate(leaf, [1]) == 1
     assert bf.evaluate(leaf, [0]) == 0
 
@@ -216,7 +282,7 @@ def test_evaluate_andor_heap_order():
     # right gates, bits 3, 4 the left gate's leaves and bits 5, 6 the
     # right's.  Read in depth-first preorder, each configuration below
     # gives the other output
-    inst = bf.make_instance(bf.FunctionSpec.andor(2))
+    inst = bf.make_instance(bf.FunctionSpec("andor", 2))
     # root OR; left OR of leaves (AND, OR) -> 1; right AND of (AND, AND) -> 0
     assert bf.evaluate(inst, [1, 1, 0, 0, 1, 0, 0]) == 1
     # root OR; left AND of (AND, AND) -> 0; right OR of (AND, OR) -> 1
@@ -235,7 +301,7 @@ def test_evaluate_perc():
 
 
 def test_evaluate_arity_mismatch():
-    inst = bf.make_instance(bf.FunctionSpec.majority(3))
+    inst = bf.make_instance(bf.FunctionSpec("maj", 3))
     with pytest.raises(ArityMismatch):
         bf.evaluate(inst, [1, 1])
     with pytest.raises(ArityMismatch):
@@ -247,14 +313,14 @@ def test_evaluate_arity_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_build_state_majority5():
-    inst = bf.make_instance(bf.FunctionSpec.majority(5))
+    inst = bf.make_instance(bf.FunctionSpec("maj", 5))
     st = bf.build_state(inst, [1, 0, 1, 0, 1])
     assert st.output == 1
     assert st.sums.tolist() == [3]
 
 
 def test_build_state_itermaj3():
-    inst = bf.make_instance(bf.FunctionSpec.itermaj3(1))
+    inst = bf.make_instance(bf.FunctionSpec("itermaj3", 1))
     st = bf.build_state(inst, [0, 0, 1])
     assert st.output == 0
 
@@ -267,7 +333,7 @@ def test_build_state_perc_closed():
 
 
 def test_apply_update_majority():
-    inst = bf.make_instance(bf.FunctionSpec.majority(3))
+    inst = bf.make_instance(bf.FunctionSpec("maj", 3))
     st = bf.build_state(inst, [1, 1, 0])
     out, changed = bf.apply_update(st, 2, 1)
     assert (out, changed) == (1, False)
@@ -277,7 +343,7 @@ def test_apply_update_majority():
 
 
 def test_apply_update_validation():
-    inst = bf.make_instance(bf.FunctionSpec.majority(3))
+    inst = bf.make_instance(bf.FunctionSpec("maj", 3))
     st = bf.build_state(inst, [1, 1, 0])
     with pytest.raises(IndexOutOfRange):
         bf.apply_update(st, 3, 1)
@@ -287,14 +353,14 @@ def test_apply_update_validation():
 
 def _all_specs_small():
     return [
-        bf.FunctionSpec.dictator(5),
-        bf.FunctionSpec.parity(8),
-        bf.FunctionSpec.dap(8),
-        bf.FunctionSpec.type2(8),
-        bf.FunctionSpec.majority(9),
-        bf.FunctionSpec.itermaj3(2),
-        bf.FunctionSpec.andor(3),
-        bf.FunctionSpec.bigtame(2),
+        bf.FunctionSpec("dictator", 5),
+        bf.FunctionSpec("parity", 8),
+        bf.FunctionSpec("dap", 8),
+        bf.FunctionSpec("type2", 8),
+        bf.FunctionSpec("maj", 9),
+        bf.FunctionSpec("itermaj3", 2),
+        bf.FunctionSpec("andor", 3),
+        bf.FunctionSpec("bigtame", 2),
         bf.FunctionSpec.perc((2, 3, 2), 3),
         bf.FunctionSpec.perc((3, 1, 2, 5), 3),
     ]
@@ -328,11 +394,11 @@ def test_incremental_matches_full_evaluation(spec):
 
 
 @pytest.mark.parametrize("spec,depth", [
-    (bf.FunctionSpec.itermaj3(3), 3),
-    (bf.FunctionSpec.andor(4), 4),
+    (bf.FunctionSpec("itermaj3", 3), 3),
+    (bf.FunctionSpec("andor", 4), 4),
     (bf.FunctionSpec.perc((2, 2, 2, 2), 4), 4),
-    (bf.FunctionSpec.itermaj3(0), 0),
-    (bf.FunctionSpec.andor(0), 0),
+    (bf.FunctionSpec("itermaj3", 0), 0),
+    (bf.FunctionSpec("andor", 0), 0),
     (bf.FunctionSpec.perc((3, 1, 2, 5), 3), 3),
 ], ids=["itermaj3", "andor", "perc", "itermaj3-0", "andor-0", "perc-fan1"])
 def test_update_cost_bounded_by_depth(spec, depth):
@@ -443,12 +509,12 @@ def test_bit_sums_exact_past_255_ones(text):
 
 def test_andor_complement_symmetry():
     # complementing every gate bit complements the output: f(x) = 1 - f(1-x)
-    inst = bf.make_instance(bf.FunctionSpec.andor(2))
+    inst = bf.make_instance(bf.FunctionSpec("andor", 2))
     all_cfg = ((np.arange(128)[:, None] >> np.arange(6, -1, -1)) & 1).astype(np.uint8)
     f = bf.evaluate_batch(inst, all_cfg)
     fc = bf.evaluate_batch(inst, 1 - all_cfg)
     assert np.array_equal(f, 1 - fc)
-    deep = bf.make_instance(bf.FunctionSpec.andor(5))
+    deep = bf.make_instance(bf.FunctionSpec("andor", 5))
     rng = np.random.default_rng(3)
     cfg = (rng.random((500, deep.arity)) < 0.5).astype(np.uint8)
     assert np.array_equal(bf.evaluate_batch(deep, cfg), 1 - bf.evaluate_batch(deep, 1 - cfg))
