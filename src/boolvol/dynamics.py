@@ -53,15 +53,19 @@ engines replay the same edge histories and agree replica by replica.
 One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
 its expected number of draws (a replica too long for one block is
 replayed in slot chunks), and hands each chunk's switches on as it goes;
-`_replicas` folds them into counts and keeps switch times only when asked,
-so a count-only run holds one block at a time.  A block pays some 80
-numpy calls of fixed cost (more per tree step on the tree families), so
-larger blocks amortise them, while its arrays of a few tens of bytes per
-draw should stay near a per-core cache: 2^15 expected draws
-(`_BLOCK_DRAWS`) measured faster than 2^14 and 2^16.  Draws are keyed by
-replica, so the block size moves no output.  Both family classes replay
-through one grouped cumsum of input sums, `_grouped_sums`, with no Python
-loop over events:
+`_replicas` folds them into counts and keeps switch times only when asked.
+A chunk's arrays are freed before the next chunk is drawn, so a
+count-only run holds one block at a time.  A block pays some 80 numpy
+calls of fixed cost (more per tree step on the tree families), so larger
+blocks amortise them, while its arrays of a few tens of bytes per draw
+should stay near a per-core cache.  Blocks are sized in rate-1 draws, so
+at p = 1/2 a block holds about half the rings it is sized for.  Over the
+mc-long benchmark's task list (2 vCPUs), 2^17 expected draws
+(`_BLOCK_DRAWS`) took 38.0 ms against 51.2, 42.0 and 38.0 ms at 2^15,
+2^16 and 2^18, and its largest task peaked at 3.2 MB of traced memory
+against 5.3 MB at 2^18.  Draws are keyed by replica, so the block size
+moves no output.  Both family classes replay through one grouped cumsum
+of input sums, `_grouped_sums`, with no Python loop over events:
 
 * counter families (dictator, parity, dap, type2, maj, bigtame, table):
   the output is a function of a few weighted bit sums
@@ -280,7 +284,7 @@ def _counts(table, u):
 _SLOT = 16.0            # longest horizon slot
 _TICK_BITS = 40         # time resolution: 2^-40 of a slot
 _TICK_MASK = _U64((1 << _TICK_BITS) - 1)
-_BLOCK_DRAWS = 1 << 15  # expected draws per block
+_BLOCK_DRAWS = 1 << 17  # expected draws per block
 
 
 @dataclass(frozen=True)
@@ -517,14 +521,16 @@ def _grouped_sums(group, step, init):
     """Input sums after every event, and the mask of each group's first event.
 
     Events come sorted by group, then by time.  A group's input sums start
-    at init[group] and every event adds its step to them, so one cumsum
-    restarted at each group's first event gives the sums after every
-    event.
+    at init[group] and every event adds its step to them, so the sums
+    after every event are one cumsum of the steps plus each group's
+    offset, repeated over the group's events.
     """
     head = np.ones(group.size, dtype=bool)
     head[1:] = group[1:] != group[:-1]
     run = np.cumsum(step, axis=0)
-    after = run + (init[group[head]] - run[head] + step[head])[np.cumsum(head) - 1]
+    first = np.flatnonzero(head)
+    offset = init[group[first]] - run[first] + step[first]
+    after = run + np.repeat(offset, np.diff(first, append=group.size), axis=0)
     return after, head
 
 
@@ -587,7 +593,8 @@ def _level_replay(instance, start, rep, bit, value):
     step, node = instance.bit_inputs(bit)
     nodes = np.array([st.nodes for st in steps])
     keys = ((rep * nodes[step] + node) << b) | (np.arange(rep.size) << 1) | value
-    order = np.argsort(step)
+    # a stable sort of small unsigned integers is a radix sort
+    order = np.argsort(step.astype(np.min_scalar_type(len(steps))), kind="stable")
     entering = np.split(keys[order], np.searchsorted(step[order], np.arange(1, len(steps))))
     carry = keys[:0]
     for s, st in enumerate(steps):
@@ -638,37 +645,45 @@ class ReplicaBatch(NamedTuple):
         return (self.initial ^ (self.C & 1)).astype(np.uint8)
 
 
-def _replica_spans(instance, p, T, seed, lo, hi, with_times):
+def _replica_spans(instance, p, T, seed, lo, hi, with_times, fold):
     """Replays replicas lo..hi-1 block by block, one slot span at a time.
 
-    Yields (first, stop, initial, rep, times) per span of the block
+    Calls fold(first, stop, initial, rep, times) per span of the block
     first..stop-1: `initial` holds the block's outputs at time 0 on its
     first span and is None after it, `rep` the replica (counted from
     `first`) of each switch of the span, in (replica, time) order, and
-    `times` their times (None without `with_times`).  Nothing is kept from
-    one span to the next but a long replica's configuration, so
-    the kernel's memory is set by one block, whatever the replica count.
+    `times` their times (None without `with_times`).  A span's arrays die
+    when its fold returns, and nothing is kept from one span to the next
+    but a long replica's configuration, so the kernel's memory is set by
+    one block, whatever the replica count.
     """
     m = instance.arity
     n_slots, slot_len, table = _slots(m, T, p)
     _hold_freed_memory()
     weights = instance.counter_weights()
+
+    def replay(a, b, j0, j1, config, carry):
+        # a function of its own, so that a span's arrays die on return, not
+        # when the next span's draw rebinds them; returns the configuration
+        # after the span when `carry` is set
+        start, cell, value, key = _replica_draws(instance, p, table, seed, a, b,
+                                                 j0, j1, config)
+        end = _advance(start, cell, value) if carry else None
+        rep, bit, value, key = _effective_events(m, cell, value, key)
+        if weights is not None:
+            out0, switch = _counter_replay(instance, weights, start, rep, bit, value)
+        else:
+            out0, switch = _level_replay(instance, start, rep, bit, value)
+        times = None
+        if with_times:
+            times = _event_times(key[switch], j0, max(1, j1 - j0), slot_len)
+        fold(a, b, out0 if j0 == 0 else None, rep[switch], times)
+        return end
+
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
         config = None
         for j0, j1 in spans:
-            start, cell, value, key = _replica_draws(instance, p, table, seed, a, b,
-                                                     j0, j1, config)
-            if len(spans) > 1:
-                config = _advance(start, cell, value)
-            rep, bit, value, key = _effective_events(m, cell, value, key)
-            if weights is not None:
-                out0, switch = _counter_replay(instance, weights, start, rep, bit, value)
-            else:
-                out0, switch = _level_replay(instance, start, rep, bit, value)
-            times = None
-            if with_times:
-                times = _event_times(key[switch], j0, max(1, j1 - j0), slot_len)
-            yield a, b, (out0 if j0 == 0 else None), rep[switch], times
+            config = replay(a, b, j0, j1, config, len(spans) > 1)
 
 
 def _replicas(instance, p, T, seed, lo, hi, keep=None):
@@ -682,8 +697,8 @@ def _replicas(instance, p, T, seed, lo, hi, keep=None):
     initial = np.zeros(hi - lo, dtype=np.uint8)
     C = np.zeros(hi - lo, dtype=np.int64)
     kept = np.full(hi - lo, np.inf) if keep == "first" else []
-    for a, b, out0, rep, times in _replica_spans(instance, p, T, seed, lo, hi,
-                                                 keep is not None):
+
+    def fold(a, b, out0, rep, times):
         if out0 is not None:
             initial[a - lo:b - lo] = out0
         C[a - lo:b - lo] += np.bincount(rep, minlength=b - a)
@@ -695,6 +710,8 @@ def _replicas(instance, p, T, seed, lo, hi, keep=None):
             head = np.flatnonzero(np.diff(rep, prepend=-1))
             dst = a - lo + rep[head]
             kept[dst] = np.minimum(kept[dst], times[head])
+
+    _replica_spans(instance, p, T, seed, lo, hi, keep is not None, fold)
     if keep is None:
         kept = None
     elif keep == "all":

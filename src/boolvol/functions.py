@@ -87,11 +87,11 @@ class FunctionSpec:
 
     @classmethod
     def perc(cls, profile, level):
-        return cls("perc", 0, tuple(profile), level)
+        return cls("perc", 0, _tuple(profile, "a profile"), level)
 
     @classmethod
     def truth_table(cls, bits):
-        return cls("table", 0, (), 0, tuple(bits))
+        return cls("table", 0, (), 0, _tuple(bits, "a truth table"))
 
     def spec_string(self):
         """Canonical textual form, e.g. 'maj:9' or 'perc:2,16,7:3'."""
@@ -505,10 +505,18 @@ def _integer(value, low):
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
 
 
+def _tuple(values, what):
+    """`values` as a tuple, or InvalidSpec if they are not a sequence."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidSpec("%s must be a sequence, got %r" % (what, values)) from None
+
+
 def check_profile(children):
     """perc child counts, root downward, as a tuple of ints; InvalidSpec
     unless they are a nonempty sequence of integers >= 1."""
-    children = tuple(children)
+    children = _tuple(children, "a profile")
     if not children or not all(_integer(c, 1) for c in children):
         raise InvalidSpec("a profile must be one or more integers >= 1, got %r" % (children,))
     return tuple(int(c) for c in children)
@@ -525,6 +533,8 @@ def _bits(values, what="bits", error=ValueError):
 
 def _validate(spec):
     # the parameter against its row's least value, then the other four rules
+    if not isinstance(spec, FunctionSpec):
+        raise InvalidSpec("not a FunctionSpec (parse_spec reads spec text): %r" % (spec,))
     f, p = spec.family, spec.param
     if f != "table":
         if not isinstance(f, str) or f not in _CLASSES:
@@ -555,9 +565,10 @@ _CLASSES = {**dict.fromkeys(_COUNTERS, CounterInstance),
 def make_instance(spec):
     """Builds the structural index for `spec`.
 
-    Raises InvalidSpec for a non-integer or out-of-range field (a float
-    size, even majority size, empty profile, table entry 2) and
-    InstanceTooLarge for an arity above the 2^31-1 cap.
+    Raises InvalidSpec for anything but a FunctionSpec and for a
+    non-integer or out-of-range field (a float size, even majority size,
+    empty profile, table entry 2), and InstanceTooLarge for an arity above
+    the 2^31-1 cap.
     """
     _validate(spec)
     return _CLASSES[spec.family](spec)

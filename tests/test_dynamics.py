@@ -275,6 +275,41 @@ def test_tree_kernel_matches_oracle_replay(monkeypatch, text, p, T):
     assert one.C.tolist() == batch.C.tolist()
 
 
+def grouped_sums_loop(group, step, init):
+    """`_grouped_sums` one event at a time: (sums after each event, heads)."""
+    after, head, prev = [], [], None
+    for g, s in zip(group.tolist(), step):
+        head.append(g != prev)
+        total = (init[g] if g != prev else total) + s
+        after.append(total)
+        prev = g
+    return after, head
+
+
+@pytest.mark.parametrize("case", ["random", "empty", "single", "one-group"])
+@pytest.mark.parametrize("k", [None, 1, 3], ids=["1d", "2d-k1", "2d-k3"])
+def test_grouped_sums_match_a_loop(case, k):
+    # 1-d steps are the tree kernel's unit steps of a node's input count,
+    # 2-d ones the counter kernel's weighted steps of k sums
+    rng = np.random.default_rng(2024)
+    n_groups = 40
+    sizes = {"random": rng.integers(1, 9, size=25), "empty": [],
+             "single": np.ones(30, dtype=int), "one-group": [57]}[case]
+    # sorted group ids, some absent, `sizes` events in each present one
+    present = np.sort(rng.choice(n_groups, size=len(sizes), replace=False))
+    group = np.repeat(present, sizes).astype(np.int64)
+    shape = (group.size,) if k is None else (group.size, k)
+    sign = 2 * rng.integers(0, 2, size=group.size) - 1
+    weight = rng.integers(1, 5, size=shape[1:] or None)
+    step = (sign.reshape((-1,) + (1,) * (len(shape) - 1)) * weight).astype(np.int64)
+    init = rng.integers(-20, 20, size=(n_groups,) + shape[1:]).astype(np.int64)
+    after, head = dyn._grouped_sums(group, step, init)
+    want, want_head = grouped_sums_loop(group, step, init)
+    want = np.array(want).reshape(shape) if want else np.empty(shape, dtype=np.int64)
+    assert after.dtype == want.dtype and np.array_equal(after, want)
+    assert head.dtype == bool and head.tolist() == want_head
+
+
 @pytest.mark.parametrize("text,T", [("maj:9", 1.0), ("itermaj3:2", 1.0), ("maj:3", 50.0)])
 def test_trajectory_is_row_of_batch(text, T):
     # replica access stays random: replica r alone equals row r of a run
@@ -300,12 +335,15 @@ def test_long_horizon_law():
                                         ("survival", "parity:64"), ("C", "andor:6")],
                          ids=["C", "joint", "survival", "C-andor:6"])
 def test_count_only_runs_hold_one_block(entry, text):
-    # count-only entry points keep no switch times: ten times the replicas,
-    # each with ~1300 switches on parity:64, adds only the per-replica
-    # result arrays to the peak allocation, not the run's switch times
-    # (~3 MB there); on a tree family, the level replay's arrays too stay
-    # within one block
+    # count-only entry points keep no switch times, and a block's arrays die
+    # before the next block is drawn: eleven full blocks of replicas, each
+    # with ~1300 switches on parity:64, add to the peak allocation of one
+    # full block only the per-replica result arrays, not the run's switch
+    # times (~3 MB there) nor a second block's arrays; on a tree family, the
+    # level replay's arrays too stay within one block
     f = inst(text)
+    n_slots, slot_len, _ = dyn._slots(f.arity, 40.0, 0.5)
+    (a, b, _), *_ = dyn._blocks(f.arity, n_slots, slot_len, 0, dyn._BLOCK_DRAWS)
     runs = {
         "C": lambda R: dyn.estimate_C_distribution(f, params(T=40.0, seed=3, replicas=R)),
         "joint": lambda R: dyn.estimate_joint(f, 0.5, 40.0, R, 3),
@@ -320,7 +358,7 @@ def test_count_only_runs_hold_one_block(entry, text):
         finally:
             tracemalloc.stop()
 
-    assert peak(330) - peak(30) < 2**20
+    assert peak(11 * (b - a)) - peak(b - a) < 2**20
 
 
 # -- the law of one clock --------------------------------------------------------
@@ -530,7 +568,7 @@ def mc_digest(text):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("block", [2**10, dyn._BLOCK_DRAWS])
+@pytest.mark.parametrize("block", [2**10, 2**15, dyn._BLOCK_DRAWS])
 @pytest.mark.parametrize("text", sorted(FROZEN_MC))
 def test_mc_stream_is_frozen(monkeypatch, text, block):
     monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
@@ -552,7 +590,7 @@ def test_counts_do_not_depend_on_block_size(monkeypatch, text):
         assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-@pytest.mark.parametrize("block", [2**10, dyn._BLOCK_DRAWS])
+@pytest.mark.parametrize("block", [2**10, 2**15, dyn._BLOCK_DRAWS])
 def test_blocks_hold_at_most_block_draws(monkeypatch, block):
     monkeypatch.setattr(dyn, "_BLOCK_DRAWS", block)
     for m in (1, 3, 64, 1001):
@@ -567,6 +605,22 @@ def test_blocks_hold_at_most_block_draws(monkeypatch, block):
                 if b - a > 1:
                     assert (b - a) * per_rep <= block
                     assert spans == [(0, n_slots)]
+
+
+@pytest.mark.parametrize("m", [1, 3, 1001])
+@pytest.mark.parametrize("T", [0.0, 1.0, 40.0, 300.0])
+def test_packed_keys_fit_above_the_tick(m, T):
+    # _replica_draws packs (replica - first) * span slots + slot above a
+    # 40-bit tick in a uint64 key, so that index must stay below 2^24 in
+    # every block _blocks cuts at the production block size; replicas
+    # 0..hi-1 fill at least two blocks, as a replica needs >= m draws
+    n_slots, slot_len, _ = dyn._slots(m, T, 0.5)
+    hi = 2 * dyn._BLOCK_DRAWS // m + 2
+    blocks = dyn._blocks(m, n_slots, slot_len, 0, hi)
+    assert len(blocks) >= 2
+    for a, b, spans in blocks:
+        for j0, j1 in spans:
+            assert (b - a) * (j1 - j0) < 2**(64 - dyn._TICK_BITS)
 
 
 # -- C distribution vs exact oracle -------------------------------------------

@@ -95,6 +95,25 @@ def test_spec_fields_are_checked_not_coerced(spec):
         bf.make_instance(spec)
 
 
+@pytest.mark.parametrize("spec", ["maj:3", ("maj", 3), None], ids=repr)
+def test_make_instance_refuses_what_is_not_a_spec(spec):
+    # spec text goes through parse_spec; make_instance used to raise
+    # AttributeError reading .family off anything else
+    with pytest.raises(InvalidSpec, match="not a FunctionSpec"):
+        bf.make_instance(spec)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bf.FunctionSpec.perc(5, 1),
+    lambda: bf.FunctionSpec.truth_table(1),
+    lambda: bf.make_instance(bf.FunctionSpec("perc", 0, 5, 1)),
+], ids=["perc", "truth_table", "perc-field"])
+def test_a_sequence_field_must_be_a_sequence(make):
+    # tuple(5) used to escape as a TypeError
+    with pytest.raises(InvalidSpec, match="must be a sequence"):
+        make()
+
+
 @pytest.mark.parametrize("call,config", [
     (bf.evaluate, [0.5, 0, 1]),
     (bf.evaluate_batch, [[0.7, 1, 1]]),
