@@ -17,7 +17,6 @@ from .errors import (
     IndexOutOfRange,
     InstanceTooLarge,
     InvalidSpec,
-    NotPowerOfTwo,
     PrecisionExhausted,
     ResourceLimit,
     UnreachableTarget,

@@ -64,6 +64,7 @@ import numpy as np
 
 from .errors import InstanceTooLarge, PrecisionExhausted, ResourceLimit
 from .dynamics import _check_int, simulate_batch
+from .functions import _check_instance
 
 __all__ = [
     "MAJ3_CRITICAL_ALPHA",
@@ -164,10 +165,6 @@ class Maj3Params:
         return -math.inf
 
     @property
-    def gamma(self):
-        return self.n ** self.alpha if self.alpha is not None else None
-
-    @property
     def p(self):
         return 0.5 - self.epsilon
 
@@ -219,10 +216,6 @@ class RecursionSeries:
     @property
     def last_value(self):
         return self.value(len(self.values) - 1)
-
-    @property
-    def last_log_value(self):
-        return self.log_value(len(self.values) - 1)
 
     def to_csv_rows(self):
         """Rows (k, value_or_log, mode): the raw representation, not exp'd."""
@@ -519,17 +512,6 @@ class VolatilityRatio:
     log_a: float
     log_t: float
 
-    def to_json_dict(self):
-        return {
-            "rho": self.rho,
-            "log_rho": self.log_rho,
-            "flagged": self.flagged,
-            "digits": self.digits,
-            "n": self.n,
-            "log_a": self.log_a,
-            "log_t": self.log_t,
-        }
-
 
 def _volatility_pass(params, t_scale_by_a, digits):
     """One evaluation of `maj3_volatility_ratio` at exactly ``digits`` digits."""
@@ -567,20 +549,17 @@ def _vol_close(u, v):
     )
 
 
-def maj3_volatility_ratio(params, digits=None, t_scale_by_a=None):
+def maj3_volatility_ratio(params, t_scale_by_a=None):
     """rho = b_n / a_n^2 - 1 for the 3-majority two-time recursion.
 
     With ``t_scale_by_a`` set, the evaluation time is t = t_scale_by_a * a_n
-    (computed at working precision) instead of ``params.t``.  With ``digits``
-    None the precision is chosen automatically: a structural floor resolving
-    both the bias and the time scale, then successive refinement until two
-    precisions agree to 1e-6 relative.  An explicit ``digits`` runs a single
-    pass at exactly that precision.
+    (computed at working precision) instead of ``params.t``.  The precision
+    is chosen automatically: a structural floor resolving both the bias and
+    the time scale, then successive refinement until two precisions agree
+    to 1e-6 relative.
     """
     if t_scale_by_a is not None and not t_scale_by_a > 0:
         raise ValueError("t_scale_by_a must be > 0")
-    if digits is not None:
-        return _volatility_pass(params, t_scale_by_a, digits)
     l10_eps = params.log10_epsilon()
     need_eps = max(0, math.ceil(-l10_eps)) if math.isfinite(l10_eps) else 0
     d = max(60, need_eps + 40)
@@ -620,30 +599,6 @@ class GridCount:
     replicas: int
     Z: np.ndarray
 
-    @property
-    def mean_Z(self):
-        return float(self.Z.mean())
-
-    @property
-    def var_Z(self):
-        return float(self.Z.var(ddof=1)) if self.replicas > 1 else 0.0
-
-    @property
-    def p_positive(self):
-        return float((self.Z > 0).mean())
-
-    def to_json_dict(self):
-        return {
-            "spacing": self.spacing,
-            "n_points": self.n_points,
-            "delta": self.delta,
-            "target_prob": self.target_prob,
-            "replicas": self.replicas,
-            "mean_Z": self.mean_Z,
-            "var_Z": self.var_Z,
-            "p_positive": self.p_positive,
-        }
-
 
 def maj3_grid_count(instance, dyn_params, delta, target_prob=None):
     """Count output-1 sightings on the grid j * (delta * target_prob), j >= 1.
@@ -654,6 +609,7 @@ def maj3_grid_count(instance, dyn_params, delta, target_prob=None):
     must supply the target explicitly.  Counting walks the switch segments of
     each trajectory, so the cost is O(events), not O(grid points).
     """
+    _check_instance(instance)
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     if target_prob is None:
@@ -752,22 +708,6 @@ class SwitchRate:
     @property
     def expected_switches(self):
         return float(self.expected_switches_fraction)
-
-    @property
-    def per_update_prob(self):
-        return float(self.per_update_fraction)
-
-    @property
-    def leaves(self):
-        return 2 ** (self.n + 1) - 1
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "expected_switches": self.expected_switches,
-            "per_update_prob": self.per_update_prob,
-            "bits": self.leaves,
-        }
 
 
 def andor_switch_rate(n):

@@ -50,20 +50,19 @@ edges of its lazy engine as the bits of `perc:children:L` are keyed here
 and draws them through the same two functions, so both percolation
 engines replay the same edge histories and agree replica by replica.
 
-One kernel, `_replica_spans`, replays blocks of replicas, each bounded by
-its expected number of draws (a replica too long for one block is
-replayed in slot chunks), and hands each chunk's switches on as it goes;
-`_replicas` folds them into counts and keeps switch times only when asked.
-A chunk's arrays are freed before the next chunk is drawn, so a
-count-only run holds one block at a time.  A block pays some 80 numpy
-calls of fixed cost (more per tree step on the tree families), so larger
-blocks amortise them, while its arrays of a few tens of bytes per draw
-should stay near a per-core cache.  Blocks are sized in rate-1 draws, so
-at p = 1/2 a block holds about half the rings it is sized for.  Over the
-mc-long benchmark's task list (2 vCPUs), 2^17 expected draws
-(`_BLOCK_DRAWS`) took 38.0 ms against 51.2, 42.0 and 38.0 ms at 2^15,
-2^16 and 2^18, and its largest task peaked at 3.2 MB of traced memory
-against 5.3 MB at 2^18.  Draws are keyed by replica, so the block size
+One kernel, `_replicas`, replays blocks of replicas, each bounded by its
+expected number of draws (a replica too long for one block is replayed in
+slot spans), folds each span's switches into counts as it goes and keeps
+switch times only when asked.  A span's arrays are freed before the next
+span is drawn, so a count-only run holds one block at a time.  A block
+pays some 80 numpy calls of fixed cost (more per tree step on the tree
+families), so larger blocks amortise them, while its arrays of a few tens
+of bytes per draw should stay near a per-core cache.  Blocks are sized in
+rate-1 draws, so at p = 1/2 a block holds about half the rings it is
+sized for.  Over the mc-long benchmark's task list (2 vCPUs), 2^17
+expected draws (`_BLOCK_DRAWS`) took 38.0 ms against 51.2, 42.0 and 38.0
+ms at 2^15, 2^16 and 2^18, and its largest task peaked at 3.2 MB of
+traced memory against 5.3 MB at 2^18.  Draws are keyed by replica, so the block size
 moves no output.  Both family classes replay through one grouped cumsum
 of input sums, `_grouped_sums`, with no Python loop over events:
 
@@ -88,7 +87,7 @@ it draws every clock's start state (clocks = arity here, c_1 root edges in
 Each block allocates and frees tens of MB of temporaries in arrays of a
 few MB.  By default glibc maps such arrays fresh and returns freed heap
 to the kernel, so every block faults its memory in again, page by page.
-The block engines (`_replica_spans` here, `perctree.regime_experiment`)
+The block engines (`_replicas` here, `perctree.regime_experiment`)
 therefore call `_hold_freed_memory` on entry, which raises glibc's mmap
 and trim thresholds once per process; importing the package changes
 nothing, and no output depends on the allocator.
@@ -107,6 +106,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InstanceTooLarge
+from .functions import _check_instance
 
 _PAIR_CHUNK = 4096
 
@@ -645,22 +645,27 @@ class ReplicaBatch(NamedTuple):
         return (self.initial ^ (self.C & 1)).astype(np.uint8)
 
 
-def _replica_spans(instance, p, T, seed, lo, hi, with_times, fold):
-    """Replays replicas lo..hi-1 block by block, one slot span at a time.
+def _replicas(instance, p, T, seed, lo, hi, keep=None):
+    """ReplicaBatch of replicas lo..hi-1, replayed block by block, one slot
+    span at a time.
 
-    Calls fold(first, stop, initial, rep, times) per span of the block
-    first..stop-1: `initial` holds the block's outputs at time 0 on its
-    first span and is None after it, `rep` the replica (counted from
-    `first`) of each switch of the span, in (replica, time) order, and
-    `times` their times (None without `with_times`).  A span's arrays die
-    when its fold returns, and nothing is kept from one span to the next
-    but a long replica's configuration, so the kernel's memory is set by
-    one block, whatever the replica count.
+    `keep` picks the switch times kept in `times`: None, none (times is
+    None); "first", each replica's first switch time (inf if it never
+    switches); "all", every switch time, replica by replica.  A span's
+    arrays die when its replay returns, and nothing is kept from one span
+    to the next but a long replica's configuration and the per-replica
+    results, so the kernel's memory is set by one block, whatever the
+    replica count; only "all" holds memory in proportion to the switches
+    of the run.
     """
+    _check_instance(instance)
     m = instance.arity
     n_slots, slot_len, table = _slots(m, T, p)
     _hold_freed_memory()
     weights = instance.counter_weights()
+    initial = np.zeros(hi - lo, dtype=np.uint8)
+    C = np.zeros(hi - lo, dtype=np.int64)
+    kept = np.full(hi - lo, np.inf) if keep == "first" else []
 
     def replay(a, b, j0, j1, config, carry):
         # a function of its own, so that a span's arrays die on return, not
@@ -674,49 +679,30 @@ def _replica_spans(instance, p, T, seed, lo, hi, with_times, fold):
             out0, switch = _counter_replay(instance, weights, start, rep, bit, value)
         else:
             out0, switch = _level_replay(instance, start, rep, bit, value)
-        times = None
-        if with_times:
-            times = _event_times(key[switch], j0, max(1, j1 - j0), slot_len)
-        fold(a, b, out0 if j0 == 0 else None, rep[switch], times)
+        if j0 == 0:
+            initial[a - lo:b - lo] = out0
+        rep = rep[switch]
+        C[a - lo:b - lo] += np.bincount(rep, minlength=b - a)
+        if keep is None:
+            return end
+        times = _event_times(key[switch], j0, max(1, j1 - j0), slot_len)
+        if keep == "all":
+            kept.append(times)
+        elif rep.size:
+            # spans run in time order, so a replica's first switch is the
+            # first one of the earliest span holding any
+            head = np.flatnonzero(np.diff(rep, prepend=-1))
+            dst = a - lo + rep[head]
+            kept[dst] = np.minimum(kept[dst], times[head])
         return end
 
     for a, b, spans in _blocks(m, n_slots, slot_len, lo, hi):
         config = None
         for j0, j1 in spans:
             config = replay(a, b, j0, j1, config, len(spans) > 1)
-
-
-def _replicas(instance, p, T, seed, lo, hi, keep=None):
-    """ReplicaBatch of replicas lo..hi-1, folded span by span.
-
-    `keep` picks the switch times kept in `times`: None, none (times is
-    None); "first", each replica's first switch time (inf if it never
-    switches); "all", every switch time, replica by replica.  Only "all"
-    holds memory in proportion to the switches of the run.
-    """
-    initial = np.zeros(hi - lo, dtype=np.uint8)
-    C = np.zeros(hi - lo, dtype=np.int64)
-    kept = np.full(hi - lo, np.inf) if keep == "first" else []
-
-    def fold(a, b, out0, rep, times):
-        if out0 is not None:
-            initial[a - lo:b - lo] = out0
-        C[a - lo:b - lo] += np.bincount(rep, minlength=b - a)
-        if keep == "all":
-            kept.append(times)
-        elif keep == "first" and rep.size:
-            # spans run in time order, so a replica's first switch is the
-            # first one of the earliest span holding any
-            head = np.flatnonzero(np.diff(rep, prepend=-1))
-            dst = a - lo + rep[head]
-            kept[dst] = np.minimum(kept[dst], times[head])
-
-    _replica_spans(instance, p, T, seed, lo, hi, keep is not None, fold)
-    if keep is None:
-        kept = None
-    elif keep == "all":
+    if keep == "all":
         kept = np.concatenate(kept)
-    return ReplicaBatch(initial=initial, C=C, times=kept)
+    return ReplicaBatch(initial=initial, C=C, times=None if keep is None else kept)
 
 
 def simulate_batch(instance, dyn_params):
@@ -877,6 +863,7 @@ def sample_noise_pair(instance, p, epsilon, replicas, seed):
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1], got %r" % (epsilon,))
     DynamicsParams(p=p, T=0.0, seed=seed, replicas=replicas)
+    _check_instance(instance)
     m = instance.arity
     _check_budget(m, 0.0)
     rng = replica_stream(seed, 0)
@@ -908,8 +895,3 @@ def survival_curve(instance, p, xs, replicas, seed):
     b = _replicas(instance, p, horizon, seed, 0, replicas, keep="first")
     ones = b.initial == 1
     return [float(np.mean(ones & (b.times > x))) for x in xs]
-
-
-def survival_estimate(instance, p, x, replicas, seed):
-    """P(output is 1 throughout [0, x]); see survival_curve."""
-    return survival_curve(instance, p, [x], replicas, seed)[0]

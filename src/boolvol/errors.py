@@ -22,10 +22,6 @@ class IndexOutOfRange(BoolvolError):
     """Bit index outside [0, arity)."""
 
 
-class NotPowerOfTwo(BoolvolError):
-    """Truth table length is not a power of two."""
-
-
 class UnreachableTarget(BoolvolError):
     """No integer child count keeps the weight profile within tolerance."""
 

@@ -70,11 +70,6 @@ class SequencePlan:
             entries.append((spec, p))
         return cls(entries=tuple(entries), T=T, replicas=replicas, seed=seed)
 
-    @property
-    def ns(self):
-        """Arity of each entry, the sequence index n."""
-        return tuple(make_instance(spec).arity for spec, _ in self.entries)
-
     def dyn_params(self, p):
         return DynamicsParams(p=p, T=self.T, seed=self.seed, replicas=self.replicas)
 

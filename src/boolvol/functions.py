@@ -35,10 +35,10 @@ gives, from the spec alone, a read-once tree of threshold nodes, bottom up
 of configurations (`input_counts`) gives every node's input count, and
 `evaluate_rows`, `build_state` and the level-by-level Monte Carlo replay in
 `dynamics` all read it.  Two generic incremental states (`build_state`,
-`apply_update`) replay the same declarations bit by bit: one keeps the
-counter sums, the other the tree's node counts.  Since every route shares
-the declarations, the tests check them against each family's definition
-written out directly (recursively for the trees).
+then `EvaluationState.apply_update`) replay the same declarations bit by
+bit: one keeps the counter sums, the other the tree's node counts.  Since
+every route shares the declarations, the tests check them against each
+family's definition written out directly (recursively for the trees).
 
 Bit-to-vertex conventions (fixed so results are reproducible): every
 tree numbers its bits breadth-first, level by level, left to right.
@@ -574,7 +574,15 @@ def make_instance(spec):
     return _CLASSES[spec.family](spec)
 
 
+def _check_instance(instance):
+    """InvalidSpec unless `instance` is a function instance (make_instance builds one)."""
+    if not isinstance(instance, FunctionInstance):
+        raise InvalidSpec("not a function instance (make_instance builds one): %r"
+                          % (instance,))
+
+
 def _config(instance, config, ndim):
+    _check_instance(instance)
     arr = _bits(config)
     if arr.ndim != ndim or arr.shape[-1] != instance.arity:
         raise ArityMismatch("config rows must have length %d" % instance.arity)
@@ -583,19 +591,17 @@ def _config(instance, config, ndim):
 
 def evaluate_batch(instance, bits):
     """Evaluates many configurations at once; bits is a (rows, arity) array."""
-    return instance.evaluate_rows(_config(instance, bits, 2))
+    bits = _config(instance, bits, 2)
+    return instance.evaluate_rows(bits)
 
 
 def evaluate(instance, config):
     """Full from-scratch evaluation of one configuration."""
-    return int(instance.evaluate_rows(_config(instance, config, 1)[None, :])[0])
+    config = _config(instance, config, 1)
+    return int(instance.evaluate_rows(config[None, :])[0])
 
 
 def build_state(instance, config):
     """Creates an EvaluationState whose cached output equals evaluate()."""
-    return instance.build_state(_config(instance, config, 1).tolist())
-
-
-def apply_update(state, bit_index, new_value):
-    """Single-bit update with incremental recomputation; see EvaluationState."""
-    return state.apply_update(bit_index, new_value)
+    config = _config(instance, config, 1)
+    return instance.build_state(config.tolist())

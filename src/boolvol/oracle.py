@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArityTooLarge, DepthTooLarge, NotPowerOfTwo
-from .functions import FunctionSpec, _bits, make_instance
+from .errors import ArityTooLarge, DepthTooLarge
+from .functions import FunctionSpec, _check_instance, make_instance
 
 ENUM_ARITY_CAP = 24
 PAIR_ARITY_CAP = 20
@@ -29,6 +29,7 @@ _CHUNK = 1 << 16
 
 
 def _require(instance, cap, **probabilities):
+    _check_instance(instance)
     for name, value in probabilities.items():
         if not 0.0 <= value <= 1.0:
             raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
@@ -260,17 +261,3 @@ def exact_andor_switch_prob(n):
     total = sum(2**k * exact_andor_pivotal(n, k) for k in range(n + 1))
     return Fraction(1, 2) * total / N
 
-
-def import_truth_table(bits):
-    """Builds a lookup-table instance from 2^m output bits.
-
-    Index convention is most-significant-bit-first: the output for
-    configuration (b_0, ..., b_{m-1}) sits at sum_i b_i 2^(m-1-i).
-    """
-    size = len(bits)
-    if size < 2 or size & (size - 1):
-        raise NotPowerOfTwo("table length must be a power of two >= 2, got %d" % size)
-    m = size.bit_length() - 1
-    if m > ENUM_ARITY_CAP:
-        raise ArityTooLarge("table arity %d exceeds the cap %d" % (m, ENUM_ARITY_CAP))
-    return make_instance(FunctionSpec.truth_table(_bits(bits, "table entries").tolist()))

@@ -607,8 +607,14 @@ _LOOKAHEAD_PATHS = 1.0
 
 # expected edges and updates drawn by one replica (more is refused) and by
 # one block of replicas.  A level step peaks near 80 bytes per draw; blocks
-# of half the refusal limit lower that peak.  Blocks of 2^16 to 2^20 draws
-# timed the same: the size bounds memory, it is not a cache fit
+# of half the refusal limit lower that peak.  Each level step pays fixed
+# numpy calls per block, so the time depends on the replicas a block holds:
+# a 12-replica nalpha:3 task at levels 4-10 (a 56.7k-draw bound per
+# replica; median of 40 runs, 2-vCPU x86 VM) took 26.9, 25.0, 20.0, 18.6
+# and 17.8 ms at 2, 4, 6, 9 and 12 replicas per block, and 2^19 draws hold
+# 9 of them.  `dynamics` blocks hold 2^17 draws: each engine keeps its own
+# measured optimum for its bytes per draw, and at 2^17 this task would run
+# in 2-replica blocks
 _REPLICA_DRAWS = 1 << 20
 _BLOCK_DRAWS = 1 << 19
 
@@ -716,8 +722,7 @@ class RegimeReport:
                 for lv in self.levels]
 
 
-def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
-                      _block=None):
+def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1):
     """Root-connectivity statistics per level on shared edge trajectories.
 
     Every requested level is evaluated on the same per-replica edge
@@ -760,8 +765,7 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
         raise InstanceTooLarge(
             "a level-%d replica at horizon %g expects up to %.3g draws, "
             "budget is %d" % (levels[-1], T, draws, _REPLICA_DRAWS))
-    per_block = int(_BLOCK_DRAWS // draws)
-    _block = max(1, per_block if _block is None else min(_block, per_block))
+    per_block = max(1, int(_BLOCK_DRAWS // draws))
 
     offsets = _edge_offsets(children[:levels[-1]])
     # a zero horizon still needs nonempty intervals to carry initial states
@@ -772,8 +776,8 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1,
 
     agg = {L: (np.zeros(replicas, dtype=np.uint8), np.zeros(replicas, dtype=np.int64))
            for L in levels}
-    for lo in range(0, replicas, _block):
-        hi = min(lo + _block, replicas)
+    for lo in range(0, replicas, per_block):
+        hi = min(lo + per_block, replicas)
         block = _explore_block(children, offsets, level_set, p, slots, horizon,
                                lo, hi, seed0)
         for L in levels:

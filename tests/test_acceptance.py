@@ -28,7 +28,7 @@ from boolvol.dynamics import (
     estimate_C_distribution,
     estimate_joint,
     sample_noise_pair,
-    survival_estimate,
+    survival_curve,
 )
 from boolvol.experiments import SequencePlan, classify
 from boolvol.functions import FunctionSpec, make_instance, parse_spec
@@ -152,7 +152,7 @@ def test_criterion_07_andor_survival_floor():
     for n in (2, 4):
         inst = make_instance(FunctionSpec("andor", n))
         for x in (0.01, 0.04):
-            g = survival_estimate(inst, 0.5, x, REPLICAS, SEED)
+            g = survival_curve(inst, 0.5, [x], REPLICAS, SEED)[0]
             se = math.sqrt(max(g * (1.0 - g), 1e-12) / REPLICAS)
             worst = min(worst, (g - andor_survival_floor(x)) / se)
     check = andor_survival_floor_check(grid_resolution=1000)

@@ -9,7 +9,7 @@ import pytest
 
 from boolvol import analysis as ana
 from boolvol.dynamics import (DynamicsParams, estimate_C_distribution, estimate_joint,
-                              simulate_trajectory)
+                              simulate_trajectory, survival_curve)
 from boolvol.errors import InstanceTooLarge, PrecisionExhausted
 from boolvol.functions import FunctionSpec, make_instance, parse_spec
 from boolvol.oracle import exact_andor_switch_prob, exact_prob_one
@@ -28,7 +28,6 @@ class TestMaj3Params:
         p = ana.Maj3Params.from_alpha(20, 1.0)
         expect = 20 * (2.0 / 3.0) ** 20
         assert abs(p.epsilon - expect) <= 1e-12 * expect
-        assert p.gamma == pytest.approx(20.0)
         assert p.p == 0.5 - p.epsilon
         assert p.t == 0.0
 
@@ -39,7 +38,7 @@ class TestMaj3Params:
     def test_explicit_epsilon(self):
         p = ana.Maj3Params(n=5, epsilon=0.01, t=1.0)
         assert p.p == 0.49
-        assert p.gamma is None
+        assert p.alpha is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -285,24 +284,18 @@ class TestVolatilityRatio:
 
     def test_explicit_digits_and_precision_guard(self):
         params = ana.Maj3Params(n=5, epsilon=0.01, t=0.25)
-        v = ana.maj3_volatility_ratio(params, digits=80)
+        v = ana._volatility_pass(params, None, 80)
         assert v.digits == 80
         auto = ana.maj3_volatility_ratio(params)
         assert v.rho == pytest.approx(auto.rho, rel=1e-9)
         with pytest.raises(PrecisionExhausted):
-            ana.maj3_volatility_ratio(
-                ana.Maj3Params(n=200, alpha=0.4, t=1e-10), digits=30
-            )
+            ana._volatility_pass(ana.Maj3Params(n=200, alpha=0.4, t=1e-10), None, 30)
 
-    def test_validation_and_serialization(self):
+    def test_validation(self):
         with pytest.raises(ValueError):
             ana.maj3_volatility_ratio(
                 ana.Maj3Params(n=5, epsilon=0.01), t_scale_by_a=0.0
             )
-        d = ana.maj3_volatility_ratio(
-            ana.Maj3Params(n=5, epsilon=0.01, t=0.25)
-        ).to_json_dict()
-        assert set(d) == {"rho", "log_rho", "flagged", "digits", "n", "log_a", "log_t"}
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,6 @@ class TestAndorSwitchRate:
         r = ana.andor_switch_rate(3)
         assert r.expected_switches_fraction == Fraction(5, 8)
         assert r.per_update_fraction == Fraction(5, 8 * 15)
-        assert r.leaves == 15
 
     def test_matches_exhaustive_update_enumeration(self):
         for n in (0, 1, 2, 3):
@@ -570,13 +562,11 @@ class TestSurvivalFloor:
             ana.andor_survival_floor_check(50)
 
     def test_monte_carlo_respects_floor(self):
-        from boolvol.dynamics import survival_estimate
-
         for n in (2, 4):
             inst = make_instance(parse_spec("andor:%d" % n))
             for x in (0.01, 0.04):
                 floor = ana.andor_survival_floor(x)
-                g_hat = survival_estimate(inst, 0.5, x, 20_000, 77)
+                g_hat = survival_curve(inst, 0.5, [x], 20_000, 77)[0]
                 se = binom_se(g_hat, 20_000)
                 assert g_hat >= floor - 3.0 * se
 
@@ -605,8 +595,8 @@ class TestGridCount:
         assert gc.target_prob == pytest.approx(a2, abs=1e-12)
         assert gc.n_points == 14
         expect = gc.n_points * a2  # = 3.98, i.e. 1/delta up to the floor
-        se = math.sqrt(gc.var_Z / gc.replicas)
-        assert abs(gc.mean_Z - expect) <= 4.0 * se
+        se = math.sqrt(gc.Z.var(ddof=1) / gc.replicas)
+        assert abs(gc.Z.mean() - expect) <= 4.0 * se
         assert abs(gc.n_points * gc.spacing - 1.0) <= gc.spacing
 
     def test_positive_with_high_probability_below_cutoff(self):
@@ -617,7 +607,7 @@ class TestGridCount:
             inst, DynamicsParams(p=0.49, T=1.0, replicas=800, seed=17), 0.25
         )
         assert gc.n_points == 10
-        assert gc.p_positive >= 0.6  # measured 0.878
+        assert (gc.Z > 0).mean() >= 0.6  # measured 0.878
 
     def test_rarely_positive_at_shallow_scaled_bias(self):
         # The depth-6 surrogate of the scaled bias n^0.4 (2/3)^n gives
@@ -629,7 +619,7 @@ class TestGridCount:
             inst, DynamicsParams(p=0.5 - eps, T=1.0, replicas=400, seed=13), 0.25
         )
         assert gc.n_points > 10**6
-        assert gc.p_positive <= 0.01  # measured 0.0
+        assert (gc.Z > 0).mean() <= 0.01  # measured 0.0
 
     def test_determinism(self):
         inst = make_instance(parse_spec("itermaj3:2"))
@@ -671,17 +661,6 @@ class TestGridCount:
             ana.maj3_grid_count(maj, dp, 0.25)  # needs explicit target_prob
         with pytest.raises(ValueError):
             ana.maj3_grid_count(inst, dp, 0.25, target_prob=0.0)
-
-    def test_serialization(self):
-        inst = make_instance(parse_spec("itermaj3:2"))
-        gc = ana.maj3_grid_count(
-            inst, DynamicsParams(p=0.4, T=1.0, replicas=50, seed=5), 0.25
-        )
-        d = gc.to_json_dict()
-        assert set(d) == {
-            "spacing", "n_points", "delta", "target_prob",
-            "replicas", "mean_Z", "var_Z", "p_positive",
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +751,6 @@ class TestArgumentChecks:
         for call in (lambda: ana.maj3_a_seq(0.4, 3, digits=bad),
                      lambda: ana.maj3_pi_seq(0.1, 3, digits=bad),
                      lambda: ana.maj3_b_seq(params, digits=bad),
-                     lambda: ana.maj3_volatility_ratio(params, digits=bad)):
+                     lambda: ana._volatility_pass(params, None, bad)):
             with pytest.raises(ValueError, match="digits"):
                 call()

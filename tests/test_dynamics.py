@@ -22,6 +22,10 @@ def inst(text):
     return bf.make_instance(bf.parse_spec(text))
 
 
+def table(bits):
+    return bf.make_instance(bf.FunctionSpec.truth_table(bits))
+
+
 def params(p=0.5, T=1.0, seed=7, replicas=1):
     return dyn.DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
 
@@ -194,7 +198,7 @@ def oracle_replay(f, p, T, seed, R):
         st = bf.build_state(f, config[r])
         init, switch_times, n_down = st.output, [], 0
         for i in idx:
-            out, changed = bf.apply_update(st, int(bit[i]), int(value[i]))
+            out, changed = st.apply_update(int(bit[i]), int(value[i]))
             if changed:
                 switch_times.append(times[i])
                 n_down += out == 0
@@ -210,7 +214,7 @@ COUNTER_SPECS = ["dictator:3", "parity:6", "dap:5", "type2:6", "maj:7", "bigtame
 @pytest.mark.parametrize("T", [0.0, 1.5, 40.0])
 def test_counter_kernel_matches_oracle_replay(monkeypatch, text, p, T):
     if text == "table":
-        f = oracle.import_truth_table([0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0])
+        f = table([0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0])
     else:
         f = inst(text)
     assert f.counter_weights() is not None
@@ -244,7 +248,7 @@ def test_every_family_is_replayed_by_one_kernel():
     # kernel (counter_weights, no steps) or the tree kernel (the reverse)
     assert set(bf._CLASSES) <= {text.split(":")[0] for text in COUNTER_SPECS + TREE_SPECS}
     for text in COUNTER_SPECS:
-        f = oracle.import_truth_table([0, 1, 1, 1]) if text == "table" else inst(text)
+        f = table([0, 1, 1, 1]) if text == "table" else inst(text)
         assert f.counter_weights() is not None and not hasattr(f, "steps")
     for text in TREE_SPECS:
         f = inst(text)
@@ -667,7 +671,7 @@ def test_parity8_mean():
 
 
 def test_constant_function_never_switches():
-    f = oracle.import_truth_table([1] * 8)
+    f = table([1] * 8)
     emp = dyn.estimate_C_distribution(f, params(seed=3, replicas=500))
     assert emp.p_zero == 1.0 and emp.mean_C == 0.0
     assert np.all(emp.C == 0)
@@ -751,14 +755,14 @@ def test_time_vs_noise_same_joint(text, t):
 # -- survival ------------------------------------------------------------------
 
 def test_survival_at_zero_estimates_prob_one():
-    got = dyn.survival_estimate(inst("maj:3"), 0.5, 0.0, 3000, 19)
+    got, = dyn.survival_curve(inst("maj:3"), 0.5, [0.0], 3000, 19)
     assert abs(got - 0.5) <= 4 * binom_se(0.5, 3000)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0])
 def test_survival_single_gate(x):
     # gate starts OR (prob 1/2) and no update redraws it to AND
-    got = dyn.survival_estimate(inst("andor:0"), 0.5, x, 20000, 20)
+    got, = dyn.survival_curve(inst("andor:0"), 0.5, [x], 20000, 20)
     target = 0.5 * math.exp(-x / 2)
     assert abs(got - target) <= 4 * binom_se(target, 20000)
 

@@ -56,8 +56,8 @@ class TestSequencePlan:
     def test_from_pairs_accepts_strings_and_specs(self):
         plan = exp.SequencePlan.from_pairs(
             [("parity:4", 0.5), (FunctionSpec("parity", 8), 0.3)])
-        assert plan.ns == (4, 8)
         assert plan.entries[0][0] == FunctionSpec("parity", 4)
+        assert plan.entries[1][0] == FunctionSpec("parity", 8)
         assert plan.entries[1][1] == 0.3
 
     def test_defaults(self):

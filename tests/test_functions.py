@@ -354,10 +354,10 @@ def test_build_state_perc_closed():
 def test_apply_update_majority():
     inst = bf.make_instance(bf.FunctionSpec("maj", 3))
     st = bf.build_state(inst, [1, 1, 0])
-    out, changed = bf.apply_update(st, 2, 1)
+    out, changed = st.apply_update(2, 1)
     assert (out, changed) == (1, False)
     st = bf.build_state(inst, [1, 1, 0])
-    out, changed = bf.apply_update(st, 0, 0)
+    out, changed = st.apply_update(0, 0)
     assert (out, changed) == (0, True)
 
 
@@ -365,9 +365,9 @@ def test_apply_update_validation():
     inst = bf.make_instance(bf.FunctionSpec("maj", 3))
     st = bf.build_state(inst, [1, 1, 0])
     with pytest.raises(IndexOutOfRange):
-        bf.apply_update(st, 3, 1)
+        st.apply_update(3, 1)
     with pytest.raises(ValueError):
-        bf.apply_update(st, 0, 2)
+        st.apply_update(0, 2)
 
 
 def _all_specs_small():
@@ -401,7 +401,7 @@ def test_incremental_matches_full_evaluation(spec):
     configs = np.empty((n_steps, m), dtype=np.uint8)
     prev = st.output
     for j in range(n_steps):
-        out, changed = bf.apply_update(st, int(idx[j]), int(vals[j]))
+        out, changed = st.apply_update(int(idx[j]), int(vals[j]))
         assert changed == (out != prev)
         prev = out
         config[idx[j]] = vals[j]
@@ -427,7 +427,7 @@ def test_update_cost_bounded_by_depth(spec, depth):
     st = bf.build_state(inst, (rng.random(m) < 0.5).astype(np.uint8))
     for _ in range(2000):
         before = st.recompute_count
-        bf.apply_update(st, int(rng.integers(0, m)), int(rng.random() < 0.5))
+        st.apply_update(int(rng.integers(0, m)), int(rng.random() < 0.5))
         assert st.recompute_count - before <= depth + 1
 
 
@@ -480,7 +480,7 @@ def test_tree_evaluation_matches_definition(text):
     for i, v in zip(rng.integers(0, inst.arity, size=300).tolist(),
                     (rng.random(300) < 0.5).tolist()):
         config[i] = int(v)
-        out, _ = bf.apply_update(st, i, int(v))
+        out, _ = st.apply_update(i, int(v))
         assert out == _tree_by_definition(spec, config)
 
 

@@ -12,11 +12,15 @@ import pytest
 
 from boolvol import functions as bf
 from boolvol import oracle
-from boolvol.errors import ArityTooLarge, DepthTooLarge, NotPowerOfTwo
+from boolvol.errors import ArityTooLarge, DepthTooLarge, InvalidSpec
 
 
 def inst(text):
     return bf.make_instance(bf.parse_spec(text))
+
+
+def from_table(bits):
+    return bf.make_instance(bf.FunctionSpec.truth_table(bits))
 
 
 def all_configs(m):
@@ -51,7 +55,7 @@ def test_prob_one_perc_two_levels():
 
 
 def test_prob_one_weight_normalization():
-    table = oracle.import_truth_table([1] * 1024)
+    table = from_table([1] * 1024)
     assert abs(oracle.exact_prob_one(table, 0.37) - 1.0) < 1e-12
 
 
@@ -225,7 +229,7 @@ def test_andor_switch_down_probability():
 # -- truth-table import -------------------------------------------------------
 
 def test_table_dictator_equivalence():
-    t = oracle.import_truth_table([0, 1])
+    t = from_table([0, 1])
     d = inst("dictator:1")
     assert abs(oracle.exact_prob_one(t, 0.3) - 0.3) < 1e-15
     rt = oracle.exact_influence_report(t, 0.5)
@@ -236,7 +240,7 @@ def test_table_dictator_equivalence():
 def test_table_majority3_differential():
     f = inst("maj:3")
     table = bf.evaluate_batch(f, all_configs(3))
-    t = oracle.import_truth_table(table)
+    t = from_table(table)
     for p in (0.5, 0.3):
         rf = oracle.exact_influence_report(f, p)
         rt = oracle.exact_influence_report(t, p)
@@ -245,33 +249,40 @@ def test_table_majority3_differential():
 
 
 def test_table_all_ones_is_constant():
-    t = oracle.import_truth_table([1] * 8)
+    t = from_table([1] * 8)
     assert oracle.exact_total_influence(t, 0.5) == 0.0
     assert oracle.exact_prob_one(t, 0.5) == 1.0
 
 
 def test_table_rejects_bad_length():
-    with pytest.raises(NotPowerOfTwo):
-        oracle.import_truth_table([0, 1, 1])
-    with pytest.raises(NotPowerOfTwo):
-        oracle.import_truth_table([1])
+    for bits in ([0, 1, 1], [1]):
+        with pytest.raises(InvalidSpec, match="2\\^m >= 2 entries"):
+            from_table(bits)
 
 
 @pytest.mark.parametrize("bits", [[0, 1.5], [0, -1], [0, 2], ["0", "1"]],
                          ids=["fraction", "negative", "two", "string"])
 def test_table_rejects_non_bit_entries(bits):
-    with pytest.raises(ValueError, match="table entries must be 0 or 1"):
-        oracle.import_truth_table(bits)
+    with pytest.raises(InvalidSpec, match="table entries must be 0 or 1"):
+        from_table(bits)
 
 
 def test_table_accepts_bool_and_integer_entries():
     for bits in ([False, True], np.array([0, 1], dtype=np.int64), [np.uint8(0), 1]):
-        assert oracle.import_truth_table(bits).evaluate_rows(all_configs(1)).tolist() == [0, 1]
+        assert from_table(bits).evaluate_rows(all_configs(1)).tolist() == [0, 1]
 
 
-def test_table_rejects_oversize():
-    with pytest.raises(ArityTooLarge):
-        oracle.import_truth_table(np.zeros(2**25, dtype=np.uint8))
+def test_table_rejects_oversize(monkeypatch):
+    # every oracle checks its own arity cap on any instance, a table too;
+    # lowered caps stand in for a 2^25-entry table
+    monkeypatch.setattr(oracle, "ENUM_ARITY_CAP", 3)
+    monkeypatch.setattr(oracle, "PAIR_ARITY_CAP", 3)
+    t = from_table([0, 1] * 8)
+    for call in (lambda: oracle.exact_prob_one(t, 0.5),
+                 lambda: oracle.exact_influence_report(t, 0.5),
+                 lambda: oracle.exact_noise_covariance(t, 0.5, 0.1)):
+        with pytest.raises(ArityTooLarge):
+            call()
 
 
 # -- differential: an independent itertools.product enumerator ---------------
@@ -370,7 +381,7 @@ def test_chunks_bit_convention_across_blocks(m):
         start += idx.size
     assert start == 1 << m
     table = np.random.default_rng(m).integers(0, 2, 1 << m).astype(np.uint8)
-    np.testing.assert_array_equal(oracle._truth_values(oracle.import_truth_table(table)), table)
+    np.testing.assert_array_equal(oracle._truth_values(from_table(table.tolist())), table)
 
 
 @pytest.mark.parametrize("entry,text,bytes_per_config", [

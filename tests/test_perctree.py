@@ -428,8 +428,8 @@ class TestRegimeExperiment:
 
     def test_block_size_invariance(self):
         prof = LevelProfile((3, 2, 2))
-        a = regime_experiment(prof, [1, 3], replicas=257, seed=5, _block=7)
-        b = regime_experiment(prof, [1, 3], replicas=257, seed=5, _block=64)
+        a = _run_regime(prof.children, [1, 3], dict(replicas=257, seed=5, block=7))
+        b = _run_regime(prof.children, [1, 3], dict(replicas=257, seed=5, block=64))
         for la, lb in zip(a.levels, b.levels):
             assert np.array_equal(la.empirical.C, lb.empirical.C)
             assert np.array_equal(la.empirical.S, lb.empirical.S)
@@ -603,8 +603,8 @@ class TestRegimeExperiment:
         assert drawn[0] <= 100 * bound + 4.5 * math.sqrt(100 * bound)
         # the arrays of a step stay near 80 bytes per draw at any horizon
         assert len(peaks) == 2 * len(blocks) and max(peaks) < 160
-        small = regime_experiment(LevelProfile(children), [2], T=T, replicas=100,
-                                  seed=3, _block=7).levels[0].empirical
+        small = _run_regime(children, [2], dict(T=T, replicas=100, seed=3,
+                                                block=7)).levels[0].empirical
         assert np.array_equal(rep.levels[0].empirical.C, small.C)
 
     def test_edge_cap(self, monkeypatch):
@@ -728,7 +728,7 @@ FROZEN_REGIMES = [
         6: "5e6f2f692a922fc0773e87821f9fe25e697e179a985377b39287bb0867e30394",
     }),
     # 101 replicas in blocks of 13: the last block holds 10
-    ((2, 3, 4), [1, 3], dict(T=5.0, replicas=101, seed=16, _block=13), {
+    ((2, 3, 4), [1, 3], dict(T=5.0, replicas=101, seed=16, block=13), {
         1: "a0735e578d0f43b6b42a079b554aaa1b1aa07511ddabd8d12d5250be0cb0f83f",
         3: "2982b21a6a23acf5e33bd5a17d2768abc38ad43f934b0eef56fe4d6ccea7148a",
     }),
@@ -742,8 +742,21 @@ def _regime_digest(emp):
     return h.hexdigest()
 
 
+def _run_regime(children, levels, kw):
+    """regime_experiment on the profile `children`; kw's "block", if given,
+    is the number of replicas per block, set through perctree._BLOCK_DRAWS."""
+    kw = dict(kw)
+    block = kw.pop("block", None)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            draws = perctree._draws_per_replica(children[:max(levels)], kw.get("p", 0.5),
+                                                kw.get("T", 1.0))
+            mp.setattr(perctree, "_BLOCK_DRAWS", (block + 0.5) * draws)
+        return regime_experiment(LevelProfile(children), levels, **kw)
+
+
 def _regime_digests(children, levels, kw):
-    rep = regime_experiment(LevelProfile(children), levels, **kw)
+    rep = _run_regime(children, levels, kw)
     return {lv.level: _regime_digest(lv.empirical) for lv in rep.levels}
 
 
@@ -992,16 +1005,16 @@ def test_lookahead_matches_reference_and_eager_engines(monkeypatch, children,
 @pytest.mark.parametrize("children,levels,kw", [
     (NALPHA3_CHILDREN, list(range(4, 11)), dict(replicas=40, seed=12)),
     ((2, 3, 2), [1, 2, 3], dict(p=0.8, T=1.0, replicas=300, seed=46)),
-    ((2,) * 6, [1, 3, 6], dict(p=0.9, T=3.0, replicas=200, seed=47, _block=13)),
+    ((2,) * 6, [1, 3, 6], dict(p=0.9, T=3.0, replicas=200, seed=47, block=13)),
     ((3, 3, 3), [2, 3], dict(p=0.6, T=0.0, replicas=300, seed=48)),
     ((4, 4), [1, 2], dict(p=0.97, T=40.0, replicas=100, seed=49)),
 ])
 def test_lookahead_changes_no_output(monkeypatch, children, levels, kw):
     settled = _lookahead_spy(monkeypatch)
-    fast = regime_experiment(LevelProfile(children), levels, **kw)
+    fast = _run_regime(children, levels, kw)
     assert sum(d for d, _ in settled) > 0
     _without_lookahead(monkeypatch)
-    slow = regime_experiment(LevelProfile(children), levels, **kw)
+    slow = _run_regime(children, levels, kw)
     for a, b in zip(fast.levels, slow.levels):
         assert np.array_equal(a.empirical.initial, b.empirical.initial), a.level
         assert np.array_equal(a.empirical.C, b.empirical.C), a.level
