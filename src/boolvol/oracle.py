@@ -1,27 +1,37 @@
 """Exact brute-force reference quantities for small-arity instances.
 
-Each call enumerates all 2^m configurations once into a truth table and
-packs it into uint64 words, entry k at bit k % 64 of word k // 64.  Bit i
+Each call builds the truth table of all 2^m configurations once, packed into
+uint64 words, entry k at bit k % 64 of word k // 64 (`_words`), by one of
+three routes.  A counter family's output depends only on its slice sums, and
+each sum is the popcount of the slice's index mask on the word index plus
+that on the low 6 bits, so every word is gathered from a lookup over the few
+distinct high sums, each evaluated once at all 64 low patterns; no bit rows
+are built.  An imported table packs its own entries.  A tree evaluates
+blocks of 2^16 bit rows (`_chunks`) and packs the outputs.  Bit i
 pairs the configurations 2^(m-1-i) entries apart: at a stride of 64 or more
 the two halves of each run of words are XORed, below it each word is XORed
 with itself shifted by the stride and masked to the bit-i = 0 members, and
 popcounts count the differing pairs.  Weighted sums are exact counts per
 number of ones (exact dyadic rationals at p = 1/2), ground truth for the
 Monte Carlo estimators.  Caps: 24 bits for single configurations, 20 for
-pairs.  On a 2-vCPU x86 VM, influence at m = 23 and p = 1/2 takes about
-30 ms and noise covariance at m = 20 about 55 ms.
+pairs.  On a 2-vCPU x86 VM, influence at m = 23 takes about 5 ms at p = 1/2
+and 65 ms at p = 0.3, where every count is split by number of ones; noise
+covariance at m = 20 takes about 45 ms.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .dynamics import _check_int
 from .errors import ArityTooLarge, DepthTooLarge
-from .functions import FunctionSpec, _check_instance, make_instance
+from .functions import (CounterInstance, FunctionSpec, TableInstance, _check_instance,
+                        make_instance)
 
 ENUM_ARITY_CAP = 24
 PAIR_ARITY_CAP = 20
@@ -31,6 +41,8 @@ _CHUNK = 1 << 16
 def _require(instance, cap, **probabilities):
     _check_instance(instance)
     for name, value in probabilities.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError("%s must be a real number, got %r" % (name, value))
         if not 0.0 <= value <= 1.0:
             raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
     if instance.arity > cap:
@@ -53,12 +65,56 @@ def _chunks(m):
         yield np.arange(start, start + n, dtype=np.int64), bits
 
 
-def _truth_values(instance):
+def _pack(table):
+    """A 0/1 uint8 table as uint64 words, entry k at bit k % 64 of word k // 64
+    (one zero-padded word below 64 entries)."""
+    words = np.zeros(max(table.size >> 6, 1), dtype="<u8")
+    words.view(np.uint8)[:(table.size + 7) >> 3] = np.packbits(table, bitorder="little")
+    return words
+
+
+def _counter_words(instance):
+    # entry j of word w has index 64 w + j, so a slice's sum is the popcount
+    # of its index mask above the low 6 bits on w plus that of the low 6 bits
+    # on j: the high sums of a word form a mixed-radix key, and the word of
+    # each key is evaluated once, at all 64 j
+    m = instance.arity
+    masks = [((1 << (hi - lo)) - 1) << (m - hi) for lo, hi in instance.slices]
+    radix = [(mask >> 6).bit_count() + 1 for mask in masks]
+    w = np.arange(max((1 << m) >> 6, 1), dtype=np.uint64)
+    key = 0
+    for mask, r in zip(masks, radix):
+        key = key * r + np.bitwise_count(w & np.uint64(mask >> 6)).astype(np.intp)
+    high = np.indices(radix).reshape(len(masks), -1, 1)
+    low = np.bitwise_count(np.arange(64) & np.array(masks)[:, None] & 63)[:, None, :]
+    sums = (high + low).reshape(len(masks), -1)  # each slice's sums by key, then j
+    out = instance.counter_output(sums.T).reshape(-1, 64)
+    out[:, 1 << m:] = 0  # the padding of a table of under 64 entries
+    return np.packbits(out, axis=1, bitorder="little").view("<u8")[:, 0][key]
+
+
+def _words(instance):
+    """The truth table packed by `_pack`: a counter family's words from its
+    slice sums, a table's from its entries, a tree's from `evaluate_rows`
+    over `_chunks`."""
+    if isinstance(instance, CounterInstance):
+        return _counter_words(instance)
+    if isinstance(instance, TableInstance):
+        return _pack(instance._table_arr)
     m = instance.arity
     out = np.empty(1 << m, dtype=np.uint8)
     for idx, bits in _chunks(m):
         out[idx[0]:idx[-1] + 1] = instance.evaluate_rows(bits)
-    return out
+    return _pack(out)
+
+
+def _unpack(words, m):
+    return np.unpackbits(words.view(np.uint8), count=1 << m, bitorder="little")
+
+
+def _truth_values(instance):
+    """The truth table, one uint8 per configuration: the bits of `_words`."""
+    return _unpack(_words(instance), instance.arity)
 
 
 def _word_mask(keep):
@@ -71,14 +127,10 @@ _ONES_MASKS = [_word_mask(lambda j, r=r: j.bit_count() == r) for r in range(7)]
 _LOWER_MASKS = {1 << k: _word_mask(lambda j, s=1 << k: not j & s) for k in range(6)}
 
 
-def _packed(table, p):
-    """The 0/1 table as uint64 words, entry k at bit k % 64 of word k // 64
-    (one zero-padded word below 64 entries), and the number of ones of every
-    word's index; None at p = 1/2, where _class_counts needs no classes."""
-    words = np.zeros(max(table.size >> 6, 1), dtype="<u8")
-    words.view(np.uint8)[:(table.size + 7) >> 3] = np.packbits(table, bitorder="little")
-    wpop = None if p == 0.5 else np.bitwise_count(np.arange(words.size, dtype=np.uint64))
-    return words, wpop
+def _word_pop(words, p):
+    """The number of ones of every word's index; None at p = 1/2, where
+    _class_counts needs no classes."""
+    return None if p == 0.5 else np.bitwise_count(np.arange(words.size, dtype=np.uint64))
 
 
 def _class_counts(words, wpop):
@@ -111,9 +163,8 @@ def _weight_table(m, p):
     return [p**j * (1 - p) ** (m - j) for j in range(m + 1)]
 
 
-def _prob_one(table, p):
-    m = table.size.bit_length() - 1
-    counts = _class_counts(*_packed(table, p))
+def _prob_one(words, m, p):
+    counts = _class_counts(words, _word_pop(words, p))
     return math.fsum(c * w for c, w in zip(counts, _weight_table(m, p)))
 
 
@@ -124,7 +175,7 @@ def exact_prob_one(instance, p):
     2^m); otherwise exact ones counts per popcount class are weighted.
     """
     _require(instance, ENUM_ARITY_CAP, p=p)
-    return _prob_one(_truth_values(instance), p)
+    return _prob_one(_words(instance), instance.arity, p)
 
 
 @dataclass
@@ -156,7 +207,8 @@ def exact_influence_report(instance, p):
     """Exact per-bit influence/pivotality by enumeration over all pairs."""
     _require(instance, ENUM_ARITY_CAP, p=p)
     m = instance.arity
-    words, wpop = _packed(_truth_values(instance), p)
+    words = _words(instance)
+    wpop = _word_pop(words, p)
     w = _weight_table(m, p)
     infl, pivot = [], []
     for i in range(m):
@@ -215,8 +267,9 @@ def exact_noise_covariance(instance, p, epsilon):
     mu = (1 - p, p)
     kern = [[mu[a] * ((1 - epsilon) * (a == b) + epsilon * mu[b]) for b in (0, 1)]
             for a in (0, 1)]
-    table = _truth_values(instance)
     m = instance.arity
+    words = _words(instance)
+    table = _unpack(words, m)
     half = (m + 1) // 2
     g = table.astype(np.float64).reshape(1 << half, -1)
     # bits 0..half-1 pair rows of g, at strides of 2^(m-half) or more
@@ -230,7 +283,7 @@ def exact_noise_covariance(instance, p, epsilon):
         g[r:r + rows] = block.T
     g = g.ravel()
     joint = float(np.multiply(g, table, out=g).sum())
-    q = _prob_one(table, p)
+    q = _prob_one(words, m, p)
     return NoiseCovariance(p=p, epsilon=epsilon, joint=joint, covariance=joint - q * q)
 
 
@@ -240,7 +293,8 @@ def exact_andor_pivotal(n, k):
     Exact rational by raw enumeration over all 2^(2^(n+1)-1) gate
     configurations of the depth-n tree; capped at n <= 3.
     """
-    if n < 0 or not 0 <= k <= n:
+    n, k = _check_int("n", n, 0), _check_int("k", k, 0)
+    if k > n:
         raise ValueError("need 0 <= k <= n, got n=%d k=%d" % (n, k))
     if n > 3:
         raise DepthTooLarge("raw enumeration is capped at depth 3, got %d" % n)
@@ -257,6 +311,7 @@ def exact_andor_switch_prob(n):
     Sums 2^k copies of the level-k pivotal probability and halves (the
     redrawn gate lands on the complement with probability 1/2).
     """
+    n = _check_int("n", n, 0)
     N = 2 ** (n + 1) - 1
     total = sum(2**k * exact_andor_pivotal(n, k) for k in range(n + 1))
     return Fraction(1, 2) * total / N

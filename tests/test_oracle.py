@@ -219,6 +219,36 @@ def test_pivotal_depth_cap():
         oracle.exact_andor_pivotal(2, 3)
 
 
+# each argument that is not an integer, or not a real probability, raises
+# ValueError before any work; F stands for a maj:3 instance
+F = object()
+BAD_ARGUMENTS = [
+    ("exact_andor_switch_prob", (-1,)), ("exact_andor_switch_prob", (2.5,)),
+    ("exact_andor_switch_prob", ("3",)), ("exact_andor_switch_prob", (True,)),
+    ("exact_andor_pivotal", ("2", 0)), ("exact_andor_pivotal", (None, 0)),
+    ("exact_andor_pivotal", (2, 1.0)), ("exact_andor_pivotal", (-1, 0)),
+    ("exact_andor_pivotal", (2, -1)),
+    ("exact_prob_one", (F, "0.5")), ("exact_prob_one", (F, None)),
+    ("exact_prob_one", (F, 0.3j)), ("exact_prob_one", (F, True)),
+    ("exact_influence_report", (F, "0.5")), ("exact_total_influence", (F, None)),
+    ("exact_noise_covariance", (F, 0.5, "x")), ("exact_noise_covariance", (F, [0.5], 0.1)),
+]
+
+
+@pytest.mark.parametrize("name,args", BAD_ARGUMENTS, ids=[
+    "%s(%s)" % (n, ", ".join("f" if a is F else repr(a) for a in args))
+    for n, args in BAD_ARGUMENTS])
+def test_bad_arguments_raise_value_error(name, args):
+    args = [inst("maj:3") if a is F else a for a in args]
+    with pytest.raises(ValueError, match="must be"):
+        getattr(oracle, name)(*args)
+
+
+def test_andor_switch_prob_depth_cap():
+    with pytest.raises(DepthTooLarge):
+        oracle.exact_andor_switch_prob(4)
+
+
 def test_andor_switch_down_probability():
     # summing 2^k a^n_k over levels and halving gives (n+2)/(8 N_n)
     for n in range(4):
@@ -489,3 +519,65 @@ def test_packed_oracles_equal_byte_level_passes(text, p):
     assert oracle.exact_influence_report(f, p) == byte_influence_report(table, p)
     for eps in (0.0, 0.37, 1.0):
         assert oracle.exact_noise_covariance(f, p, eps) == byte_noise_covariance(table, p, eps)
+
+
+# -- the three table routes ----------------------------------------------------
+
+def packed_bytes(table):
+    """A 0/1 table as the bytes of `_words`: little-endian bits, one word at least."""
+    return np.packbits(table, bitorder="little").tobytes().ljust(8, b"\0")
+
+
+def chunked_table(f):
+    """The truth table from `_chunks` and `evaluate_rows`, the tree route."""
+    out = np.empty(1 << f.arity, dtype=np.uint8)
+    for idx, bits in oracle._chunks(f.arity):
+        out[idx[0]:idx[-1] + 1] = f.evaluate_rows(bits)
+    return out
+
+
+def counter_specs(max_arity):
+    # every valid parameter of every counter family, from its least value on
+    for family, (least, shape, _) in bf._COUNTERS.items():
+        n = least
+        while shape(n)[0] <= max_arity:
+            if family != "maj" or n % 2:
+                yield "%s:%d" % (family, n)
+            n += 1
+
+
+ROUTE_SPECS = (list(counter_specs(12)) + ["maj:23", "dap:22", "type2:22", "parity:21"]
+               + ["itermaj3:2", "andor:2", "perc:3,2:2"])
+
+
+@pytest.mark.parametrize("text", ROUTE_SPECS)
+def test_words_equal_the_chunked_table(text):
+    # arities 1-5 fill one zero-padded word; bigtame:2 is 12 bits
+    f = inst(text)
+    assert oracle._words(f).tobytes() == packed_bytes(chunked_table(f))
+
+
+@pytest.mark.parametrize("m", [1, 3, 6, 7, 12])
+def test_table_words_equal_its_entries(m):
+    f = identity_instance("table:%d" % m)
+    entries = np.array(f.spec.table, dtype=np.uint8)
+    assert oracle._words(f).tobytes() == packed_bytes(entries)
+    np.testing.assert_array_equal(oracle._truth_values(f), entries)
+
+
+@pytest.mark.parametrize("text", ["maj:9", "type2:8"])
+def test_counter_oracles_build_no_bit_rows(text, monkeypatch):
+    # the byte-level passes over a table from evaluate_batch give the values
+    # the oracles gave when they read bit rows; with `_chunks` failing, a
+    # counter family must still reach them
+    f = inst(text)
+    table = bf.evaluate_batch(f, all_configs(f.arity))
+
+    def no_rows(m):
+        raise AssertionError("bit rows built for a counter family")
+
+    monkeypatch.setattr(oracle, "_chunks", no_rows)
+    for p in (0.3, 0.5):
+        assert oracle.exact_prob_one(f, p) == byte_prob_one(table, p)
+        assert oracle.exact_influence_report(f, p) == byte_influence_report(table, p)
+        assert oracle.exact_noise_covariance(f, p, 0.37) == byte_noise_covariance(table, p, 0.37)
