@@ -48,8 +48,15 @@ stepper applies it to all three.  The logs themselves leave the float range
 near depth 1030 (-inf, then NaN in b).  A ``digits`` argument selects mpmath
 arithmetic at that many decimal digits instead; mpf exponents never underflow,
 so those series stay linear.  The cutoff diagnostic and the volatility ratio
-always run in mpmath.  All functions here are pure and safe to call
-concurrently.  Every function that takes a depth n refuses n above
+always run in mpmath.  The mpmath steps work on raw libmp tuples at the
+working precision and rounding, read once per series, and make mpf objects
+only for what they return.  Each step rounds the same operations, in the same
+order, as the mpf expression in its comment, so every value equals that
+expression's bit for bit; the only merges are exact power-of-two scalings.
+``digits`` is capped at ``MAX_DIGITS`` (InstanceTooLarge, exit 3 in the CLI):
+a mantissa grows about 3x per step up to the working precision, so an
+uncapped precision runs without bound.  All functions here are pure and safe
+to call concurrently.  Every function that takes a depth n refuses n above
 ``MAX_DEPTH`` with InstanceTooLarge (exit 3 in the CLI).
 """
 
@@ -61,6 +68,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fone, mpf_add, mpf_lt, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub
 
 from .errors import InstanceTooLarge, PrecisionExhausted, ResourceLimit
 from .dynamics import _check_int, simulate_batch
@@ -69,6 +77,7 @@ from .functions import _check_instance
 __all__ = [
     "MAJ3_CRITICAL_ALPHA",
     "MAX_DEPTH",
+    "MAX_DIGITS",
     "Maj3Params",
     "RecursionSeries",
     "maj3_a_seq",
@@ -98,6 +107,10 @@ MAJ3_CRITICAL_ALPHA = math.log(1.5) / math.log(2.0)
 # every recursion keeps and prints one value per depth; the budget is five
 # times the deepest series the tests ask for
 MAX_DEPTH = 10_000
+
+# mpmath working precision cap in decimal digits, the most the volatility
+# ratio's refinement ever asks for
+MAX_DIGITS = 5000
 
 _UNDERFLOW = 1e-280
 _LOG3 = math.log(3.0)
@@ -268,16 +281,29 @@ def _float_series(x0, n, step, log_from, log_step):
 
 
 def _mp_series(x0, n, step):
-    """mpf values x_0 .. x_n, x_{k+1} = step(x_k, k); mpf exponents never underflow."""
+    """Raw libmp values x_0 .. x_n, x_{k+1} = step(x_k, prec, rnd), at the
+    working precision; mpf exponents never underflow."""
+    prec, rnd = mp.mp._prec_rounding
     values = [x0]
-    for k in range(n):
-        values.append(step(values[k], k))
+    x = x0
+    for _ in range(n):
+        x = step(x, prec, rnd)
+        values.append(x)
     return values
 
 
+def _mpfs(values):
+    """Raw libmp values as mpf objects."""
+    return list(map(mp.mp.make_mpf, values))
+
+
 def _workdps(digits):
-    """mpmath working precision of ``digits`` decimal digits, an integer >= 1."""
-    return mp.workdps(_check_int("digits", digits, 1))
+    """mpmath working precision of ``digits`` decimal digits, an integer in
+    [1, MAX_DIGITS]."""
+    digits = _check_int("digits", digits, 1)
+    if digits > MAX_DIGITS:
+        raise InstanceTooLarge("%d digits exceed the precision cap %d" % (digits, MAX_DIGITS))
+    return mp.workdps(digits)
 
 
 def _mp_bias(params, digits):
@@ -315,8 +341,10 @@ def _a_log_step(la, _k):
     return _LOG3 + 2.0 * la + math.log1p(-(2.0 / 3.0) * math.exp(la))
 
 
-def _mp_a_step(a, _k):
-    return 3 * a * a - 2 * a * a * a
+def _mp_a_step(a, prec, rnd):
+    # 3 * a * a - 2 * a * a * a, rounded op for op; 2 * x is exponent + 1
+    return mpf_sub(mpf_mul(mpf_mul_int(a, 3, prec, rnd), a, prec, rnd),
+                   mpf_shift(mpf_mul(mpf_mul(a, a, prec, rnd), a, prec, rnd), 1), prec, rnd)
 
 
 def _float_a(p0, n):
@@ -335,13 +363,20 @@ def maj3_a_seq(p0, n, digits=None):
     n = _depth(n)
     if digits is not None:
         with _workdps(digits):
-            vals = _mp_series(mp.mpf(p0), n, _mp_a_step)
+            vals = _mpfs(_mp_series(mp.mpf(p0)._mpf_, n, _mp_a_step))
         return RecursionSeries(vals, ["linear"] * (n + 1), digits, {"p0": p0})
     return RecursionSeries(*_float_a(p0, n), None, {"p0": p0})
 
 
 def _pi_step(q, _k):
     return 1.5 * q - 0.5 * q * q * q
+
+
+def _mp_pi_step(q, prec, rnd):
+    # 1.5 * q - 0.5 * q * q * q, rounded op for op; 1.5 * q rounds to half of
+    # the rounded 3 * q, and 0.5 * x is exponent - 1
+    return mpf_sub(mpf_shift(mpf_mul_int(q, 3, prec, rnd), -1),
+                   mpf_shift(mpf_mul(mpf_mul(q, q, prec, rnd), q, prec, rnd), -1), prec, rnd)
 
 
 def _pi_log_step(lq, _k):
@@ -361,7 +396,7 @@ def maj3_pi_seq(epsilon, n, digits=None):
     n = _depth(n)
     if digits is not None:
         with _workdps(digits):
-            vals = _mp_series(2 * mp.mpf(epsilon), n, _pi_step)
+            vals = _mpfs(_mp_series(mpf_shift(mp.mpf(epsilon)._mpf_, 1), n, _mp_pi_step))
         return RecursionSeries(vals, ["linear"] * (n + 1), digits, {"epsilon": epsilon})
     # pi_k never falls on [0, 1], so only a start below 1e-280 is kept in logs
     series = _float_series(2.0 * epsilon, n, _pi_step, None, _pi_log_step)
@@ -373,12 +408,24 @@ def maj3_pi_seq(epsilon, n, digits=None):
 
 
 def _mp_b_series(a, b0):
-    """mpf b_0 .. b_n along a_0 .. a_n: b_{k+1} = 3 b^2 - 2 b^3 + 6 b (a_k - b)^2."""
-    def step(b, k):
-        d = a[k] - b
-        return 3 * b * b - 2 * b * b * b + 6 * b * d * d
+    """Raw libmp b_0 .. b_n along raw a_0 .. a_n: b_{k+1} = 3 b^2 - 2 b^3 + 6 b (a_k - b)^2.
 
-    return _mp_series(b0, len(a) - 1, step)
+    Each step rounds as d = a_k - b; 3 * b * b - 2 * b * b * b + 6 * b * d * d
+    does in mpf, op for op: 2 * x is exponent + 1, and the rounded 6 * b is
+    twice the rounded 3 * b.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    values = [b0]
+    b = b0
+    for ak in a[:-1]:
+        d = mpf_sub(ak, b, prec, rnd)
+        b3 = mpf_mul_int(b, 3, prec, rnd)
+        head = mpf_sub(mpf_mul(b3, b, prec, rnd),
+                       mpf_shift(mpf_mul(mpf_mul(b, b, prec, rnd), b, prec, rnd), 1), prec, rnd)
+        tail = mpf_mul(mpf_mul(mpf_shift(b3, 1), d, prec, rnd), d, prec, rnd)
+        b = mpf_add(head, tail, prec, rnd)
+        values.append(b)
+    return values
 
 
 def maj3_b_seq(params, digits=None):
@@ -396,8 +443,8 @@ def maj3_b_seq(params, digits=None):
     if digits is not None:
         with _workdps(digits):
             eps, p = _mp_bias(params, digits)
-            a = _mp_series(p, n, _mp_a_step)
-            vals = _mp_b_series(a, _b0(eps, mp.e ** (-mp.mpf(params.t))))
+            a = _mp_series(p._mpf_, n, _mp_a_step)
+            vals = _mpfs(_mp_b_series(a, _b0(eps, mp.e ** (-mp.mpf(params.t)))._mpf_))
             info["epsilon"] = float(eps)
         return RecursionSeries(vals, ["linear"] * (n + 1), digits, info)
     if params.p == 0.5 and params.log10_epsilon() > -math.inf:
@@ -468,20 +515,23 @@ def maj3_cutoff_diagnostic(alpha, n, digits=50):
     n = params.n
     if n < 10:
         raise ValueError("cutoff diagnostic needs n >= 10")
-    if digits < 30:
-        raise ValueError("cutoff diagnostic needs digits >= 30")
+    digits = _check_int("digits", digits, 30)
     with _workdps(digits):
         eps = params.epsilon_mpf()
         if eps == 0:
             raise PrecisionExhausted("bias underflowed the working exponent range")
         if eps >= mp.mpf(1) / 2:
             raise ValueError("n^alpha (2/3)^n >= 1/2: p leaves [0, 1/2)")
-        q = 2 * eps
+        prec, rnd = mp.mp._prec_rounding
+        q = mpf_shift(eps._mpf_, 1)
+        stop = mp.mpf("0.01")._mpf_
         k = 0
-        while k < n and q < mp.mpf("0.01"):
-            q = _pi_step(q, k)
+        while k < n and mpf_lt(q, stop):
+            q = _mp_pi_step(q, prec, rnd)
             k += 1
-        a = _mp_series((1 - q) / 2, n - k, _mp_a_step)[-1]
+        # (1 - q) / 2, the halving exact
+        a0 = mpf_shift(mpf_sub(fone, q, prec, rnd), -1)
+        a = mp.mp.make_mpf(_mp_series(a0, n - k, _mp_a_step)[-1])
         if a <= 0:
             raise PrecisionExhausted(
                 f"a_n hit zero at {digits} digits; increase digits"
@@ -518,12 +568,12 @@ def _volatility_pass(params, t_scale_by_a, digits):
     n = params.n
     with _workdps(digits):
         eps, p = _mp_bias(params, digits)
-        a = _mp_series(p, n, _mp_a_step)
-        a_n = a[n]
+        a = _mp_series(p._mpf_, n, _mp_a_step)
+        a_n = mp.mp.make_mpf(a[n])
         if a_n <= 0:
             raise PrecisionExhausted(f"{digits} digits cannot represent p = 1/2 - epsilon")
         t_eff = mp.mpf(t_scale_by_a) * a_n if t_scale_by_a is not None else mp.mpf(params.t)
-        b_n = _mp_b_series(a, _b0(eps, mp.e ** (-t_eff)))[n]
+        b_n = mp.mp.make_mpf(_mp_b_series(a, _b0(eps, mp.e ** (-t_eff))._mpf_)[n])
         rho = b_n / (a_n * a_n) - 1
         return VolatilityRatio(
             rho=float(rho),
@@ -564,7 +614,7 @@ def maj3_volatility_ratio(params, t_scale_by_a=None):
     need_eps = max(0, math.ceil(-l10_eps)) if math.isfinite(l10_eps) else 0
     d = max(60, need_eps + 40)
     prev = None
-    while d <= 5000:
+    while d <= MAX_DIGITS:
         try:
             res = _volatility_pass(params, t_scale_by_a, d)
         except PrecisionExhausted:
@@ -581,7 +631,7 @@ def maj3_volatility_ratio(params, t_scale_by_a=None):
             return res
         prev = res
         d = math.ceil(1.3 * d) + 10
-    raise PrecisionExhausted("volatility ratio did not stabilize below 5000 digits")
+    raise PrecisionExhausted("volatility ratio did not stabilize below %d digits" % MAX_DIGITS)
 
 
 # ---------------------------------------------------------------------------

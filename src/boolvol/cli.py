@@ -23,6 +23,7 @@ import math
 import sys
 
 from .analysis import (
+    MAX_DIGITS,
     Maj3Params,
     andor_b_bound_seq,
     andor_survival_floor_check,
@@ -262,8 +263,8 @@ def _monte_carlo_flags(parser, replicas):
 
 def _precision_flag(parser, default):
     parser.add_argument("--precision", type=int, metavar="DIGITS", default=default,
-                        help="working decimal digits, an integer >= 1 (default: "
-                             "%s)" % (default or "machine floats"))
+                        help="working decimal digits, 1 to %d (default: %s)"
+                             % (MAX_DIGITS, default or "machine floats"))
 
 
 @functools.cache

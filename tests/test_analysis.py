@@ -754,3 +754,23 @@ class TestArgumentChecks:
                      lambda: ana._volatility_pass(params, None, bad)):
             with pytest.raises(ValueError, match="digits"):
                 call()
+
+    def test_digits_cap(self):
+        # a mantissa grows about 3x per step up to the working precision, so
+        # the precision is capped where the volatility ratio's search stops
+        assert ana.maj3_a_seq(0.4, 2, digits=ana.MAX_DIGITS).precision == ana.MAX_DIGITS
+        params = ana.Maj3Params(n=5, epsilon=0.1, t=0.5)
+        over = ana.MAX_DIGITS + 1
+        for call in (lambda: ana.maj3_a_seq(0.4, 14, digits=over),
+                     lambda: ana.maj3_pi_seq(0.1, 14, digits=over),
+                     lambda: ana.maj3_b_seq(params, digits=over),
+                     lambda: ana._volatility_pass(params, None, over),
+                     lambda: ana.maj3_cutoff_diagnostic(0.4, 20, digits=over),
+                     lambda: ana.maj3_a_seq(0.4, 14, digits=10**8)):
+            with pytest.raises(InstanceTooLarge, match="precision cap"):
+                call()
+
+    @pytest.mark.parametrize("bad", [None, "50", 2.5, True, 29])
+    def test_cutoff_digits_must_be_an_integer_from_30(self, bad):
+        with pytest.raises(ValueError, match="digits must be an integer >= 30"):
+            ana.maj3_cutoff_diagnostic(0.4, 20, digits=bad)

@@ -11,6 +11,7 @@ import json
 import math
 import re
 import shlex
+import time
 from importlib.resources import files
 from pathlib import Path
 
@@ -302,6 +303,19 @@ class TestRecursion:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: digits must be an integer >= 1")
+
+    def test_precision_above_cap_exit_3(self, capsys):
+        # uncapped, 10^8 digits ran past 60 s: mantissas grow 3x per step
+        start = time.perf_counter()
+        code = cli.main(["recursion", "maj3-a", "--p0", "0.4", "--n", "14",
+                         "--precision", "100000000"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert elapsed < 1.0
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit: 100000000 digits exceed")
+        assert "Traceback" not in captured.err
 
     def test_andor_x_converges(self, capsys):
         code, out = run_cli(capsys, "recursion", "andor-x", "--t", "0.5",
