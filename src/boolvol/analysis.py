@@ -70,8 +70,9 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, mpf_add, mpf_lt, mpf_mul, mpf_mul_int, mpf_shift, mpf_sub
 
-from .errors import InstanceTooLarge, PrecisionExhausted, ResourceLimit
-from .dynamics import _check_int, simulate_batch
+from .dynamics import DynamicsParams, simulate_batch
+from .errors import (_FINITE, MAX_DEPTH, InstanceTooLarge, PrecisionExhausted, ResourceLimit,
+                     _check_depth, _check_int, _check_real, _check_type)
 from .functions import _check_instance
 
 __all__ = [
@@ -104,10 +105,6 @@ __all__ = [
 # decorrelates the tree for alpha below this and freezes it above.
 MAJ3_CRITICAL_ALPHA = math.log(1.5) / math.log(2.0)
 
-# every recursion keeps and prints one value per depth; the budget is five
-# times the deepest series the tests ask for
-MAX_DEPTH = 10_000
-
 # mpmath working precision cap in decimal digits, the most the volatility
 # ratio's refinement ever asks for
 MAX_DIGITS = 5000
@@ -116,17 +113,6 @@ _UNDERFLOW = 1e-280
 _LOG3 = math.log(3.0)
 _LN10 = math.log(10.0)
 _SQRT2 = math.sqrt(2.0)
-
-
-def _depth(n, t=0.0):
-    """`n` as an int; ValueError unless it is an integer >= 0 and t >= 0,
-    InstanceTooLarge above `MAX_DEPTH`."""
-    n = _check_int("depth n", n, 0)
-    if n > MAX_DEPTH:
-        raise InstanceTooLarge("depth %d exceeds the recursion budget %d" % (n, MAX_DEPTH))
-    if not t >= 0.0:
-        raise ValueError("time t must be >= 0")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +136,21 @@ class Maj3Params:
     t: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _depth(self.n, self.t))
+        object.__setattr__(self, "n", _check_depth("depth n", self.n, 0))
+        object.__setattr__(self, "t", _check_real("time t", self.t, 0, math.inf))
         if (self.epsilon is None) == (self.alpha is None):
             raise ValueError("give exactly one of epsilon= or alpha=")
         if self.alpha is not None:
-            if not math.isfinite(self.alpha):
-                raise ValueError("alpha must be finite")
+            object.__setattr__(self, "alpha", _check_real("alpha", self.alpha, -_FINITE, _FINITE))
             if self.n < 1:
                 raise ValueError("scaling mode needs n >= 1")
             if self.log10_epsilon() >= math.log10(0.5):
                 raise ValueError("n^alpha (2/3)^n >= 1/2: p would leave [0, 1/2)")
             object.__setattr__(self, "epsilon", math.exp(self.log10_epsilon() * _LN10))
         else:
-            if not 0.0 <= self.epsilon < 0.5:
-                raise ValueError("epsilon must lie in [0, 1/2)")
+            object.__setattr__(self, "epsilon", _check_real("epsilon", self.epsilon, 0, 0.5))
+            if self.epsilon == 0.5:
+                raise ValueError("epsilon must lie in [0, 1/2), got 0.5")
 
     @classmethod
     def from_alpha(cls, n, alpha, t=0.0):
@@ -358,9 +345,8 @@ def maj3_a_seq(p0, n, digits=None):
     p0 < 1/2 the sequence crashes doubly exponentially, hence the log-space
     switch below 1e-280.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must lie in [0, 1]")
-    n = _depth(n)
+    p0 = _check_real("p0", p0, 0, 1)
+    n = _check_depth("depth n", n, 0)
     if digits is not None:
         with _workdps(digits):
             vals = _mpfs(_mp_series(mp.mpf(p0)._mpf_, n, _mp_a_step))
@@ -391,9 +377,8 @@ def maj3_pi_seq(epsilon, n, digits=None):
     variables for the a-recursion, free of the 1/2 - epsilon cancellation, so
     it stays accurate for epsilon far below float resolution of 1/2.
     """
-    if not 0.0 <= epsilon <= 0.5:
-        raise ValueError("epsilon must lie in [0, 1/2]")
-    n = _depth(n)
+    epsilon = _check_real("epsilon", epsilon, 0, 0.5)
+    n = _check_depth("depth n", n, 0)
     if digits is not None:
         with _workdps(digits):
             vals = _mpfs(_mp_series(mpf_shift(mp.mpf(epsilon)._mpf_, 1), n, _mp_pi_step))
@@ -438,7 +423,7 @@ def maj3_b_seq(params, digits=None):
     identity (3a^2-2a^3)^2 = 3a^4 - 2a^6 + 6a^4(1-a)^2).  A bias that rounds
     p to 1/2 raises PrecisionExhausted, in floats as in mpf.
     """
-    n = params.n
+    n = _check_type("params", params, Maj3Params).n
     info = {"n": n, "t": params.t, "epsilon": params.epsilon, "alpha": params.alpha}
     if digits is not None:
         with _workdps(digits):
@@ -511,10 +496,8 @@ def maj3_cutoff_diagnostic(alpha, n, digits=50):
     change of variables that avoids representing 1/2 - epsilon directly, which
     would demand far more digits than the answer needs.
     """
+    n = _check_int("cutoff depth n", n, 10)
     params = Maj3Params.from_alpha(n, alpha)
-    n = params.n
-    if n < 10:
-        raise ValueError("cutoff diagnostic needs n >= 10")
     digits = _check_int("digits", digits, 30)
     with _workdps(digits):
         eps = params.epsilon_mpf()
@@ -608,8 +591,11 @@ def maj3_volatility_ratio(params, t_scale_by_a=None):
     the time scale, then successive refinement until two precisions agree
     to 1e-6 relative.
     """
-    if t_scale_by_a is not None and not t_scale_by_a > 0:
-        raise ValueError("t_scale_by_a must be > 0")
+    _check_type("params", params, Maj3Params)
+    if t_scale_by_a is not None:
+        t_scale_by_a = _check_real("t_scale_by_a", t_scale_by_a, 0, math.inf)
+        if t_scale_by_a == 0:
+            raise ValueError("t_scale_by_a must be > 0, got 0")
     l10_eps = params.log10_epsilon()
     need_eps = max(0, math.ceil(-l10_eps)) if math.isfinite(l10_eps) else 0
     d = max(60, need_eps + 40)
@@ -660,8 +646,10 @@ def maj3_grid_count(instance, dyn_params, delta, target_prob=None):
     each trajectory, so the cost is O(events), not O(grid points).
     """
     _check_instance(instance)
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    _check_type("dyn_params", dyn_params, DynamicsParams)
+    delta = _check_real("delta", delta, 0, 1)
+    if delta in (0, 1):
+        raise ValueError("delta must lie in (0, 1), got %r" % (delta,))
     if target_prob is None:
         spec = instance.spec
         if spec.family != "itermaj3":
@@ -669,12 +657,12 @@ def maj3_grid_count(instance, dyn_params, delta, target_prob=None):
                 "target_prob is required for instances other than itermaj3"
             )
         target_prob = maj3_a_seq(dyn_params.p, spec.param).last_value
-    if not target_prob > 0.0:
+    spacing = delta * _check_real("target probability", target_prob, 0, math.inf)
+    if not spacing > 0.0:
         raise ValueError("target probability must be positive (underflow?)")
-    spacing = delta * target_prob
-    n_points = math.floor(dyn_params.T / spacing)
-    if n_points > 2**62:
+    if not dyn_params.T / spacing <= 2**62:
         raise ResourceLimit("grid resolution exceeds countable range")
+    n_points = math.floor(dyn_params.T / spacing)
     batch = simulate_batch(instance, dyn_params)
     times = batch.times.tolist()
     bounds = batch.offsets.tolist()
@@ -709,7 +697,7 @@ def andor_x_seq(t, n):
     The map has a unique fixed point inside [0, 1/2] which is attractive;
     ``info`` carries it with the terminal residual.
     """
-    n = _depth(n, t)
+    n, t = _check_depth("depth n", n, 0), _check_real("time t", t, 0, math.inf)
     tau = (1.0 - math.exp(-t)) / 2.0
     x = (1.0 - tau) / 2.0
     values = [x]
@@ -737,10 +725,11 @@ def andor_x_seq(t, n):
 
 def andor_beta(n, t):
     """Damping factor: 1 for t < 1/n^2, else 1 - sqrt(t)/24 (exact piecewise form)."""
-    n = _depth(n, t)
-    if n == 0 or t < 1.0 / (n * n):
-        return 1.0
-    return 1.0 - math.sqrt(t) / 24.0
+    return _beta(_check_depth("depth n", n, 0), _check_real("time t", t, 0, math.inf))
+
+
+def _beta(n, t):
+    return 1.0 if n == 0 or t < 1.0 / (n * n) else 1.0 - math.sqrt(t) / 24.0
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +751,7 @@ class SwitchRate:
 
 def andor_switch_rate(n):
     """Expected 1 -> 0 switch count on [0, 1]: (n+2)/8, i.e. (n+2)/(8 N_n) per update."""
-    n = _depth(n)
+    n = _check_depth("depth n", n, 0)
     big_n = 2 ** (n + 1) - 1
     return SwitchRate(
         n=n,
@@ -794,11 +783,11 @@ def andor_b_bound_seq(n, t):
     ``cap_satisfied`` true, at t = 0 or n < 3, where no cap applies); the
     bound is meaningful for t <= 576 where beta >= 0.
     """
-    n = _depth(n, t)
+    n, t = _check_depth("depth n", n, 0), _check_real("time t", t, 0, math.inf)
     values = [1.0] * (min(n, 2) + 1)
     for k in range(2, n):
         # k^2 / 4^(k+1), exact, and 0 past depth 511, where 4.0^(k+1) overflows
-        values.append(0.25 * andor_beta(k, t) * values[-1] + math.ldexp(k * k, -2 * (k + 1)))
+        values.append(0.25 * _beta(k, t) * values[-1] + math.ldexp(k * k, -2 * (k + 1)))
     big_n = 2 ** (n + 1) - 1
     # no cap applies at t = 0 or below depth 3 (None, JSON null)
     cap = 800.0 * (n / big_n) ** 2 / math.sqrt(t) if (t > 0 and n >= 3) else None
@@ -816,8 +805,7 @@ def andor_b_bound_seq(n, t):
 
 def andor_survival_floor(x):
     """The depth-uniform floor max((1/2)(1 - 4 sqrt(x)), 0) for P(first 1->0 switch > x)."""
-    if not x >= 0:
-        raise ValueError("x must be >= 0")
+    x = _check_real("x", x, 0, math.inf)
     return max(0.5 * (1.0 - 4.0 * math.sqrt(x)), 0.0)
 
 
@@ -830,6 +818,8 @@ def andor_pair_sum_survival(xs):
     V^2 + V'^2 >= r^2, r = 4 sqrt(x): probability (1 - A(r))/4, where A(r) is
     the area of the quarter disc of radius r inside the unit square.
     """
+    if np.asarray(xs).dtype.kind not in "iuf":  # an array maps NaN to NaN
+        raise ValueError("xs must be real numbers, got %r" % (xs,))
     xs = np.asarray(xs, dtype=float)
     r = 4.0 * np.sqrt(np.maximum(xs, 0.0))
     c = np.clip(r, 1.0, _SQRT2)  # r where the middle piece of A holds
@@ -910,9 +900,8 @@ def andor_survival_floor_check(grid_resolution=1000, *, conv_points=None):
     accepted and ignored: it is kept only because perfbench/workloads.py
     still passes it.
     """
-    if grid_resolution < 100:
-        raise ValueError("grid_resolution must be >= 100")
-    xs = np.linspace(0.0, 1.0, int(grid_resolution))
+    grid_resolution = _check_int("grid_resolution", grid_resolution, 100)
+    xs = np.linspace(0.0, 1.0, grid_resolution)
     floor = np.maximum(0.5 * (1.0 - 4.0 * np.sqrt(xs)), 0.0)
     single = np.where(xs <= 0.0, 1.0, floor)
     pair = andor_pair_sum_survival(xs)
@@ -922,6 +911,6 @@ def andor_survival_floor_check(grid_resolution=1000, *, conv_points=None):
     return SurvivalFloorReport(
         xs=xs, floor=floor, rhs=rhs, margins=margins,
         min_margin=float(margins[j]), argmin_x=float(xs[j]),
-        grid_resolution=int(grid_resolution),
+        grid_resolution=grid_resolution,
         certificate=_floor_certificate(_FLOOR_MARGIN),
     )

@@ -216,15 +216,8 @@ def cmd_perc(args):
 def cmd_classify(args):
     with open(args.planfile) as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list) or not all(
-            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-            and isinstance(e[1], (int, float)) and not isinstance(e[1], bool)
-            for e in raw):
-        raise InvalidSpec("plan file must be a JSON list of [spec, p] pairs, "
-                          "each a string and a number")
-    plan = SequencePlan.from_pairs(
-        [(s, float(p)) for s, p in raw],
-        T=args.T, replicas=args.replicas, seed=args.seed)
+    # the plan checks its own pairs: a spec and a number p
+    plan = SequencePlan.from_pairs(raw, T=args.T, replicas=args.replicas, seed=args.seed)
     report = classify(plan)
     payload = {"schema": _schema("classify"), **report.to_json_dict()}
     return payload, ("n", "stat", "value", "stderr"), report.to_csv_rows()

@@ -98,14 +98,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, _check_id, _check_int, _check_real, _check_seq, _check_type
 from .functions import _check_instance
 
 _PAIR_CHUNK = 4096
@@ -138,7 +137,8 @@ def _hold_freed_memory():
 
 def replica_stream(seed, replica_index):
     """Independent per-replica generator: PCG64 seeded by (seed, replica)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, replica_index))))
+    key = (_check_id("seed", seed), _check_id("replica index", replica_index))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(key)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +295,10 @@ class DynamicsParams:
     replicas: int
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1], got %r" % (self.p,))
-        if not self.T >= 0:
-            raise ValueError("horizon must be >= 0, got %r" % (self.T,))
+        object.__setattr__(self, "p", _check_real("p", self.p, 0, 1))
+        object.__setattr__(self, "T", _check_real("horizon", self.T, 0, math.inf))
         object.__setattr__(self, "replicas", _check_int("replicas", self.replicas, 1))
         object.__setattr__(self, "seed", _check_id("seed", self.seed))
-
-
-def _check_int(name, value, low):
-    """`value` as an int, or ValueError unless it is an integer >= `low` (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError("%s must be an integer >= %d, got %r" % (name, low, value))
-    return int(value)
-
-
-def _check_id(name, value):
-    """`value` as an int, or ValueError unless it is an integer in [0, 2^64)."""
-    if not isinstance(value, numbers.Integral) or not 0 <= value < 2**64:
-        raise ValueError("%s must be an integer in [0, 2^64), got %r" % (name, value))
-    return int(value)
 
 
 @dataclass
@@ -707,6 +691,7 @@ def _replicas(instance, p, T, seed, lo, hi, keep=None):
 
 def simulate_batch(instance, dyn_params):
     """Every replica of `dyn_params` with all its switch times."""
+    _check_type("dyn_params", dyn_params, DynamicsParams)
     return _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
                      0, dyn_params.replicas, keep="all")
 
@@ -719,6 +704,7 @@ def simulate_trajectory(instance, dyn_params, replica_index):
     anything else raises ValueError.
     """
     replica_index = _check_id("replica index", replica_index)
+    _check_type("dyn_params", dyn_params, DynamicsParams)
     b = _replicas(instance, dyn_params.p, dyn_params.T, dyn_params.seed,
                   replica_index, replica_index + 1, keep="all")
     return Trajectory(initial_output=int(b.initial[0]), switch_times=b.times.tolist(),
@@ -805,7 +791,7 @@ def estimate_C_distribution(instance, dyn_params, threads=1):
     in arrays indexed by r, so parallel execution cannot reorder them.
     """
     threads = _check_int("threads", threads, 1)
-    R = dyn_params.replicas
+    R = _check_type("dyn_params", dyn_params, DynamicsParams).replicas
     C = np.zeros(R, dtype=np.int64)
     initial = np.zeros(R, dtype=np.uint8)
 
@@ -849,9 +835,9 @@ def _pair_summary(f0, f1, replicas):
 
 def estimate_joint(instance, p, t, replicas, seed):
     """Simulates each replica to horizon t and compares the two endpoints."""
-    DynamicsParams(p=p, T=t, seed=seed, replicas=replicas)
-    b = _replicas(instance, p, t, seed, 0, replicas)
-    return _pair_summary(b.initial, b.final, replicas)
+    pr = DynamicsParams(p=p, T=t, seed=seed, replicas=replicas)
+    b = _replicas(instance, pr.p, pr.T, pr.seed, 0, pr.replicas)
+    return _pair_summary(b.initial, b.final, pr.replicas)
 
 
 def sample_noise_pair(instance, p, epsilon, replicas, seed):
@@ -860,9 +846,9 @@ def sample_noise_pair(instance, p, epsilon, replicas, seed):
     No clock is involved; at epsilon = 1-e^{-t} the pair has the same law
     as the endpoints of a horizon-t simulation.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1], got %r" % (epsilon,))
-    DynamicsParams(p=p, T=0.0, seed=seed, replicas=replicas)
+    epsilon = _check_real("epsilon", epsilon, 0, 1)
+    pr = DynamicsParams(p=p, T=0.0, seed=seed, replicas=replicas)
+    p, seed, replicas = pr.p, pr.seed, pr.replicas
     _check_instance(instance)
     m = instance.arity
     _check_budget(m, 0.0)
@@ -887,11 +873,9 @@ def survival_curve(instance, p, xs, replicas, seed):
     Each replica contributes its initial output and first switch time, so
     the estimates are exactly monotone in x (nested events).
     """
-    xs = [float(x) for x in xs]
-    if not all(x >= 0 for x in xs):
-        raise ValueError("survival horizons must be >= 0, got %r" % (xs,))
-    horizon = max(xs, default=0.0)
-    DynamicsParams(p=p, T=horizon, seed=seed, replicas=replicas)
-    b = _replicas(instance, p, horizon, seed, 0, replicas, keep="first")
+    xs = [float(_check_real("survival horizons", x, 0, math.inf))
+          for x in _check_seq("survival horizons", xs)]
+    pr = DynamicsParams(p=p, T=max(xs, default=0.0), seed=seed, replicas=replicas)
+    b = _replicas(instance, pr.p, pr.T, pr.seed, 0, pr.replicas, keep="first")
     ones = b.initial == 1
     return [float(np.mean(ones & (b.times > x))) for x in xs]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DynamicsParams, estimate_C_distribution
+from .errors import _check_real, _check_seq, _check_type
 from .functions import FunctionSpec, make_instance, parse_spec
 
 VERDICTS = (
@@ -49,26 +50,21 @@ class SequencePlan:
     seed: int = 1
 
     def __post_init__(self):
-        entries = tuple((spec, float(p)) for spec, p in self.entries)
+        entries = [_check_seq("a plan entry", e) for e in _check_seq("plan entries", self.entries)]
         if not entries:
             raise ValueError("plan needs at least one (spec, p) entry")
-        for spec, p in entries:
-            if not isinstance(spec, FunctionSpec):
-                raise ValueError("plan entries must pair FunctionSpec with p, got %r" % (spec,))
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("p must lie in [0, 1], got %r" % (p,))
+        # unpacking raises ValueError unless every entry is a pair
+        entries = tuple((_check_type("a plan entry's spec", spec, FunctionSpec),
+                         float(_check_real("p", p, 0, 1))) for spec, p in entries)
         object.__setattr__(self, "entries", entries)
         self.dyn_params(entries[0][1])  # validates T/replicas/seed once
 
     @classmethod
     def from_pairs(cls, pairs, T=1.0, replicas=4000, seed=1):
         """Builds a plan from (spec-string-or-FunctionSpec, p) pairs."""
-        entries = []
-        for spec, p in pairs:
-            if isinstance(spec, str):
-                spec = parse_spec(spec)
-            entries.append((spec, p))
-        return cls(entries=tuple(entries), T=T, replicas=replicas, seed=seed)
+        pairs = [_check_seq("a plan pair", e) for e in _check_seq("plan pairs", pairs)]
+        entries = tuple((parse_spec(s) if isinstance(s, str) else s, p) for s, p in pairs)
+        return cls(entries=entries, T=T, replicas=replicas, seed=seed)
 
     def dyn_params(self, p):
         return DynamicsParams(p=p, T=self.T, seed=self.seed, replicas=self.replicas)
@@ -309,6 +305,7 @@ def classify(plan):
     report always carries the raw per-n summaries, every trend series
     with standard errors, and the fixed thresholds.
     """
+    _check_type("plan", plan, SequencePlan)
     insts = [make_instance(spec) for spec, _ in plan.entries]
     ns = tuple(inst.arity for inst in insts)
     if len(ns) < 3:

@@ -54,7 +54,6 @@ or a string included, raises ValueError.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -62,7 +61,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArityMismatch, IndexOutOfRange, InstanceTooLarge, InvalidSpec
+from .errors import (ArityMismatch, IndexOutOfRange, InstanceTooLarge, InvalidSpec, _check_int,
+                     _check_ints, _check_seq, _check_type)
 
 MAX_ARITY = 2**31 - 1
 
@@ -87,11 +87,11 @@ class FunctionSpec:
 
     @classmethod
     def perc(cls, profile, level):
-        return cls("perc", 0, _tuple(profile, "a profile"), level)
+        return cls("perc", 0, _check_seq("a profile", profile, InvalidSpec), level)
 
     @classmethod
     def truth_table(cls, bits):
-        return cls("table", 0, (), 0, _tuple(bits, "a truth table"))
+        return cls("table", 0, (), 0, _check_seq("a truth table", bits, InvalidSpec))
 
     def spec_string(self):
         """Canonical textual form, e.g. 'maj:9' or 'perc:2,16,7:3'."""
@@ -109,19 +109,18 @@ def parse_spec(text):
     child-count list or a path to a file with one integer per line.
     `table:<path>` reads a file of '0'/'1' characters (most significant
     bit first: the output for bits (b_0..b_{m-1}) sits at index
-    sum b_i 2^(m-1-i)).
+    sum b_i 2^(m-1-i)).  Anything but text raises InvalidSpec.
     """
-    parts = text.strip().split(":")
+    parts = _check_type("spec text", text, str, InvalidSpec).strip().split(":")
     family = parts[0]
     if family == "perc":
         if len(parts) != 3:
             raise InvalidSpec("perc spec must be perc:<profile>:<level>: %r" % text)
-        raw, level = parts[1], parts[2]
-        profile = parse_profile(raw)
+        profile = parse_profile(parts[1])
         try:
-            return FunctionSpec.perc(profile, int(level))
+            return FunctionSpec.perc(profile, int(parts[2]))
         except ValueError:
-            raise InvalidSpec("bad perc level: %r" % level) from None
+            raise InvalidSpec("bad perc level: %r" % parts[2]) from None
     if family == "table":
         if len(parts) != 2 or not os.path.isfile(parts[1]):
             raise InvalidSpec("table spec must be table:<file>: %r" % text)
@@ -143,7 +142,7 @@ def parse_spec(text):
 
 def parse_profile(text):
     """Child counts from an inline comma-separated list or a profile file."""
-    if _INLINE_PROFILE.match(text):
+    if _INLINE_PROFILE.match(_check_type("profile text", text, str, InvalidSpec)):
         return tuple(int(c) for c in text.split(","))
     if os.path.isfile(text):
         return read_profile_file(text)
@@ -152,6 +151,8 @@ def parse_profile(text):
 
 def read_profile_file(path):
     """Reads a level profile: one child count per line."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidSpec("a profile path must be a str or a path, got %r" % (path,))
     profile = []
     with open(path) as fh:
         for line in fh:
@@ -194,7 +195,7 @@ class EvaluationState:
 
         Returns (output_after, output_changed).
         """
-        if not (_integer(bit_index, 0) and bit_index < self.instance.arity):
+        if _check_int("bit index", bit_index, 0, IndexOutOfRange) >= self.instance.arity:
             raise IndexOutOfRange("bit index %r outside [0, %d)" % (bit_index, self.instance.arity))
         return self._update(int(bit_index), _bits(new_value).item())
 
@@ -392,7 +393,7 @@ def _perc_tree(spec):
     # edges feed the first step directly
     n = spec.level
     offsets = _edge_offsets(spec.profile[:n])
-    v = [1] + [b - a for a, b in zip(offsets[1:], offsets[2:])]  # level sizes
+    v = _level_sizes(offsets)
     steps = [TreeStep(v[n - 1], 1, ((offsets[n], offsets[n + 1]),))]
     for k in range(n - 1, 0, -1):
         steps += [TreeStep(v[k], 2, ((offsets[k], offsets[k + 1]),)),
@@ -409,6 +410,12 @@ def _edge_offsets(children):
         v *= int(c)  # exact, for numpy child counts too
         offsets.append(offsets[-1] + v)
     return offsets
+
+
+def _level_sizes(offsets):
+    """Vertex counts of levels 0..n from the `_edge_offsets` of an n-level
+    tree: the root, then one vertex per level-k edge."""
+    return [1] + [b - a for a, b in zip(offsets[1:], offsets[2:])]
 
 
 # tree families.  Each row holds the least integer parameter, then a function
@@ -500,28 +507,6 @@ class TableInstance(FunctionInstance):
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def _integer(value, low):
-    """True iff `value` is an integer >= `low`; a bool is not an integer."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= low
-
-
-def _tuple(values, what):
-    """`values` as a tuple, or InvalidSpec if they are not a sequence."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise InvalidSpec("%s must be a sequence, got %r" % (what, values)) from None
-
-
-def check_profile(children):
-    """perc child counts, root downward, as a tuple of ints; InvalidSpec
-    unless they are a nonempty sequence of integers >= 1."""
-    children = _tuple(children, "a profile")
-    if not children or not all(_integer(c, 1) for c in children):
-        raise InvalidSpec("a profile must be one or more integers >= 1, got %r" % (children,))
-    return tuple(int(c) for c in children)
-
-
 def _bits(values, what="bits", error=ValueError):
     """`values` as a uint8 array, or `error` unless every entry is a bool or
     an integer equal to 0 or 1."""
@@ -539,14 +524,12 @@ def _validate(spec):
     if f != "table":
         if not isinstance(f, str) or f not in _CLASSES:
             raise InvalidSpec("unknown family: %r" % (f,))
-        least = (_COUNTERS.get(f) or _TREES[f])[0]
-        if not _integer(p, least):
-            raise InvalidSpec("%s parameter must be an integer >= %d, got %r" % (f, least, p))
+        _check_int("%s parameter" % f, p, (_COUNTERS.get(f) or _TREES[f])[0], InvalidSpec)
     if f == "maj" and p % 2 == 0:
         raise InvalidSpec("majority size must be odd, got %d" % p)
     if f == "perc":
-        profile = check_profile(spec.profile)
-        if not _integer(spec.level, 1) or spec.level > len(profile):
+        profile = _check_ints("a profile", spec.profile, 1, InvalidSpec)
+        if _check_int("perc level", spec.level, 1, InvalidSpec) > len(profile):
             raise InvalidSpec("perc level %r outside 1..%d" % (spec.level, len(profile)))
     if f == "table":
         table = _bits(spec.table, "table entries", InvalidSpec)

@@ -22,14 +22,12 @@ covariance at m = 20 takes about 45 ms.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import _check_int
-from .errors import ArityTooLarge, DepthTooLarge
+from .errors import ArityTooLarge, DepthTooLarge, _check_int, _check_real
 from .functions import (CounterInstance, FunctionSpec, TableInstance, _check_instance,
                         make_instance)
 
@@ -39,16 +37,14 @@ _CHUNK = 1 << 16
 
 
 def _require(instance, cap, **probabilities):
+    """The probabilities checked into [0, 1], of an instance within `cap`."""
     _check_instance(instance)
-    for name, value in probabilities.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError("%s must be a real number, got %r" % (name, value))
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
+    checked = [_check_real(name, v, 0, 1) for name, v in probabilities.items()]
     if instance.arity > cap:
         raise ArityTooLarge(
             "arity %d exceeds the exact-enumeration cap %d" % (instance.arity, cap)
         )
+    return checked
 
 
 def _chunks(m):
@@ -174,7 +170,7 @@ def exact_prob_one(instance, p):
     At p = 1/2 the result is an exact dyadic rational (ones count over
     2^m); otherwise exact ones counts per popcount class are weighted.
     """
-    _require(instance, ENUM_ARITY_CAP, p=p)
+    p, = _require(instance, ENUM_ARITY_CAP, p=p)
     return _prob_one(_words(instance), instance.arity, p)
 
 
@@ -205,7 +201,7 @@ class InfluenceReport:
 
 def exact_influence_report(instance, p):
     """Exact per-bit influence/pivotality by enumeration over all pairs."""
-    _require(instance, ENUM_ARITY_CAP, p=p)
+    p, = _require(instance, ENUM_ARITY_CAP, p=p)
     m = instance.arity
     words = _words(instance)
     wpop = _word_pop(words, p)
@@ -263,7 +259,7 @@ def exact_noise_covariance(instance, p, epsilon):
     no pass walks runs of a few values.  Every value sees the same
     operations in the same bit order as in one flat pass per bit.
     """
-    _require(instance, PAIR_ARITY_CAP, p=p, epsilon=epsilon)
+    p, epsilon = _require(instance, PAIR_ARITY_CAP, p=p, epsilon=epsilon)
     mu = (1 - p, p)
     kern = [[mu[a] * ((1 - epsilon) * (a == b) + epsilon * mu[b]) for b in (0, 1)]
             for a in (0, 1)]
@@ -312,7 +308,7 @@ def exact_andor_switch_prob(n):
     redrawn gate lands on the complement with probability 1/2).
     """
     n = _check_int("n", n, 0)
-    N = 2 ** (n + 1) - 1
+    # the pivotal probabilities refuse a depth past the cap before 2^(n+1) is formed
     total = sum(2**k * exact_andor_pivotal(n, k) for k in range(n + 1))
-    return Fraction(1, 2) * total / N
+    return Fraction(1, 2) * total / (2 ** (n + 1) - 1)
 

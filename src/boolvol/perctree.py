@@ -61,7 +61,6 @@ requested.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +72,6 @@ from .dynamics import (
     DynamicsParams,
     EmpiricalC,
     _below,
-    _check_id,
     _draw,
     _edge_keys,
     _finish,
@@ -85,8 +83,9 @@ from .dynamics import (
     _slots,
     _tick_time,
 )
-from .errors import InstanceTooLarge, InvalidSpec, UnreachableTarget
-from .functions import FunctionSpec, _edge_offsets, check_profile, read_profile_file
+from .errors import (_FINITE, InstanceTooLarge, InvalidSpec, UnreachableTarget, _check_depth,
+                     _check_id, _check_ints, _check_real)
+from .functions import FunctionSpec, _edge_offsets, _level_sizes, read_profile_file
 
 __all__ = [
     "LevelProfile",
@@ -114,7 +113,8 @@ class LevelProfile:
     report: tuple = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "children", check_profile(self.children))
+        children = _check_ints("a profile", self.children, 1, InvalidSpec)
+        object.__setattr__(self, "children", children)
 
     @property
     def n_levels(self):
@@ -127,15 +127,11 @@ class LevelProfile:
         return self.vertex_counts()[k]
 
     def vertex_counts(self):
-        out = [1]
-        for c in self.children:
-            out.append(out[-1] * c)
-        return out
+        return _level_sizes(_edge_offsets(self.children))
 
     def edge_count(self, level):
         """Total edges of the tree truncated at `level` (one edge per vertex)."""
-        v = self.vertex_counts()
-        return sum(v[1:level + 1])
+        return _edge_offsets(self.children[:level])[-1]
 
     def spec_string(self, level):
         return FunctionSpec.perc(self.children, level).spec_string()
@@ -194,9 +190,7 @@ def weight_sequence(profile):
 
 
 def _as_profile(obj):
-    if isinstance(obj, LevelProfile):
-        return obj
-    return LevelProfile(tuple(obj))
+    return obj if isinstance(obj, LevelProfile) else LevelProfile(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +234,14 @@ def build_profile(target, n_levels, max_ratio=4.0):
     `max_ratio` of the target or UnreachableTarget is raised.  Smaller
     targets sit below the coarse low-level weight grid (w_1 is a multiple
     of 1/2), so they only guide the choice and are reported unenforced.
-    `max_ratio` must be a finite number >= 1.  A target whose evaluation
-    fails arithmetically (a zero to a negative power, an overflow) or
-    yields a non-finite weight raises InvalidSpec.
+    `n_levels` must be an integer >= 2 and `max_ratio` a finite number >= 1.
+    A target whose evaluation fails arithmetically (a zero to a negative
+    power, an overflow) or yields anything but a finite number raises
+    InvalidSpec.
+    More than `MAX_DEPTH` levels raise InstanceTooLarge.
     """
-    if n_levels < 2:
-        raise InvalidSpec("profile needs at least 2 levels, got %d" % n_levels)
-    if (isinstance(max_ratio, bool) or not isinstance(max_ratio, numbers.Real)
-            or not 1.0 <= max_ratio < math.inf):
-        raise InvalidSpec("max_ratio must be a finite number >= 1, got %r" % (max_ratio,))
+    max_ratio = _check_real("max_ratio", max_ratio, 1, _FINITE, InvalidSpec)
+    n_levels = _check_depth("n_levels", n_levels, 2, InvalidSpec)
     fn, label = _resolve_target(target)
     log_cap = math.log(max_ratio)
     children = []
@@ -256,11 +249,9 @@ def build_profile(target, n_levels, max_ratio=4.0):
     v = 1
     for k in range(1, n_levels + 1):
         try:
-            t = float(fn(k))
+            t = float(_check_real("target(%d)" % k, fn(k), -_FINITE, _FINITE, InvalidSpec))
         except ArithmeticError as exc:
             raise InvalidSpec("target(%d) cannot be evaluated: %s" % (k, exc)) from None
-        if not math.isfinite(t):
-            raise InvalidSpec("target(%d) is not finite: %r" % (k, t))
         guide = max(t, 2.0 ** -k)
         log_vt = k * _LN2 + math.log(guide)
         ideal = math.exp(log_vt - math.log(v))
@@ -312,14 +303,14 @@ def edge_skeleton(seed, replica, edge_id, p=0.5, T=1.0):
     Exposed for debugging and for independent reimplementations of the
     exploration.
     """
-    DynamicsParams(p=p, T=T, seed=seed, replicas=1)
+    pr = DynamicsParams(p=p, T=T, seed=seed, replicas=1)
     replica = _check_id("replica", replica)
     edge_id = _check_id("edge id", edge_id)
-    n_slots, slot_len, table = _slots(1, T, p)
-    keys = _edge_keys(_mix64_int(seed), np.array([replica], dtype=np.uint64),
+    n_slots, slot_len, table = _slots(1, pr.T, pr.p)
+    keys = _edge_keys(_mix64_int(pr.seed), np.array([replica], dtype=np.uint64),
                       np.array([edge_id], dtype=np.uint64))
-    initial = _below(_draw(keys, 1), p)
-    _, slot, tick, states = _skeleton(keys, initial, p, table, 0, n_slots)
+    initial = _below(_draw(keys, 1), pr.p)
+    _, slot, tick, states = _skeleton(keys, initial, pr.p, table, 0, n_slots)
     times = _tick_time(slot, tick, slot_len)
     return EdgeSkeleton(initial=int(initial[0]),
                         times=tuple(float(t) for t in times),
@@ -738,23 +729,18 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1):
     has more than _REPLICA_DRAWS children per vertex (a reached vertex
     draws them all at once), or when the tree truncated at the deepest
     requested level has more than 2^64 edges, past its 64-bit edge ids.
-    Levels must be integers (bool is not one) in 1..n_levels; anything
-    else raises InvalidSpec.
+    Levels must be integers in 1..n_levels, or InvalidSpec is raised.
     """
     profile = _as_profile(profile)
-    levels = list(levels)
-    for L in levels:
-        if isinstance(L, bool) or not isinstance(L, numbers.Integral):
-            raise InvalidSpec("levels must be integers, got %r" % (L,))
-    levels = sorted(set(int(L) for L in levels))
-    if not levels:
-        raise InvalidSpec("at least one level is required")
-    if levels[0] < 1 or levels[-1] > profile.n_levels:
+    levels = sorted(set(_check_ints("levels", levels, 1, InvalidSpec)))
+    if levels[-1] > profile.n_levels:
         raise InvalidSpec("levels %r outside 1..%d" % (levels, profile.n_levels))
-    DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
+    pr = DynamicsParams(p=p, T=T, seed=seed, replicas=replicas)
+    p, T, seed, replicas = pr.p, pr.T, pr.seed, pr.replicas
     slots = _slots(profile.children[0], T, p)
     children = profile.children
-    need, widest = profile.edge_count(levels[-1]), max(children[:levels[-1]])
+    offsets = _edge_offsets(children[:levels[-1]])
+    need, widest = offsets[-1], max(children[:levels[-1]])
     if need > 2**64 or widest > _REPLICA_DRAWS:
         raise InstanceTooLarge(
             "level-%d tree has %d edges and up to %d children per vertex; "
@@ -767,7 +753,6 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1):
             "budget is %d" % (levels[-1], T, draws, _REPLICA_DRAWS))
     per_block = max(1, int(_BLOCK_DRAWS // draws))
 
-    offsets = _edge_offsets(children[:levels[-1]])
     # a zero horizon still needs nonempty intervals to carry initial states
     horizon = T if T > 0 else 1.0
     seed0 = _mix64_int(seed)

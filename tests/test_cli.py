@@ -692,6 +692,15 @@ class TestPercArguments:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_build_past_the_level_cap_exit_3(self, capsys):
+        # the greedy builder multiplied big-int vertex counts for minutes
+        code = cli.main(["perc", "build", "--target", "constant", "--levels", "100000000"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit:")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("op", ["build", "weights"])
     def test_unreachable_max_ratio_exit_2(self, capsys, op):
         # no integer child count keeps nalpha:3 within a factor 1 of n^3

@@ -103,6 +103,18 @@ def test_make_instance_refuses_what_is_not_a_spec(spec):
         bf.make_instance(spec)
 
 
+@pytest.mark.parametrize("call,text", [
+    (bf.parse_spec, None), (bf.parse_spec, 5), (bf.parse_spec, b"maj:3"),
+    (bf.parse_profile, None), (bf.parse_profile, 5), (bf.read_profile_file, None),
+    (bf.read_profile_file, 0),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_the_text_parsers_refuse_what_is_not_text(call, text):
+    # .strip() and the profile regex used to escape as AttributeError and
+    # TypeError; a file descriptor is not a profile path
+    with pytest.raises(InvalidSpec, match="must be"):
+        call(text)
+
+
 @pytest.mark.parametrize("make", [
     lambda: bf.FunctionSpec.perc(5, 1),
     lambda: bf.FunctionSpec.truth_table(1),

@@ -934,11 +934,30 @@ def test_target_arithmetic_errors_are_invalid_spec(target):
         build_profile(target, 5)
 
 
+@pytest.mark.parametrize("weight", ["2", None, math.inf, math.nan, 1j, True])
+def test_a_target_must_yield_a_finite_number(weight):
+    # float() read the string "2" as a weight and let None escape as TypeError
+    with pytest.raises(InvalidSpec, match=r"target\(1\) must be"):
+        build_profile(lambda k: weight, 4)
+
+
 @pytest.mark.parametrize("max_ratio", [math.nan, math.inf, -math.inf, 0.0, -1.0,
                                        0.5, True, "4", None])
 def test_max_ratio_must_be_finite_and_at_least_one(max_ratio):
     with pytest.raises(InvalidSpec, match="max_ratio"):
         build_profile("nalpha:3", 5, max_ratio=max_ratio)
+
+
+def test_level_count_is_an_integer_up_to_the_depth_budget():
+    from boolvol.errors import MAX_DEPTH
+
+    assert len(build_profile("constant", MAX_DEPTH).children) == MAX_DEPTH
+    assert build_profile("constant", np.int64(4)).children == (2,) * 4
+    with pytest.raises(InstanceTooLarge, match="recursion budget"):
+        build_profile("constant", MAX_DEPTH + 1)
+    for bad in ("5", 5.5, True, None, 1):
+        with pytest.raises(InvalidSpec, match="n_levels"):
+            build_profile("constant", bad)
 
 
 def test_max_ratio_of_one_is_accepted():
