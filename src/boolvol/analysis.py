@@ -57,7 +57,8 @@ expression's bit for bit; the only merges are exact power-of-two scalings.
 a mantissa grows about 3x per step up to the working precision, so an
 uncapped precision runs without bound.  All functions here are pure and safe
 to call concurrently.  Every function that takes a depth n refuses n above
-``MAX_DEPTH`` with InstanceTooLarge (exit 3 in the CLI).
+``MAX_DEPTH`` with InstanceTooLarge (exit 3 in the CLI), and the survival
+floor check refuses a grid of more than ``MAX_GRID`` points the same way.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
     "MAJ3_CRITICAL_ALPHA",
     "MAX_DEPTH",
     "MAX_DIGITS",
+    "MAX_GRID",
     "Maj3Params",
     "RecursionSeries",
     "maj3_a_seq",
@@ -108,6 +110,10 @@ MAJ3_CRITICAL_ALPHA = math.log(1.5) / math.log(2.0)
 # mpmath working precision cap in decimal digits, the most the volatility
 # ratio's refinement ever asks for
 MAX_DIGITS = 5000
+
+# x-grid points of the survival floor check, whose arrays hold about 80
+# bytes per point; the CLI asks for 100 to 1000
+MAX_GRID = 10**6
 
 _UNDERFLOW = 1e-280
 _LOG3 = math.log(3.0)
@@ -199,6 +205,7 @@ class RecursionSeries:
 
     def value(self, k):
         """The k-th value as a float (0.0 if below the float64 range)."""
+        k = _check_int("index k", k, 0, ValueError, len(self.values) - 1)
         v = self.values[k]
         if self.modes[k] == "log":
             return math.exp(v) if v < 700.0 else math.inf
@@ -206,6 +213,7 @@ class RecursionSeries:
 
     def log_value(self, k):
         """Natural log of the k-th value (-inf for exact zeros)."""
+        k = _check_int("index k", k, 0, ValueError, len(self.values) - 1)
         v = self.values[k]
         if self.modes[k] == "log":
             return float(v)
@@ -664,21 +672,15 @@ def maj3_grid_count(instance, dyn_params, delta, target_prob=None):
         raise ResourceLimit("grid resolution exceeds countable range")
     n_points = math.floor(dyn_params.T / spacing)
     batch = simulate_batch(instance, dyn_params)
-    times = batch.times.tolist()
-    bounds = batch.offsets.tolist()
-    Z = np.zeros(dyn_params.replicas, dtype=np.int64)
-    for r in range(dyn_params.replicas):
-        out = int(batch.initial[r])
-        prev = 0.0
-        z = 0
-        for tt in times[bounds[r]:bounds[r + 1]]:
-            if out == 1:
-                z += math.floor(tt / spacing) - math.floor(prev / spacing)
-            out = 1 - out
-            prev = tt
-        if out == 1:
-            z += n_points - math.floor(prev / spacing)
-        Z[r] = z
+    # a run of ones from time a to b holds floor(b / spacing) - floor(a /
+    # spacing) points, so a switch at t adds +floor(t / spacing) from 1 and
+    # -floor(t / spacing) from 0, and a replica that ends at 1 adds n_points;
+    # summed in int64, exact at any count
+    rep = np.repeat(np.arange(dyn_params.replicas), batch.C)
+    from_one = batch.initial[rep] ^ ((np.arange(rep.size) - batch.offsets[rep]) & 1)
+    pts = np.floor(batch.times / spacing).astype(np.int64)
+    Z = batch.final.astype(np.int64) * n_points
+    np.add.at(Z, rep, np.where(from_one, pts, -pts))
     return GridCount(
         spacing=spacing, n_points=n_points, delta=delta,
         target_prob=float(target_prob), replicas=dyn_params.replicas, Z=Z,
@@ -901,6 +903,9 @@ def andor_survival_floor_check(grid_resolution=1000, *, conv_points=None):
     still passes it.
     """
     grid_resolution = _check_int("grid_resolution", grid_resolution, 100)
+    if grid_resolution > MAX_GRID:
+        raise InstanceTooLarge("grid_resolution %d exceeds the grid cap %d"
+                               % (grid_resolution, MAX_GRID))
     xs = np.linspace(0.0, 1.0, grid_resolution)
     floor = np.maximum(0.5 * (1.0 - 4.0 * np.sqrt(xs)), 0.0)
     single = np.where(xs <= 0.0, 1.0, floor)

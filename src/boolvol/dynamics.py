@@ -760,9 +760,12 @@ class EmpiricalC:
         return float(np.count_nonzero((self.initial == 1) & (self.C == 0))) / self.replicas
 
     def prob_greater(self, M):
+        M = _check_real("threshold M", M, -math.inf, math.inf)
         return float(np.count_nonzero(self.C > M)) / self.replicas
 
     def prob_between(self, lo, hi):
+        lo = _check_real("lower threshold", lo, -math.inf, math.inf)
+        hi = _check_real("upper threshold", hi, -math.inf, math.inf)
         return float(np.count_nonzero((self.C >= lo) & (self.C <= hi))) / self.replicas
 
     def histogram(self):

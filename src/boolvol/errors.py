@@ -2,11 +2,13 @@
 
 A number is an int or a float, numpy scalars included, never a bool or a
 str: nothing is coerced, so "0.5" is not a rate and 150.5 not a count.  NaN
-lies in no range.  A rate, horizon, count, seed or precision that is not a
-number in its range raises ValueError; a malformed function, profile, level
-list or spec text raises InvalidSpec; a value past a fixed budget (arity,
-depth, digits, draws) raises a ResourceLimit subclass.  The CLI exits 3 on
-a ResourceLimit and 2 on any other BoolvolError or ValueError.
+lies in no range.  A rate, horizon, count, seed, precision, series index or
+threshold that is not a number in its range raises ValueError; a malformed
+function, profile, level list or spec text, or a level that a profile or
+report does not hold, raises InvalidSpec; a value past a fixed budget
+(arity, depth, digits, draws, grid points) raises a ResourceLimit subclass.
+Public methods follow the same policy.  The CLI exits 3 on a ResourceLimit
+and 2 on any other BoolvolError or ValueError.
 """
 
 import math
@@ -70,9 +72,11 @@ def _integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_int(name, value, low, error=ValueError):
-    """`value` as an int, or `error` unless it is an integer >= `low`."""
-    if not (_integer(value) and value >= low):
+def _check_int(name, value, low, error=ValueError, high=math.inf):
+    """`value` as an int, or `error` unless it is an integer in [low, high]."""
+    if not (_integer(value) and low <= value <= high):
+        if _integer(value) and high < math.inf:
+            raise error("%s %d outside %d..%d" % (name, value, low, high))
         raise error("%s must be an integer >= %d, got %r" % (name, low, value))
     return int(value)
 
@@ -130,7 +134,8 @@ def _check_ints(name, values, low, error=ValueError):
 
 
 def _check_type(name, value, cls, error=ValueError):
-    """`value`, or `error` unless it is an instance of `cls`."""
+    """`value`, or `error` unless it is an instance of `cls`, a class or a tuple."""
     if not isinstance(value, cls):
-        raise error("%s must be a %s, got %r" % (name, cls.__name__, value))
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise error("%s must be a %s, got %r" % (name, kinds, value))
     return value

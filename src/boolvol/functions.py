@@ -151,8 +151,7 @@ def parse_profile(text):
 
 def read_profile_file(path):
     """Reads a level profile: one child count per line."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise InvalidSpec("a profile path must be a str or a path, got %r" % (path,))
+    path = _check_type("a profile path", path, (str, os.PathLike), InvalidSpec)
     profile = []
     with open(path) as fh:
         for line in fh:
@@ -195,9 +194,8 @@ class EvaluationState:
 
         Returns (output_after, output_changed).
         """
-        if _check_int("bit index", bit_index, 0, IndexOutOfRange) >= self.instance.arity:
-            raise IndexOutOfRange("bit index %r outside [0, %d)" % (bit_index, self.instance.arity))
-        return self._update(int(bit_index), _bits(new_value).item())
+        i = _check_int("bit index", bit_index, 0, IndexOutOfRange, self.instance.arity - 1)
+        return self._update(i, _bits(new_value).item())
 
     def _update(self, i, v):
         old = self.config[i]
@@ -529,8 +527,7 @@ def _validate(spec):
         raise InvalidSpec("majority size must be odd, got %d" % p)
     if f == "perc":
         profile = _check_ints("a profile", spec.profile, 1, InvalidSpec)
-        if _check_int("perc level", spec.level, 1, InvalidSpec) > len(profile):
-            raise InvalidSpec("perc level %r outside 1..%d" % (spec.level, len(profile)))
+        _check_int("perc level", spec.level, 1, InvalidSpec, len(profile))
     if f == "table":
         table = _bits(spec.table, "table entries", InvalidSpec)
         if table.ndim != 1 or table.size < 2 or table.size & (table.size - 1):

@@ -61,6 +61,7 @@ requested.
 """
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +85,7 @@ from .dynamics import (
     _tick_time,
 )
 from .errors import (_FINITE, InstanceTooLarge, InvalidSpec, UnreachableTarget, _check_depth,
-                     _check_id, _check_ints, _check_real)
+                     _check_id, _check_int, _check_ints, _check_real, _check_type)
 from .functions import FunctionSpec, _edge_offsets, _level_sizes, read_profile_file
 
 __all__ = [
@@ -122,21 +123,22 @@ class LevelProfile:
 
     def vertex_count(self, k):
         """Exact number of level-k vertices (arbitrary-precision integer)."""
-        if not 0 <= k <= self.n_levels:
-            raise InvalidSpec("level %d outside 0..%d" % (k, self.n_levels))
-        return self.vertex_counts()[k]
+        return self.vertex_counts()[_check_int("level", k, 0, InvalidSpec, self.n_levels)]
 
     def vertex_counts(self):
         return _level_sizes(_edge_offsets(self.children))
 
     def edge_count(self, level):
         """Total edges of the tree truncated at `level` (one edge per vertex)."""
+        level = _check_int("level", level, 0, InvalidSpec, self.n_levels)
         return _edge_offsets(self.children[:level])[-1]
 
     def spec_string(self, level):
+        level = _check_int("level", level, 1, InvalidSpec, self.n_levels)
         return FunctionSpec.perc(self.children, level).spec_string()
 
     def write(self, path):
+        path = _check_type("a profile path", path, (str, os.PathLike), InvalidSpec)
         with open(path, "w") as fh:
             for c in self.children:
                 fh.write("%d\n" % c)
@@ -158,8 +160,7 @@ class WeightSequence:
         return self.profile.vertex_count(k)
 
     def w(self, k):
-        if not 1 <= k <= self.profile.n_levels:
-            raise InvalidSpec("level %d outside 1..%d" % (k, self.profile.n_levels))
+        k = _check_int("level", k, 1, InvalidSpec, self.profile.n_levels)
         return math.exp(self.log_w[k - 1])
 
     def w_values(self):
@@ -468,7 +469,8 @@ def _union_stats(front, base_rep, nrep, horizon, init, C):
     components: a new component opens at index i exactly when
     start_(i) > end_(i-1); abutting intervals merge, matching the
     half-open [s, e) semantics, so switch counts come straight from the
-    component boundaries interior to (0, horizon).
+    component boundaries interior to (0, horizon).  Each reached replica's
+    output at time 0 is written to `init` and its switches added to `C`.
     """
     if front.rep.size == 0:
         return
@@ -478,21 +480,6 @@ def _union_stats(front, base_rep, nrep, horizon, init, C):
     irep = np.repeat((front.rep - base_rep).astype(np.min_scalar_type(nrep - 1)),
                      front.rc)
 
-    # a vertex that kept its full [0, horizon) reach makes the whole union
-    # [0, horizon): initially one, never switching — no sort needed there
-    fullcover = (front.rs == 0.0) & (front.re == horizon)
-    if np.any(fullcover):
-        sat = np.zeros(nrep, dtype=bool)
-        sat[irep[fullcover]] = True
-        init[sat] = 1
-        live = ~sat[irep]
-        if not np.any(live):
-            return
-        irep = irep[live]
-        starts, ends = front.rs[live], front.re[live]
-    else:
-        starts, ends = front.rs, front.re
-
     def _sort_within_replicas(vals):
         # argsort the floats, then group by replica with a stable sort of
         # the narrow replica key — cheaper than lexsort
@@ -501,8 +488,8 @@ def _union_stats(front, base_rep, nrep, horizon, init, C):
         o2 = np.argsort(key, kind="stable")
         return vals[o1[o2]], key[o2]
 
-    ss, rr = _sort_within_replicas(starts)
-    es, _ = _sort_within_replicas(ends)
+    ss, rr = _sort_within_replicas(front.rs)
+    es, _ = _sort_within_replicas(front.re)
     n = rr.size
     hd = np.empty(n, dtype=bool)
     hd[0] = True
@@ -550,19 +537,18 @@ def _open_throughout(children, offsets, depth, p, slots, repk):
     return done
 
 
-def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
+def _explore_block(children, offsets, out, p, slots, horizon, rep_lo,
                    rep_hi, seed0):
     """All requested levels for replicas [rep_lo, rep_hi) in one descent.
 
-    A replica with a root path open throughout down to the deepest level
-    is settled before the descent, when such paths are expected: every
-    vertex on that path keeps the reach [0, horizon), so at every level
-    the union is [0, horizon), which starts at one and never switches.
+    `out` maps each requested level to its (init, C) arrays for the block,
+    zero on entry; the results are written into them.  A replica with a
+    root path open throughout down to the deepest level is settled before
+    the descent, when such paths are expected: every vertex on that path
+    keeps the reach [0, horizon), so at every level the union is
+    [0, horizon), which starts at one and never switches.
     """
-    nrep = rep_hi - rep_lo
-    depth = max(level_set)
-    out = {L: (np.zeros(nrep, dtype=np.uint8), np.zeros(nrep, dtype=np.int64))
-           for L in level_set}
+    depth = max(out)
     rep = np.arange(rep_lo, rep_hi, dtype=np.int64)
     repk = _mix64(_U64(seed0) + rep.astype(np.uint64) * _U64(_KEY_REPLICA))
     # an edge is open throughout with probability q = p e^{-(1-p) T}; look
@@ -587,9 +573,8 @@ def _explore_block(children, offsets, level_set, p, slots, horizon, rep_lo,
             break
         front = _level_step(front, children[k - 1], offsets[k], p,
                             slots, horizon)
-        if k in level_set:
-            _union_stats(front, rep_lo, nrep, horizon, *out[k])
-    return out
+        if k in out:
+            _union_stats(front, rep_lo, rep_hi - rep_lo, horizon, *out[k])
 
 
 # expected always-open root paths to the deepest level (prod c_k q) from
@@ -691,10 +676,12 @@ class RegimeReport:
         return self.p != 0.5
 
     def level(self, k):
+        k = _check_int("level", k, 1, InvalidSpec)
         for lv in self.levels:
             if lv.level == k:
                 return lv
-        raise KeyError(k)
+        raise InvalidSpec("level %d is not in the report, which holds %s"
+                          % (k, [lv.level for lv in self.levels]))
 
     def to_json_dict(self):
         return {
@@ -756,18 +743,15 @@ def regime_experiment(profile, levels, p=0.5, T=1.0, replicas=1000, seed=1):
     # a zero horizon still needs nonempty intervals to carry initial states
     horizon = T if T > 0 else 1.0
     seed0 = _mix64_int(seed)
-    level_set = set(levels)
     _hold_freed_memory()
 
     agg = {L: (np.zeros(replicas, dtype=np.uint8), np.zeros(replicas, dtype=np.int64))
            for L in levels}
     for lo in range(0, replicas, per_block):
         hi = min(lo + per_block, replicas)
-        block = _explore_block(children, offsets, level_set, p, slots, horizon,
-                               lo, hi, seed0)
-        for L in levels:
-            for dst, src in zip(agg[L], block[L]):
-                dst[lo:hi] = src
+        _explore_block(children, offsets,
+                       {L: (init[lo:hi], C[lo:hi]) for L, (init, C) in agg.items()},
+                       p, slots, horizon, lo, hi, seed0)
 
     out = []
     for L in levels:

@@ -451,6 +451,14 @@ class TestAndorBBound:
 
 
 class TestSurvivalFloor:
+    @pytest.mark.parametrize("points", [ana.MAX_GRID + 1, 10**9, 2**62, 2**63 - 1,
+                                        np.int64(2**63 - 1)])
+    def test_grid_past_the_cap_refused(self, points):
+        # 2^63 - 1 points wrapped to an empty grid (IndexError from argmin),
+        # 2^62 hit numpy's "array is too big", 10^9 asked for 8 GB
+        with pytest.raises(InstanceTooLarge, match="grid cap"):
+            ana.andor_survival_floor_check(points)
+
     def test_floor_endpoints(self):
         assert ana.andor_survival_floor(0.0) == 0.5
         assert ana.andor_survival_floor(1.0 / 16.0) == 0.0
@@ -573,6 +581,16 @@ class TestSurvivalFloor:
 
 # ---------------------------------------------------------------------------
 # grid count
+
+
+def test_series_index_validated():
+    # value(-1) read from the end; a float index raised TypeError
+    series = ana.andor_x_seq(0.5, 3)
+    assert series.value(np.int64(3)) == series.last_value
+    for k in (-1, 4, 1.0, math.nan, True, None, "1"):
+        for read in (series.value, series.log_value):
+            with pytest.raises(ValueError, match="index"):
+                read(k)
 
 
 class TestGridCount:

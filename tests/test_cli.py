@@ -372,6 +372,15 @@ class TestRecursion:
         assert payload["certificate"]["proved"] is True
         assert payload["min_margin"] >= -1e-6
 
+    @pytest.mark.parametrize("points", ["1000001", str(2**63 - 1)])
+    def test_andor_gfloor_past_the_grid_cap_exit_3(self, capsys, points):
+        code = cli.main(["recursion", "andor-gfloor", "--grid", points])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("resource limit:")
+        assert "grid cap" in captured.err
+
     def test_maj3_b_bias_lost_in_floats_exit_2(self, capsys):
         # epsilon = 8.6e-35 rounds p to 1/2: the float series would print the
         # fixed point b = 1/4 at every depth

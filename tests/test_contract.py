@@ -1,16 +1,19 @@
 """The library's argument contract, swept over every public entry point.
 
-Each row of ENTRIES is a public function or validating constructor, the
-valid keyword arguments of one cheap call and the kind of each argument.
+Each row of ENTRIES is a public function, a validating constructor or a
+public method bound to a small valid object, the valid keyword arguments
+of one cheap call and the kind of each argument.
 Every argument in turn takes each value of BAD while the others stay
 valid; an argument that holds an object also takes NOT_INSTANCE, and one
 that holds a sequence takes NOT_SEQUENCE and a one-element sequence of
 each BAD value.  A call may return, or raise a BoolvolError or a
 ValueError (and a file reader an OSError); any other exception, a
 TypeError, AttributeError or OverflowError among them, or any warning,
-fails the sweep.  `test_every_public_entry_point_is_swept` keeps the table
-complete: a new public function or constructor must join ENTRIES or
-EXEMPT.
+fails the sweep.  The sweep runs in a temporary directory, since a method
+that writes a file may take "1" as its path.
+`test_every_public_entry_point_is_swept` keeps the table complete: a new
+public function, constructor or method that takes an argument must join
+ENTRIES or EXEMPT.
 """
 
 import inspect
@@ -36,6 +39,13 @@ MAJ3_PARAMS = analysis.Maj3Params(n=5, epsilon=0.1, t=0.5)
 PLAN = experiments.SequencePlan.from_pairs([("parity:%d" % n, 0.5) for n in (1, 3, 5)],
                                           replicas=10)
 PROFILE_FILE = "<profile file>"  # a file of the profile 2, 2, written per run
+# the objects whose methods the sweep calls
+PROFILE = perctree.LevelProfile((2, 2))
+WEIGHTS = perctree.weight_sequence(PROFILE)
+REPORT = perctree.regime_experiment(PROFILE, [1, 2], replicas=10, seed=1)
+EMPIRICAL = dynamics.estimate_C_distribution(MAJ3, PARAMS)
+SERIES = analysis.andor_x_seq(0.5, 3)
+STATE = functions.build_state(MAJ3, (0, 1, 1))
 
 
 def obj(value):
@@ -71,6 +81,8 @@ ENTRIES = {
                                  {"instance": obj(MAJ3), "bits": seq(((0, 1, 1),))}),
     "functions.build_state": (functions.build_state,
                               {"instance": obj(MAJ3), "config": seq((0, 1, 1))}),
+    "functions.EvaluationState.apply_update": (STATE.apply_update,
+                                               {"bit_index": 0, "new_value": 1}),
     # dynamics
     "dynamics.replica_stream": (dynamics.replica_stream, {"seed": 1, "replica_index": 0}),
     "dynamics.DynamicsParams": (dynamics.DynamicsParams,
@@ -92,6 +104,8 @@ ENTRIES = {
     "dynamics.survival_curve": (dynamics.survival_curve,
                                 {"instance": obj(MAJ3), "p": 0.5, "xs": seq((0.5,)),
                                  "replicas": 10, "seed": 1}),
+    "dynamics.EmpiricalC.prob_greater": (EMPIRICAL.prob_greater, {"M": 1}),
+    "dynamics.EmpiricalC.prob_between": (EMPIRICAL.prob_between, {"lo": 0, "hi": 2}),
     # experiments
     "experiments.SequencePlan": (experiments.SequencePlan,
                                  {"entries": seq(((Spec("parity", 1), 0.5),)),
@@ -100,6 +114,7 @@ ENTRIES = {
                                             {"pairs": seq((("parity:1", 0.5),)), "T": 1.0,
                                              "replicas": 10, "seed": 1}),
     "experiments.classify": (experiments.classify, {"plan": obj(PLAN)}),
+    "experiments.SequencePlan.dyn_params": (PLAN.dyn_params, {"p": 0.3}),
     # oracle
     "oracle.exact_prob_one": (oracle.exact_prob_one, {"instance": obj(MAJ3), "p": 0.3}),
     "oracle.exact_influence_report": (oracle.exact_influence_report,
@@ -121,6 +136,13 @@ ENTRIES = {
     "perctree.regime_experiment": (perctree.regime_experiment,
                                    {"profile": seq((2, 2)), "levels": seq((1, 2)), "p": 0.5,
                                     "T": 1.0, "replicas": 10, "seed": 1}),
+    "perctree.LevelProfile.vertex_count": (PROFILE.vertex_count, {"k": 1}),
+    "perctree.LevelProfile.edge_count": (PROFILE.edge_count, {"level": 2}),
+    "perctree.LevelProfile.spec_string": (PROFILE.spec_string, {"level": 2}),
+    "perctree.LevelProfile.write": (PROFILE.write, {"path": PROFILE_FILE}),
+    "perctree.WeightSequence.vertex_count": (WEIGHTS.vertex_count, {"k": 1}),
+    "perctree.WeightSequence.w": (WEIGHTS.w, {"k": 1}),
+    "perctree.RegimeReport.level": (REPORT.level, {"k": 2}),
     # analysis
     "analysis.Maj3Params": (analysis.Maj3Params, {"n": 5, "epsilon": 0.1, "t": 0.5}),
     "analysis.Maj3Params.from_alpha": (analysis.Maj3Params.from_alpha,
@@ -144,6 +166,8 @@ ENTRIES = {
                                          {"xs": seq((0.01, 0.1))}),
     "analysis.andor_survival_floor_check": (analysis.andor_survival_floor_check,
                                             {"grid_resolution": 100}),
+    "analysis.RecursionSeries.value": (SERIES.value, {"k": 1}),
+    "analysis.RecursionSeries.log_value": (SERIES.log_value, {"k": 1}),
 }
 
 # public entry points the sweep leaves out, and why
@@ -152,6 +176,12 @@ EXEMPT = {
     # estimates; it refuses nothing, and no command hands it user input
     "experiments.verdict_from_trends",
 }
+# the instance classes' kernel interface: the engines call it with arrays
+# they built, and evaluate_batch and build_state are the checked entry points
+EXEMPT |= {"functions.%s.%s" % (cls.__name__, attr)
+           for cls in (functions.CounterInstance, functions.TreeInstance, functions.TableInstance)
+           for attr in ("evaluate_rows", "counter_output", "input_counts", "bit_inputs",
+                        "counter_weights", "build_state") if attr in vars(cls)}
 
 
 def _variants(kind):
@@ -186,7 +216,8 @@ def profile_file(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
-def test_every_argument_refuses_cleanly(name, profile_file):
+def test_every_argument_refuses_cleanly(name, profile_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     fn, spec = ENTRIES[name]
     kinds = {k: v if isinstance(v, tuple) and v and v[0] in ("obj", "seq") else (None, v)
              for k, v in spec.items()}
@@ -205,7 +236,8 @@ def test_every_argument_refuses_cleanly(name, profile_file):
 
 def _public_entry_points():
     """"module.name" of every public function, validating constructor and
-    public classmethod defined in the swept modules."""
+    public classmethod defined in the swept modules, and "module.class.name"
+    of every public method of their public classes that takes an argument."""
     out = set()
     for mod in MODULES:
         short = mod.__name__.rsplit(".", 1)[1]
@@ -218,7 +250,9 @@ def _public_entry_points():
                 if "__post_init__" in vars(value):
                     out.add("%s.%s" % (short, name))
                 out.update("%s.%s.%s" % (short, name, attr) for attr, member in vars(value).items()
-                           if isinstance(member, classmethod) and not attr.startswith("_"))
+                           if not attr.startswith("_") and (isinstance(member, classmethod) or (
+                               inspect.isfunction(member)
+                               and len(inspect.signature(member).parameters) > 1)))
     return out
 
 

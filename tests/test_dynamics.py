@@ -711,6 +711,18 @@ def test_empirical_summary_shape():
     assert abs(k_mass - (emp.prob_greater(0) - emp.prob_greater(3))) < 1e-12
 
 
+def test_thresholds_validated():
+    emp = dyn.estimate_C_distribution(inst("maj:5"), params(seed=12, replicas=50))
+    assert emp.prob_greater(-math.inf) == 1.0 and emp.prob_greater(2**64) == 0.0
+    assert emp.prob_between(0, math.inf) == 1.0
+    # None raised TypeError and "1" numpy's UFuncTypeError
+    for M in (math.nan, True, None, "1"):
+        with pytest.raises(ValueError, match="threshold"):
+            emp.prob_greater(M)
+        with pytest.raises(ValueError, match="threshold"):
+            emp.prob_between(0, M)
+
+
 # -- endpoint pair statistics --------------------------------------------------
 
 def test_joint_zero_horizon():

@@ -88,6 +88,26 @@ class TestLevelProfile:
         spec = parse_spec(prof.spec_string(2))
         assert spec == FunctionSpec.perc((2, 16, 7), 2)
 
+    def test_methods_refuse_levels_they_do_not_hold(self, tmp_path):
+        # edge_count(-1) counted children[:-1] and spec_string(-1) built
+        # perc:2,3,2:-1; a report's missing level raised KeyError
+        prof = LevelProfile((2, 3, 2))
+        ws = weight_sequence(prof)
+        rep = regime_experiment(prof, [1, 3], replicas=5, seed=1)
+        for call in (prof.vertex_count, prof.edge_count, prof.spec_string, ws.vertex_count,
+                     ws.w, rep.level):
+            for k in (-1, 4, 99, 2.0, math.inf, True, None, "1"):
+                with pytest.raises(InvalidSpec, match="level"):
+                    call(k)
+        with pytest.raises(InvalidSpec, match="not in the report"):
+            rep.level(2)
+        assert rep.level(np.int64(3)).level == 3
+        assert prof.edge_count(0) == 0 and prof.vertex_count(np.int8(3)) == 12
+        with pytest.raises(InvalidSpec, match="path"):
+            prof.write(1)
+        prof.write(tmp_path / "p.txt")
+        assert LevelProfile.read(tmp_path / "p.txt") == prof
+
     def test_file_round_trip(self, tmp_path):
         prof = LevelProfile((2, 16, 7, 5))
         path = os.path.join(str(tmp_path), "profile.txt")
@@ -799,6 +819,32 @@ def _random_frontier(rng, nrep, base_rep, T):
     return front, single, full
 
 
+def _check_union_stats(front, base_rep, nrep, T):
+    """`_union_stats` of the frontier against a merge of each replica's
+    intervals; returns the merge's start, switches and switches to 0."""
+    init = np.zeros(nrep, dtype=np.uint8)
+    C = np.zeros(nrep, dtype=np.int64)
+    perctree._union_stats(front, base_rep, nrep, T, init, C)
+
+    want = np.zeros((3, nrep), dtype=np.int64)
+    irep = np.repeat(front.rep - base_rep, front.rc)
+    for r in np.unique(irep):
+        merged = []
+        for lo, hi in sorted(zip(front.rs[irep == r], front.re[irep == r])):
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        want[0, r] = merged[0][0] == 0.0
+        want[1, r] = sum(int(lo > 0.0) + int(hi < T) for lo, hi in merged)
+        want[2, r] = sum(int(hi < T) for _, hi in merged)
+    assert np.array_equal(init, want[0])
+    assert np.array_equal(C, want[1])
+    # switches alternate, so the start and C give the switches to 0
+    assert np.array_equal((C + init) // 2, want[2])
+    return want
+
+
 @pytest.mark.parametrize("nrep", [40, 300, 70_000])
 def test_union_stats_on_unordered_frontier(nrep):
     rng = np.random.default_rng(nrep)
@@ -806,28 +852,30 @@ def test_union_stats_on_unordered_frontier(nrep):
     for _ in range(5):
         front, single, full = _random_frontier(rng, nrep, base_rep, T)
         assert np.any(np.diff(front.rep) < 0)
-        init = np.zeros(nrep, dtype=np.uint8)
-        C = np.zeros(nrep, dtype=np.int64)
-        perctree._union_stats(front, base_rep, nrep, T, init, C)
-
-        want = np.zeros((3, nrep), dtype=np.int64)
-        irep = np.repeat(front.rep - base_rep, front.rc)
-        for r in np.unique(irep):
-            merged = []
-            for lo, hi in sorted(zip(front.rs[irep == r], front.re[irep == r])):
-                if merged and lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            want[0, r] = merged[0][0] == 0.0
-            want[1, r] = sum(int(lo > 0.0) + int(hi < T) for lo, hi in merged)
-            want[2, r] = sum(int(hi < T) for _, hi in merged)
+        want = _check_union_stats(front, base_rep, nrep, T)
         assert want[:, full].tolist() == [1, 0, 0]
         assert want[:, single].tolist() == [0, 2, 1]
-        assert np.array_equal(init, want[0])
-        assert np.array_equal(C, want[1])
-        # switches alternate, so the start and C give the switches to 0
-        assert np.array_equal((C + init) // 2, want[2])
+
+    # every replica reached holds a vertex that kept [0, T), as every
+    # vertex does at T = 0: each union is [0, T), one at the start, no switch
+    front, _, _ = _random_frontier(rng, nrep, base_rep, T)
+    reps = np.unique(front.rep)
+    covered = perctree._Frontier(
+        rep=np.concatenate([front.rep, reps]),
+        repk=np.concatenate([front.repk, reps.astype(np.uint64)]),
+        vidx=np.zeros(front.rep.size + reps.size, dtype=np.uint64),
+        rs=np.concatenate([front.rs, np.zeros(reps.size)]),
+        re=np.concatenate([front.re, np.full(reps.size, T)]),
+        rc=np.concatenate([front.rc, np.ones(reps.size, dtype=np.int64)]))
+    want = _check_union_stats(covered, base_rep, nrep, T)
+    assert want[:, reps - base_rep].tolist() == [[1] * reps.size, [0] * reps.size,
+                                                 [0] * reps.size]
+
+    # no vertex keeps [0, T); abutting pieces may still join into it
+    whole = (front.rs == 0.0) & (front.re == T)
+    assert np.any(whole)
+    front.re[whole] = 0.5 * T
+    _check_union_stats(front, base_rep, nrep, T)
 
 
 def _open_spans(sk, T):
